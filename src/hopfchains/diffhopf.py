@@ -43,6 +43,10 @@ def cyclic_tensor(a, b):
     return math.gcd(a, b)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GradedCarrier:
     """A finite list of cyclic summands (degree vector, order).
@@ -55,9 +59,18 @@ class GradedCarrier:
 
     @classmethod
     def of(cls, summands, rank=None):
+        """Normalise summands; degrees, orders and the rank must be integers.
+
+        ``True`` is not accepted as the integer 1: a boolean order would
+        otherwise be read as Z/1 and dropped.
+        """
         cleaned = []
         for deg, order in summands:
             deg = (deg,) if isinstance(deg, int) else tuple(deg)
+            if not all(_is_int(c) for c in deg):
+                raise ValueError("degree %r is not a vector of integers" % (deg,))
+            if not _is_int(order):
+                raise ValueError("order %r is not an integer" % (order,))
             if order < 0:
                 raise ValueError("orders are nonnegative")
             if order != 1:
@@ -65,6 +78,8 @@ class GradedCarrier:
         cleaned.sort()
         if rank is None:
             rank = len(cleaned[0][0]) if cleaned else 1
+        if not _is_int(rank) or rank < 1:
+            raise ValueError("rank must be an integer >= 1, not %r" % (rank,))
         for deg, _ in cleaned:
             if len(deg) != rank:
                 raise ValueError("degree %s has wrong rank" % (deg,))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .linalg import (
     UNIT, UNIT_SPACE, CheckResult, LinMap, SpaceMismatch, Vec,
-    compose_maps, equal_on_window, identity_map, pair, perm_map, split_label,
-    swap_map, tensor_maps, tensor_space,
+    compose_maps, equal_on_window, identity_map, memoised, pair, perm_map,
+    split_label, swap_map, tensor_maps, tensor_space,
 )
 
 DEFAULT_WINDOW = 3
@@ -110,7 +110,7 @@ class Comodule:
     def __init__(self, ring, carrier, coaction, check_window=DEFAULT_WINDOW):
         self.ring = ring
         self.carrier = carrier
-        self.coaction = coaction
+        self.coaction = memoised(coaction)
         if check_window is not None:
             report = self.legality(check_window)
             if not report.ok:

@@ -71,14 +71,19 @@ def pair(*labels):
     >>> pair(atom("x", 1), pair(atom("x", 2), UNIT)) == pair(pair(atom("x", 1), atom("x", 2)))
     True
     """
-    parts = []
+    parts = ()
     for lbl in labels:
-        parts.extend(factors(lbl))
+        parts += factors(lbl)
+    return _join(parts)
+
+
+def _join(parts):
+    "The canonical label of a tuple of primitive factors."
     if not parts:
         return UNIT
     if len(parts) == 1:
         return parts[0]
-    return (_TENSOR,) + tuple(parts)
+    return (_TENSOR,) + parts
 
 
 def label_key(label):
@@ -207,8 +212,9 @@ class Vec:
         "Bilinear tensor: labels are paired canonically."
         out = {}
         for k1, c1 in self.entries.items():
+            f1 = factors(k1)
             for k2, c2 in other.entries.items():
-                lbl = pair(k1, k2)
+                lbl = _join(f1 + factors(k2))
                 new = out.get(lbl, 0) + c1 * c2
                 if new:
                     out[lbl] = new
@@ -346,7 +352,7 @@ def sum_space(X, Y, name=None):
 def split_label(X, Y, label):
     "Cut a label of the strict tensor X (x) Y into its X and Y parts."
     fs = factors(label)
-    return pair(*fs[:X.arity]), pair(*fs[X.arity:])
+    return _join(fs[:X.arity]), _join(fs[X.arity:])
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +362,14 @@ def split_label(X, Y, label):
 class LinMap:
     """A linear map given basis-wise; pure, total on valid labels.
 
-    Applications are memoised per label (the map is pure, so this is
-    observationally transparent).  ``f >> g`` is "f then g", ``f @ g``
-    the tensor product.
+    A leaf map, built directly from a label function (a structure map,
+    a coaction, a braiding), memoises its value per label; the map is
+    pure, so this is observationally transparent.  Composites built by
+    ``compose_maps`` and ``tensor_maps`` hold no memo and stream each
+    label through their leaves, so their memory does not grow with the
+    window; ``memoised`` makes a leaf of a composite kept as structure,
+    such as a coaction.  ``f >> g`` is "f then g", ``f @ g`` the tensor
+    product.
     """
 
     __slots__ = ("dom", "cod", "fn", "name", "_cache")
@@ -371,19 +382,35 @@ class LinMap:
         self._cache = {}
 
     def apply(self, label):
-        out = self._cache.get(label)
+        cache = self._cache
+        if cache is None:
+            return self.fn(label)
+        out = cache.get(label)
         if out is None:
-            out = self.fn(label)
-            self._cache[label] = out
+            out = cache[label] = self.fn(label)
         return out
 
     def __call__(self, v):
         if not isinstance(v, Vec):
             return self.apply(v)
-        out = Vec.zero()
-        for label, coeff in v.items():
-            out = out + coeff * self.apply(label)
-        return out
+        entries = v.entries
+        # A basis label most often maps to one basis label; its image is
+        # then the answer as it stands (vectors are never mutated).
+        if len(entries) == 1:
+            (label, coeff), = entries.items()
+            if coeff == 1:
+                return self.apply(label)
+        out = {}
+        for label, coeff in entries.items():
+            for k, c in self.apply(label).entries.items():
+                new = out.get(k, 0) + coeff * c
+                if new:
+                    out[k] = new
+                else:
+                    del out[k]
+        w = Vec.__new__(Vec)
+        w.entries = out
+        return w
 
     def __rshift__(self, other):
         return compose_maps(self, other)
@@ -425,12 +452,30 @@ def scale_map(f, c):
     return LinMap(f.dom, f.cod, lambda l: c * f.apply(l), name="%d*%s" % (c, f.name))
 
 
+def _streamed(dom, cod, fn, name):
+    "A composite map: evaluated afresh on every label, with no memo."
+    m = LinMap(dom, cod, fn, name=name)
+    m._cache = None
+    return m
+
+
+def memoised(f):
+    """``f`` as a leaf map, memoising per label.
+
+    A composite kept as structure, such as a coaction, meets the same
+    labels again and again, so it remembers its values like a leaf.
+    """
+    if f._cache is not None:
+        return f
+    return LinMap(f.dom, f.cod, f.apply, name=f.name)
+
+
 def compose_maps(f, g):
     "f then g; domains must agree by space name."
     if f.cod.name != g.dom.name:
         raise SpaceMismatch("compose: %s -> %s vs %s" % (f.cod.name, g.dom.name, g))
-    return LinMap(f.dom, g.cod, lambda l: g(f.apply(l)),
-                  name="(%s;%s)" % (f.name, g.name))
+    return _streamed(f.dom, g.cod, lambda l: g(f.apply(l)),
+                     name="(%s;%s)" % (f.name, g.name))
 
 
 def tensor_maps(f, g):
@@ -441,7 +486,7 @@ def tensor_maps(f, g):
         lx, ly = split_label(f.dom, g.dom, label)
         return f.apply(lx).tensor(g.apply(ly))
 
-    return LinMap(dom, cod, fn, name="(%s@%s)" % (f.name, g.name))
+    return _streamed(dom, cod, fn, name="(%s@%s)" % (f.name, g.name))
 
 
 def direct_sum_maps(f, g):
@@ -460,8 +505,8 @@ def direct_sum_maps(f, g):
 def swap_map(X, Y):
     "The plain symmetry of Ab: no signs."
     def fn(label):
-        lx, ly = split_label(X, Y, label)
-        return Vec.basis(pair(ly, lx))
+        fs = factors(label)
+        return Vec.basis(_join(fs[X.arity:] + fs[:X.arity]))
     return LinMap(tensor_space(X, Y), tensor_space(Y, X), fn, name="swap")
 
 
@@ -479,11 +524,11 @@ def perm_map(spaces, perm):
     for sp in spaces:
         offsets.append((pos, pos + sp.arity))
         pos += sp.arity
+    slices = [offsets[i] for i in perm]
 
     def fn(label):
         fs = factors(label)
-        parts = [pair(*fs[a:b]) for a, b in offsets]
-        return Vec.basis(pair(*[parts[i] for i in perm]))
+        return Vec.basis(_join(tuple(f for a, b in slices for f in fs[a:b])))
 
     return LinMap(dom, cod, fn, name="perm%s" % (perm,))
 

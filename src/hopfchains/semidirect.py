@@ -25,7 +25,7 @@ from .laws import (
 )
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, equal_on_window,
-    identity_map, pair, split_label, tensor_maps, tensor_space,
+    identity_map, memoised, pair, split_label, tensor_maps, tensor_space,
 )
 
 VALIDATION_WINDOW = 3
@@ -241,9 +241,9 @@ class WComodule:
                  validate=True):
         self.hb = hb
         self.carrier = carrier
-        self.alpha = alpha
-        self.chi = chi
-        self.as_comodule = Comodule(hb.ring, carrier, alpha,
+        self.alpha = memoised(alpha)
+        self.chi = memoised(chi)
+        self.as_comodule = Comodule(hb.ring, carrier, self.alpha,
                                     check_window=window if validate else None)
         if validate:
             _require(self.legality(window))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfchains.cli import RunConfig, build_parser, main, render_json, run_command
 
 
@@ -47,6 +49,18 @@ def test_carrier_check_accepts_odd_degree_generator(tmp_path):
         {"rank": 1, "summands": [{"degree": [-1], "order": 0}]}))
     status, report = run(command="carrier-check", carrier_file=str(path))
     assert status == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"rank": 0, "summands": []},
+    {"rank": 1, "summands": [{"degree": [1], "order": True}]},
+    {"rank": 1, "summands": [{"degree": [1.5], "order": 0}]},
+], ids=["rank-zero", "boolean-order", "fractional-degree"])
+def test_carrier_check_rejects_malformed_carrier(tmp_path, capsys, doc):
+    path = tmp_path / "carrier.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--command", "carrier-check", "--carrier-file", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_build_semidirect_runs_the_suite():

@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfchains.linalg import (
-    UNIT, UNIT_SPACE, SpaceMismatch, Vec, atom, compose_maps,
-    direct_sum_maps, equal_on_window, finite_space, identity_map,
-    label_from_json, label_key, label_to_json, left, pair, right, scale_map,
-    split_label, sum_space, tensor_maps, tensor_space, zero_map,
+    UNIT, UNIT_SPACE, ZERO, LinMap, Space, SpaceMismatch, Vec, atom,
+    compose_maps, direct_sum_maps, equal_on_window, factors, finite_space,
+    identity_map, label_from_json, label_key, label_to_json, left, memoised,
+    pair, perm_map, right, scale_map, split_label, sum_space, swap_map,
+    tensor_maps, tensor_space, zero_map,
 )
 from hopfchains.grading import laurent_hopf, monomial
+from hopfchains.laws import Comodule, trivial_comodule
+from hopfchains.pareigis import ring_by_name
 
 
 def x(k):
@@ -169,3 +173,127 @@ def test_structure_maps_land_on_valid_codomain_labels():
     for f in (Z.mu, Z.delta, Z.antipode, Z.epsilon, Z.eta):
         ok, witness = f.supported_on_codomain(2)
         assert ok, witness
+
+
+# ---------------------------------------------------------------------------
+# the label fast paths against the generic canonicalising tensor
+
+
+def reference_pair(*labels):
+    "Generic tensor of labels: flatten every factor, absorb units."
+    parts = []
+    for lbl in labels:
+        parts.extend(factors(lbl))
+    if not parts:
+        return UNIT
+    if len(parts) == 1:
+        return parts[0]
+    return ("t",) + tuple(parts)
+
+
+atoms = st.builds(lambda fam, idx: atom(fam, *idx),
+                  st.sampled_from("xyde"),
+                  st.lists(st.integers(-9, 9), max_size=3))
+labels = st.recursive(
+    st.just(UNIT) | atoms,
+    lambda inner: (st.builds(left, inner) | st.builds(right, inner)
+                   | st.lists(inner, min_size=2, max_size=3)
+                     .map(lambda ls: reference_pair(*ls))),
+    max_leaves=8)
+vecs = st.dictionaries(labels, st.integers(-3, 3), max_size=4).map(Vec)
+
+
+def space_of_arity(n, name="S"):
+    return Space("%s%d" % (name, n), n, lambda l: True, window=lambda K: [])
+
+
+@settings(deadline=None)
+@given(st.lists(labels, max_size=4))
+def test_pair_matches_reference(ls):
+    assert pair(*ls) == reference_pair(*ls)
+
+
+@settings(deadline=None)
+@given(st.lists(labels, max_size=4))
+def test_split_label_matches_reference(ls):
+    lbl = reference_pair(*ls)
+    fs = factors(lbl)
+    for n in range(4):
+        X, Y = space_of_arity(n, "X"), space_of_arity(len(fs) - n, "Y")
+        assert split_label(X, Y, lbl) == (reference_pair(*fs[:n]),
+                                          reference_pair(*fs[n:]))
+
+
+@settings(deadline=None)
+@given(st.lists(labels, max_size=4))
+def test_swap_map_matches_reference(ls):
+    lbl = reference_pair(*ls)
+    fs = factors(lbl)
+    for n in range(min(len(fs), 3) + 1):
+        X, Y = space_of_arity(n, "X"), space_of_arity(len(fs) - n, "Y")
+        got = swap_map(X, Y).apply(lbl)
+        assert got == Vec.basis(reference_pair(reference_pair(*fs[n:]),
+                                               reference_pair(*fs[:n])))
+
+
+@settings(deadline=None)
+@given(vecs, vecs)
+def test_vec_tensor_matches_reference(u, v):
+    expected = {}
+    for k1, c1 in u.items():
+        for k2, c2 in v.items():
+            k = reference_pair(k1, k2)
+            expected[k] = expected.get(k, 0) + c1 * c2
+    got = u.tensor(v)
+    assert got == Vec(expected)
+    assert all(got.entries.values())
+
+
+@settings(deadline=None)
+@given(st.lists(labels, min_size=1, max_size=4).flatmap(
+    lambda ls: st.tuples(st.just(ls), st.permutations(range(len(ls))))))
+def test_perm_map_matches_reference(case):
+    slots, perm = case
+    spaces = [space_of_arity(len(factors(l)), "P%d_" % i) for i, l in enumerate(slots)]
+    got = perm_map(spaces, tuple(perm)).apply(reference_pair(*slots))
+    assert got == Vec.basis(reference_pair(*[slots[i] for i in perm]))
+
+
+# ---------------------------------------------------------------------------
+# map application: one dict per call, memo on leaf maps only
+
+
+def test_applying_a_map_to_cancelling_terms_stores_no_zero():
+    g, h = atom("g"), atom("h")
+    S = finite_space("S", [g, h])
+    images = {g: Vec.basis(g) + Vec.basis(h), h: Vec.basis(g)}
+    f = LinMap(S, S, images.__getitem__)
+    collapse = LinMap(S, S, lambda l: Vec.basis(g))
+    gone = collapse(Vec.basis(g) - Vec.basis(h))
+    assert gone == ZERO and gone.entries == {}
+    left_over = f(Vec.basis(g) - Vec.basis(h))
+    assert left_over.entries == {h: 1}
+
+
+def test_composites_hold_no_memo_after_a_window_check():
+    P = ring_by_name("pareigis")
+    idh = identity_map(P.carrier)
+    lhs_t, rhs_t = tensor_maps(P.mu, idh), tensor_maps(idh, P.mu)
+    lhs, rhs = compose_maps(lhs_t, P.mu), compose_maps(rhs_t, P.mu)
+    assert equal_on_window(lhs, rhs, 3, law="associativity")
+    for m in (lhs_t, rhs_t, lhs, rhs):
+        assert m._cache is None
+    window = P.carrier.enumerate(3)
+    assert all(pair(a, b) in P.mu._cache for a in window for b in window)
+
+
+def test_a_composite_kept_as_a_coaction_memoises():
+    Z = laurent_hopf(1)
+    S = finite_space("S", [atom("g")])
+    leaf = trivial_comodule(Z, S).coaction
+    assert memoised(leaf) is leaf
+    composite = compose_maps(leaf, identity_map(leaf.cod))
+    X = Comodule(Z, S, composite, check_window=2)
+    assert composite._cache is None
+    assert X.coaction.apply(atom("g")) == leaf.apply(atom("g"))
+    assert atom("g") in X.coaction._cache
