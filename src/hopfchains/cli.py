@@ -153,8 +153,7 @@ def cmd_build_semidirect(cfg, rows):
     rows.add("admissibility", "accept", 1, None,
              int((time.monotonic() - t0) * 1000))
     sd, ms = _timed(lambda: hb.product(cfg.window))
-    report, ms2 = _timed(lambda: check_bialgebra_laws(sd, plain_swap(), cfg.window))
-    rows.extend_report("semidirect", report, ms + ms2)
+    rows.extend_report("semidirect", sd.report, ms)
 
 
 def cmd_verify_pareigis(cfg, rows):

@@ -15,15 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laws import Bimonoid, Comodule, comodule_braiding
+from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, comodule_braiding
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, Vec, direct_sum_maps, equal_on_window,
     identity_map, left, pair, right, scale_map, split_label, sum_space,
     tensor_space,
 )
 from .semidirect import ComoduleBimonoid
-
-VALIDATION_WINDOW = 3
 
 
 class RankMismatch(Exception):

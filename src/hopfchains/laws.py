@@ -15,7 +15,8 @@ from .linalg import (
     split_label, swap_map, tensor_maps, tensor_space,
 )
 
-DEFAULT_WINDOW = 3
+# the window every verify-on-construction check uses unless told otherwise
+VALIDATION_WINDOW = 3
 
 
 class Report(list):
@@ -107,7 +108,7 @@ class Comodule:
     window at construction time and can be rechecked at any window.
     """
 
-    def __init__(self, ring, carrier, coaction, check_window=DEFAULT_WINDOW):
+    def __init__(self, ring, carrier, coaction, check_window=VALIDATION_WINDOW):
         self.ring = ring
         self.carrier = carrier
         self.coaction = memoised(coaction)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from .chains import ChainComplex, ChainMap, IllegalChain, is_zero, zeros
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
-from .laws import Bimonoid, Comodule, IllegalComodule, Report
+from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, IllegalComodule, Report
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, Space, Vec, atom, equal_on_window,
     identity_map, left, pair, right, split_label, tensor_maps, tensor_space,
@@ -190,7 +190,7 @@ def ring_by_name(name):
 # identification with the semidirect product
 
 
-def differential_comodule_bimonoid(s, window=3):
+def differential_comodule_bimonoid(s, window=VALIDATION_WINDOW):
     "The two-term Hopf ring I + D over the Laurent ring, D = Z in degree s."
     gamma = sign_coelement(Bicharacter(1, (-1,)))
     dmod = GradedModule.of({s: 1}, rank=1, name="d")
@@ -442,6 +442,7 @@ def comodule_to_json(B):
 
 
 def comodule_from_json(doc, check_window=0):
+    "Inverse of comodule_to_json; every coefficient must be a JSON integer."
     import json
 
     from .linalg import finite_space, label_from_json
@@ -454,6 +455,9 @@ def comodule_from_json(doc, check_window=0):
         b = label_from_json(json.loads(key))
         out = Vec.zero()
         for c, r, x in terms:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError("coefficient %r under basis key %s is not an integer"
+                                 % (c, key))
             out = out + c * Vec.basis(pair(label_from_json(r), label_from_json(x)))
         table[b] = out
     coaction = LinMap(carrier, tensor_space(ring.carrier, carrier),

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from hopfchains.cli import RunConfig, build_parser, main, render_json, run_command
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(**kw):
@@ -121,3 +124,20 @@ def test_parser_accepts_the_documented_flags():
         "--ring", "pareigis", "--output", "/tmp/x.json"])
     assert args.command == "verify-pareigis"
     assert args.s == -1
+
+
+GOLDEN = {
+    "build-semidirect-s+1-w4.json": ["--command", "build-semidirect", "--s", "1",
+                                     "--window", "4"],
+    "build-semidirect-s-1-w4.json": ["--command", "build-semidirect", "--s", "-1",
+                                     "--window", "4"],
+    "verify-pareigis-s-1-w6.json": ["--command", "verify-pareigis", "--s=-1",
+                                    "--window", "6"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN))
+def test_reports_match_the_stored_golden_reports(tmp_path, golden):
+    out = tmp_path / golden
+    assert main(GOLDEN[golden] + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()

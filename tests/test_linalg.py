@@ -12,7 +12,7 @@ from hopfchains.linalg import (
 )
 from hopfchains.grading import laurent_hopf, monomial
 from hopfchains.laws import Comodule, trivial_comodule
-from hopfchains.pareigis import ring_by_name
+from hopfchains.pareigis import differential_comodule_bimonoid, pareigis_ring, ring_by_name
 
 
 def x(k):
@@ -297,3 +297,26 @@ def test_a_composite_kept_as_a_coaction_memoises():
     assert composite._cache is None
     assert X.coaction.apply(atom("g")) == leaf.apply(atom("g"))
     assert atom("g") in X.coaction._cache
+
+
+def _monotone_spaces():
+    spaces = {"Z": laurent_hopf(1).carrier, "Z^2": laurent_hopf(2).carrier,
+              "P": pareigis_ring(-1).carrier, "P+": pareigis_ring(1).carrier}
+    for s in (-1, 1):
+        hb = differential_comodule_bimonoid(s)
+        Q = tensor_space(hb.hopf.carrier, hb.ring.carrier)
+        spaces["I+D[s=%+d]" % s] = hb.hopf.carrier
+        spaces["Q[s=%+d]" % s] = Q
+        spaces["QxQ[s=%+d]" % s] = tensor_space(Q, Q)
+    return spaces
+
+
+MONOTONE_SPACES = _monotone_spaces()
+
+
+@pytest.mark.parametrize("name", MONOTONE_SPACES)
+def test_window_enumeration_is_monotone(name):
+    space = MONOTONE_SPACES[name]
+    # the premise that lets a law pass at window K stand for every K' <= K
+    for K in range(6):
+        assert set(space.enumerate(K)) <= set(space.enumerate(K + 1))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -211,3 +212,17 @@ def test_comodule_json_round_trip():
         for b in com.carrier.enumerate(0):
             assert back.coaction.apply(b) == com.coaction.apply(b)
         assert comodule_to_chain(back, name=X.name) == X
+
+
+@pytest.mark.parametrize("coeff", [True, 1.0, 1.5], ids=["boolean", "integral-float", "fraction"])
+def test_comodule_json_rejects_non_integer_coefficients(coeff):
+    import json
+
+    from hopfchains.pareigis import comodule_from_json, comodule_to_json
+
+    X = ChainComplex({0: 1}, {}, name="j")
+    doc = json.loads(json.dumps(comodule_to_json(chain_to_comodule(X, -1))))
+    key = next(iter(doc["coaction"]))
+    doc["coaction"][key][0][0] = coeff
+    with pytest.raises(ValueError, match="basis key %s" % re.escape(key)):
+        comodule_from_json(doc)

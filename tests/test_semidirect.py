@@ -15,10 +15,13 @@ from hopfchains.linalg import (
     pair, right, tensor_maps, tensor_space,
 )
 from hopfchains.chains import random_complex
+from hopfchains import semidirect
+from hopfchains.diffhopf import build_differential_hopf
 from hopfchains.pareigis import chain_to_wcomodule, differential_comodule_bimonoid
 from hopfchains.semidirect import (
-    ComoduleBimonoid, LawViolation, comparison_f, comparison_f_inverse,
-    semidirect_antipode, semidirect_product, tensor_wcomodule,
+    ComoduleBimonoid, LawViolation, SemidirectRing, comparison_f,
+    comparison_f_inverse, semidirect_antipode, semidirect_product,
+    tensor_wcomodule,
 )
 
 
@@ -139,7 +142,6 @@ def test_law_violation_on_illegal_input():
     # needs the -1 braiding on d (x) d.
     gamma_sign = sign_coelement(Bicharacter(1, (-1,)))
     D = graded_to_comodule(GradedModule.of({1: 1}, name="d"), gamma_sign.ring)
-    from hopfchains.diffhopf import build_differential_hopf
     hb = build_differential_hopf(D, gamma_sign)
     trivial = Coelement(gamma_sign.ring, lambda a, b: 1, name="trivial")
     with pytest.raises(LawViolation):
@@ -191,3 +193,64 @@ def test_comparison_is_strict_monoidal_on_samples():
         rhs = tensor_comodule(comparison_f(B, window=0),
                               comparison_f(C, window=0), check_window=None)
         assert equal_on_window(lhs.coaction, rhs.coaction, 0).equal
+
+
+# ---------------------------------------------------------------------------
+# one memoised product per ComoduleBimonoid, verified once per window
+
+
+@pytest.fixture
+def product_suites(monkeypatch):
+    "Windows at which the product suite runs, in call order."
+    windows = []
+    real = semidirect.check_bialgebra_laws
+
+    def spy(B, braid, K):
+        if isinstance(B, SemidirectRing):
+            windows.append(K)
+        return real(B, braid, K)
+
+    monkeypatch.setattr(semidirect, "check_bialgebra_laws", spy)
+    return windows
+
+
+def test_product_then_antipode_runs_the_suite_once(product_suites):
+    hb = differential_comodule_bimonoid(-1)
+    sd = semidirect_product(hb, window=6)
+    assert semidirect_antipode(hb, window=6) is sd.antipode
+    assert hb.product(6) is sd
+    assert product_suites == [6]
+
+
+def test_a_larger_window_runs_the_suite_again(product_suites):
+    hb = differential_comodule_bimonoid(1)
+    sd = hb.product()
+    assert product_suites == [3]
+    assert hb.product(6) is sd
+    assert product_suites == [3, 6]
+    assert (sd.window, sd.report[0].instances) == (6, (2 * 13) ** 3)
+    # a smaller window is covered by the pass at 6
+    assert hb.product(4) is sd and semidirect_product(hb, window=5) is sd
+    assert product_suites == [3, 6]
+
+
+def test_an_unchecked_product_is_verified_when_asked(product_suites):
+    hb = differential_comodule_bimonoid(-1)
+    sd = semidirect_product(hb, window=2, check=False)
+    assert product_suites == [] and sd.window is None
+    assert semidirect_product(hb, window=2) is sd
+    assert product_suites == [2] and sd.window == 2
+
+
+def test_a_failing_product_raises_every_time(product_suites):
+    gamma = sign_coelement(Bicharacter(1, (-1,)))
+    D = graded_to_comodule(GradedModule.of({0: 1}, name="d"), gamma.ring)
+    hb = build_differential_hopf(D, gamma, force=True)
+    for call in (lambda: semidirect_product(hb, window=2),
+                 lambda: hb.product(2),
+                 lambda: semidirect_antipode(hb, window=1)):
+        with pytest.raises(LawViolation) as err:
+            call()
+        assert [r.law for r in err.value.results] == ["interchange"]
+    assert product_suites == [2, 2, 1]
+    assert hb._product.window is None and hb._product.report is None
