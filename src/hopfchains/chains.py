@@ -7,13 +7,11 @@ the two-term Hopf ring carrier, and bicomplexes with a second
 differential whose commutation sign is controlled by the grading
 coelement's kappa.
 
-Matrices are numpy object arrays holding Python integers, so all
-arithmetic is exact.
+Matrices are small exact integer matrices (lists of rows of Python
+ints, see ``mat``), so all arithmetic is exact.
 """
 
 from __future__ import annotations
-
-import numpy
 
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
@@ -28,33 +26,117 @@ class IllegalChain(Exception):
     "A differential whose square is not zero, or a shape mismatch."
 
 
+class _Matrix:
+    """An exact integer matrix: a list of rows of Python ints and a column
+    count, so that a matrix with no rows keeps its shape.
+
+    Only ``mat``, ``zeros`` and ``eye`` build one.
+    """
+
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows, ncols):
+        self.rows = rows
+        self.ncols = ncols
+
+    @property
+    def shape(self):
+        return (len(self.rows), self.ncols)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i][j]
+
+    def __setitem__(self, ij, value):
+        i, j = ij
+        self.rows[i][j] = value
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return self.ncols == other.ncols and self.rows == other.rows
+
+    def __add__(self, other):
+        if self.shape != other.shape:
+            raise ValueError("shapes %s and %s differ" % (self.shape, other.shape))
+        return _Matrix([[a + b for a, b in zip(r, s)]
+                        for r, s in zip(self.rows, other.rows)], self.ncols)
+
+    def __neg__(self):
+        return _Matrix([[-a for a in r] for r in self.rows], self.ncols)
+
+    def __rmul__(self, c):
+        if not isinstance(c, int):
+            return NotImplemented
+        return _Matrix([[c * a for a in r] for r in self.rows], self.ncols)
+
+    def dot(self, other):
+        "The product; each nonzero entry a[i][k] adds a multiple of row k of other."
+        if self.ncols != len(other.rows):
+            raise ValueError("shapes %s and %s not aligned" % (self.shape, other.shape))
+        n = other.ncols
+        out = []
+        for r in self.rows:
+            acc = [0] * n
+            for a, row in zip(r, other.rows):
+                if a:
+                    acc = [x + a * b for x, b in zip(acc, row)]
+            out.append(acc)
+        return _Matrix(out, n)
+
+
 def mat(rows):
-    a = numpy.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+    """The exact matrix with these rows; a matrix is returned as it stands.
+
+    Entries must be ints (not bools): anything else is a ValueError that
+    names its row and column.  Rows of unequal length are IllegalChain.
+    """
+    if isinstance(rows, _Matrix):
+        return rows
+    out = []
     for i, row in enumerate(rows):
+        row = list(row)
         for j, v in enumerate(row):
-            a[i, j] = int(v)
-    return a
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError("entry (%d, %d) is %r, not an integer" % (i, j, v))
+        if out and len(row) != len(out[0]):
+            raise IllegalChain("row %d has %d entries, row 0 has %d"
+                               % (i, len(row), len(out[0])))
+        out.append(row)
+    return _Matrix(out, len(out[0]) if out else 0)
 
 
 def zeros(m, n):
-    a = numpy.empty((m, n), dtype=object)
-    a[...] = 0
-    return a
+    return _Matrix([[0] * n for _ in range(m)], n)
 
 
 def eye(n):
     a = zeros(n, n)
     for i in range(n):
-        a[i, i] = 1
+        a.rows[i][i] = 1
     return a
 
 
 def is_zero(a):
-    return a.size == 0 or not (a != 0).any()
+    return not any(any(r) for r in a.rows)
 
 
 def mat_eq(a, b):
-    return a.shape == b.shape and (a.size == 0 or (a == b).all())
+    return a == b
+
+
+def _nonzero(blocks):
+    "The blocks as matrices, dropping those that are zero."
+    return {k: m for k, m in ((k, mat(b)) for k, b in blocks.items()) if not is_zero(m)}
+
+
+def _place(m, block, top, left):
+    "Write block into m with its top-left entry at (top, left)."
+    for i, r in enumerate(block.rows, top):
+        m.rows[i][left:left + block.ncols] = r
 
 
 class ChainComplex:
@@ -66,11 +148,7 @@ class ChainComplex:
 
     def __init__(self, ranks, diffs, name="c", check=True):
         self.ranks = {n: r for n, r in ranks.items() if r}
-        self.diffs = {}
-        for n, d in diffs.items():
-            d = d if isinstance(d, numpy.ndarray) else mat(d)
-            if d.size and not is_zero(d):
-                self.diffs[n] = d
+        self.diffs = _nonzero(diffs)
         self.name = name
         if check:
             self._check()
@@ -122,7 +200,7 @@ class ChainComplex:
         window = [degs[0], degs[-1]] if degs else [0, 0]
         return {"window": window,
                 "ranks": {str(n): r for n, r in sorted(self.ranks.items())},
-                "differentials": {str(n): [[int(v) for v in row] for row in d]
+                "differentials": {str(n): [list(row) for row in d]
                                   for n, d in sorted(self.diffs.items())}}
 
     @classmethod
@@ -158,11 +236,7 @@ class ChainMap:
     def __init__(self, src, tgt, blocks, check=True):
         self.src = src
         self.tgt = tgt
-        self.blocks = {}
-        for n, b in blocks.items():
-            b = b if isinstance(b, numpy.ndarray) else mat(b)
-            if b.size and not is_zero(b):
-                self.blocks[n] = b
+        self.blocks = _nonzero(blocks)
         if check and not self.is_chain_map():
             raise IllegalChain("blocks do not commute with the differentials")
 
@@ -364,8 +438,7 @@ class GradedMap:
     def __init__(self, src, tgt, blocks):
         self.src = src
         self.tgt = tgt
-        self.blocks = {n: (b if isinstance(b, numpy.ndarray) else mat(b))
-                       for n, b in blocks.items()}
+        self.blocks = {n: mat(b) for n, b in blocks.items()}
 
     def block(self, n):
         b = self.blocks.get(n)
@@ -434,8 +507,8 @@ def left_adjoint_map(g):
     for n in L1.degrees():
         top, bot = g.block(n + 1), g.block(n)
         m = zeros(L2.rank(n), L1.rank(n))
-        m[:top.shape[0], :top.shape[1]] = top
-        m[top.shape[0]:, top.shape[1]:] = bot
+        _place(m, top, 0, 0)
+        _place(m, bot, *top.shape)
         blocks[n] = m
     return ChainMap(L1, L2, blocks, check=False)
 
@@ -446,8 +519,8 @@ def right_adjoint_map(g):
     for n in R1.degrees():
         top, bot = g.block(n), g.block(n - 1)
         m = zeros(R2.rank(n), R1.rank(n))
-        m[:top.shape[0], :top.shape[1]] = top
-        m[top.shape[0]:, top.shape[1]:] = bot
+        _place(m, top, 0, 0)
+        _place(m, bot, *top.shape)
         blocks[n] = m
     return ChainMap(R1, R2, blocks, check=False)
 
@@ -457,11 +530,9 @@ def unit_ur(X):
     RU = right_adjoint_complex(underlying_graded(X))
     blocks = {}
     for n in X.degrees():
-        top = eye(X.rank(n))
-        bot = X.d(n)
         m = zeros(X.rank(n) + X.rank(n - 1), X.rank(n))
-        m[:X.rank(n), :] = top
-        m[X.rank(n):, :] = bot
+        _place(m, eye(X.rank(n)), 0, 0)
+        _place(m, X.d(n), X.rank(n), 0)
         blocks[n] = m
     return ChainMap(X, RU, blocks)
 
@@ -473,7 +544,7 @@ def counit_ur(M):
     for n in R.degrees():
         k = M.dim_at(n)
         m = zeros(k, R.rank(n))
-        m[:, :k] = eye(k)
+        _place(m, eye(k), 0, 0)
         blocks[n] = m
     return GradedMap(underlying_graded(R), M, blocks)
 
@@ -485,7 +556,7 @@ def unit_lu(M):
     for n, _ in M.components:
         k = M.dim_at(n)
         m = zeros(L.rank(n[0]), k)
-        m[M.dim_at(n[0] + 1):, :] = eye(k)
+        _place(m, eye(k), M.dim_at(n[0] + 1), 0)
         blocks[n[0]] = m
     return GradedMap(M, underlying_graded(L), blocks)
 
@@ -495,10 +566,9 @@ def counit_lu(X):
     LU = left_adjoint_complex(underlying_graded(X))
     blocks = {}
     for n in X.degrees():
-        top = X.d(n + 1)
         m = zeros(X.rank(n), X.rank(n + 1) + X.rank(n))
-        m[:, :X.rank(n + 1)] = top
-        m[:, X.rank(n + 1):] = eye(X.rank(n))
+        _place(m, X.d(n + 1), 0, 0)
+        _place(m, eye(X.rank(n)), 0, X.rank(n + 1))
         blocks[n] = m
     return ChainMap(LU, X, blocks)
 
@@ -617,10 +687,8 @@ class Bicomplex:
         self.ranks = {c: r for c, r in ranks.items() if r}
         self.name = name
         self.d2_bidegree = tuple(d2_bidegree)
-        self.d1 = {c: (m if isinstance(m, numpy.ndarray) else mat(m))
-                   for c, m in d1.items() if not is_zero(m if isinstance(m, numpy.ndarray) else mat(m))}
-        self.d2 = {c: (m if isinstance(m, numpy.ndarray) else mat(m))
-                   for c, m in d2.items() if not is_zero(m if isinstance(m, numpy.ndarray) else mat(m))}
+        self.d1 = _nonzero(d1)
+        self.d2 = _nonzero(d2)
         if self.d2_bidegree[1] != -1:
             raise IllegalChain("second differential must lower the inner degree")
         if check:
@@ -771,20 +839,22 @@ def random_unimodular(rng, k, ops=None):
         i, j = rng.randrange(k), rng.randrange(k)
         c = rng.choice((-2, -1, 1, 2))
         steps.append((kind, i, j, c))
+    rows = U.rows
     for kind, i, j, c in steps:
         if kind == "add" and i != j:
-            U[j, :] = U[j, :] + c * U[i, :]
+            rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
         elif kind == "swap":
-            U[[i, j], :] = U[[j, i], :]
+            rows[i], rows[j] = rows[j], rows[i]
         elif kind == "neg":
-            U[i, :] = -U[i, :]
+            rows[i] = [-a for a in rows[i]]
     for kind, i, j, c in steps:
-        if kind == "add" and i != j:
-            Uinv[:, i] = Uinv[:, i] - c * Uinv[:, j]
-        elif kind == "swap":
-            Uinv[:, [i, j]] = Uinv[:, [j, i]]
-        elif kind == "neg":
-            Uinv[:, i] = -Uinv[:, i]
+        for row in Uinv.rows:
+            if kind == "add" and i != j:
+                row[i] -= c * row[j]
+            elif kind == "swap":
+                row[i], row[j] = row[j], row[i]
+            elif kind == "neg":
+                row[i] = -row[i]
     return U, Uinv
 
 

@@ -127,10 +127,14 @@ def test_parser_accepts_the_documented_flags():
 
 
 GOLDEN = {
+    "bicomplex-check-t25-seed7.json": ["--command", "bicomplex-check", "--trials", "25",
+                                       "--seed", "7"],
     "build-semidirect-s+1-w4.json": ["--command", "build-semidirect", "--s", "1",
                                      "--window", "4"],
     "build-semidirect-s-1-w4.json": ["--command", "build-semidirect", "--s", "-1",
                                      "--window", "4"],
+    "roundtrip-t100-seed42.json": ["--command", "roundtrip", "--trials", "100",
+                                   "--seed", "42"],
     "verify-pareigis-s-1-w6.json": ["--command", "verify-pareigis", "--s=-1",
                                     "--window", "6"],
 }
