@@ -23,7 +23,7 @@ from .diffhopf import (
     build_differential_hopf, check_differential_carrier,
 )
 from .grading import Bicharacter, GradedModule, graded_to_comodule, laurent_hopf, sign_coelement
-from .laws import check_bialgebra_laws, check_coelement, plain_swap
+from .laws import VALIDATION_WINDOW, check_bialgebra_laws, check_coelement, plain_swap
 from .pareigis import (
     chain_to_comodule, chain_to_wcomodule, comodule_to_chain,
     differential_comodule_bimonoid, identify_semidirect, ring_by_name,
@@ -34,6 +34,13 @@ from .linalg import equal_on_window
 
 COMMANDS = ("check-axioms", "build-semidirect", "verify-pareigis",
             "roundtrip", "carrier-check", "bicomplex-check")
+
+
+# The most labels one law may enumerate (seconds of checking per law; the
+# README commands stay under 40,000).  A window past it would run for
+# minutes to days, so it is refused as a config error before anything is
+# built.
+LABEL_BUDGET = 10 ** 6
 
 
 class ConfigError(Exception):
@@ -63,6 +70,34 @@ class RunConfig:
             raise ConfigError("s must be -1 or 1")
         if self.format not in ("json", "text"):
             raise ConfigError("format must be json or text")
+        labels = _largest_law_window(self)
+        if labels > LABEL_BUDGET:
+            raise ConfigError("window %d means about %d labels in one law, above the "
+                              "budget of %d" % (self.window, labels, LABEL_BUDGET))
+
+
+def _largest_law_window(cfg):
+    """Labels in the largest window one law of the command enumerates.
+
+    Read off the window formulas, nothing is enumerated: a window K has
+    2K + 1 Laurent monomials, and P, P+ and (I + D) (x) Z have
+    (1 + dim D)(2K + 1) basis labels with dim D = 1 for P and P+.  The
+    largest laws are three-fold (associativity, coelement axioms 2 and
+    3) except in ``verify-pareigis``, whose largest map is the product
+    on a two-fold window next to the product suite at the validation
+    window.  The other commands take no window.
+    """
+    n = 2 * cfg.window + 1
+    if cfg.command == "check-axioms":
+        return (n if cfg.ring == "laurent" else 2 * n) ** 3
+    if cfg.command == "build-semidirect":
+        dim_d = 1
+        if cfg.carrier_file:
+            dim_d = len(_carrier_from_file(cfg.carrier_file).summands)
+        return ((1 + dim_d) * n) ** 3
+    if cfg.command == "verify-pareigis":
+        return max((2 * n) ** 2, (2 * (2 * VALIDATION_WINDOW + 1)) ** 3)
+    return 0
 
 
 class Rows:

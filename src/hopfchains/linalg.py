@@ -22,7 +22,9 @@ Coefficients are plain Python integers, so nothing ever overflows.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 
@@ -323,8 +325,10 @@ def tensor_space(X, Y):
         return True
 
     def window(K, parts=parts):
-        combos = itertools.product(*[p.enumerate(K) for p in parts])
-        return [pair(*combo) for combo in combos]
+        # each part's labels cut into factor tuples once, then joined
+        cuts = [[(l,) if p.arity == 1 else l[1:] for l in p.enumerate(K)]
+                for p in parts]
+        return [sum(combo, (_TENSOR,)) for combo in itertools.product(*cuts)]
 
     space = Space(name, sum(arities), contains, window=window)
     space.parts = parts
@@ -362,17 +366,24 @@ def split_label(X, Y, label):
 class LinMap:
     """A linear map given basis-wise; pure, total on valid labels.
 
-    A leaf map, built directly from a label function (a structure map,
-    a coaction, a braiding), memoises its value per label; the map is
-    pure, so this is observationally transparent.  Composites built by
-    ``compose_maps`` and ``tensor_maps`` hold no memo and stream each
-    label through their leaves, so their memory does not grow with the
-    window; ``memoised`` makes a leaf of a composite kept as structure,
-    such as a coaction.  ``f >> g`` is "f then g", ``f @ g`` the tensor
-    product.
+    There are three kinds of map:
+
+    * a leaf, built directly from a label function (a structure map, a
+      coaction, a braiding), memoises its value per label; the map is
+      pure, so this is observationally transparent;
+    * a composite, built by ``compose_maps`` and ``tensor_maps``, holds
+      no memo and streams each label through its stages, so its memory
+      does not grow with the window; ``memoised`` makes a leaf of a
+      composite kept as structure, such as a coaction;
+    * a wire (``identity_map``, ``swap_map``, ``perm_map``) sends each
+      basis label to one basis label with coefficient 1.  It holds no
+      memo, and a composite built from it applies its relabelling
+      inside the neighbouring stage instead of as a stage of its own.
+
+    ``f >> g`` is "f then g", ``f @ g`` the tensor product.
     """
 
-    __slots__ = ("dom", "cod", "fn", "name", "_cache")
+    __slots__ = ("dom", "cod", "fn", "name", "_cache", "_rewrite")
 
     def __init__(self, dom, cod, fn, name=""):
         self.dom = dom
@@ -380,6 +391,7 @@ class LinMap:
         self.fn = fn
         self.name = name
         self._cache = {}
+        self._rewrite = None
 
     def apply(self, label):
         cache = self._cache
@@ -419,7 +431,7 @@ class LinMap:
         return tensor_maps(self, other)
 
     def __add__(self, other):
-        if self.dom.name != other.dom.name or self.cod.name != other.cod.name:
+        if not (_same_space(self.dom, other.dom) and _same_space(self.cod, other.cod)):
             raise SpaceMismatch("cannot add %s and %s" % (self, other))
         return LinMap(self.dom, self.cod,
                       lambda l: self.apply(l) + other.apply(l),
@@ -440,8 +452,26 @@ class LinMap:
         return "LinMap(%s: %s -> %s)" % (self.name or "?", self.dom.name, self.cod.name)
 
 
+def _vec(entries):
+    "A Vec over ``entries`` as it stands; no coefficient may be zero."
+    v = Vec.__new__(Vec)
+    v.entries = entries
+    return v
+
+
+def _unchanged(label):
+    return label
+
+
+def _wire(dom, cod, rewrite, name):
+    "A wire: each basis label goes to the basis label ``rewrite`` gives it."
+    m = _streamed(dom, cod, lambda l: _vec({rewrite(l): 1}), name)
+    m._rewrite = rewrite
+    return m
+
+
 def identity_map(X):
-    return LinMap(X, X, Vec.basis, name="id")
+    return _wire(X, X, _unchanged, "id")
 
 
 def zero_map(X, Y):
@@ -470,23 +500,144 @@ def memoised(f):
     return LinMap(f.dom, f.cod, f.apply, name=f.name)
 
 
+def _same_space(X, Y):
+    """Are X and Y one space?  A name alone does not say so.
+
+    Finite spaces must also share their basis, tensor spaces their
+    factors and direct sums their summands.  A space given by a window
+    enumerator (a ring's carrier, built afresh with every ring) is
+    identified by its name.
+    """
+    if X is Y:
+        return True
+    if X.name != Y.name or X.arity != Y.arity or len(X.parts) != len(Y.parts):
+        return False
+    if len(X.parts) != 1:
+        return all(map(_same_space, X.parts, Y.parts))
+    if X.left is not None or Y.left is not None:
+        return (X.left is not None and Y.left is not None
+                and _same_space(X.left, Y.left) and _same_space(X.right, Y.right))
+    return X.basis == Y.basis
+
+
 def compose_maps(f, g):
-    "f then g; domains must agree by space name."
-    if f.cod.name != g.dom.name:
-        raise SpaceMismatch("compose: %s -> %s vs %s" % (f.cod.name, g.dom.name, g))
-    return _streamed(f.dom, g.cod, lambda l: g(f.apply(l)),
-                     name="(%s;%s)" % (f.name, g.name))
+    """f then g; f's codomain must be g's domain.
+
+    A wire is applied inside its neighbour: after f it relabels the keys
+    of f's image, before g it relabels g's argument.
+    """
+    if not _same_space(f.cod, g.dom):
+        raise SpaceMismatch("compose: codomain %s of %r is not the domain %s of %r"
+                            % (f.cod.name, f, g.dom.name, g))
+    name = "(%s;%s)" % (f.name, g.name)
+    rf, rg = f._rewrite, g._rewrite
+    if rf is not None and rg is not None:
+        if rf is _unchanged or rg is _unchanged:
+            rewrite = rg if rf is _unchanged else rf
+        else:
+            def rewrite(label):
+                return rg(rf(label))
+        return _wire(f.dom, g.cod, rewrite, name)
+    if rg is _unchanged:
+        fn = f.apply
+    elif rg is not None:
+        fa = f.apply
+
+        def fn(label):
+            return _vec({rg(k): c for k, c in fa(label).entries.items()})
+    elif rf is _unchanged:
+        fn = g.apply
+    elif rf is not None:
+        ga = g.apply
+
+        def fn(label):
+            return ga(rf(label))
+    else:
+        fa = f.apply
+
+        def fn(label):
+            return g(fa(label))
+    return _streamed(f.dom, g.cod, fn, name)
+
+
+@functools.lru_cache(maxsize=None)
+def _cut(a, b):
+    """Split a label of an (a + b)-factor tensor after its first a factors.
+
+    Fixed when a tensor stage is built: a label of two or more factors
+    is always ``("t", f1, ...)``, so the cut is a slice.
+    """
+    if a == 0:
+        return lambda l: (UNIT, l)
+    if b == 0:
+        return lambda l: (l, UNIT)
+    if a == 1 and b == 1:
+        return operator.itemgetter(1, 2)
+    if a == 1:
+        return lambda l: (l[1], (_TENSOR,) + l[2:])
+    if b == 1:
+        return lambda l: (l[:a + 1], l[a + 1])
+    return lambda l: (l[:a + 1], (_TENSOR,) + l[a + 1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _glue(a, b):
+    "Join an a-factor label and a b-factor label; inverse to ``_cut(a, b)``."
+    if a == 0:
+        return lambda x, y: y
+    if b == 0:
+        return lambda x, y: x
+    if a == 1 and b == 1:
+        return lambda x, y: (_TENSOR, x, y)
+    if a == 1:
+        return lambda x, y: (_TENSOR, x) + y[1:]
+    if b == 1:
+        return lambda x, y: x + (y,)
+    return lambda x, y: x + y[1:]
 
 
 def tensor_maps(f, g):
+    """f (x) g; a label is cut and its images joined at fixed arities.
+
+    A wire on either side relabels its factor in place, so the product
+    applies only the other side.
+    """
     dom = tensor_space(f.dom, g.dom)
     cod = tensor_space(f.cod, g.cod)
+    name = "(%s@%s)" % (f.name, g.name)
+    cut = _cut(f.dom.arity, g.dom.arity)
+    glue = _glue(f.cod.arity, g.cod.arity)
+    rf, rg = f._rewrite, g._rewrite
+    if rf is not None and rg is not None:
+        if rf is _unchanged and rg is _unchanged:
+            return _wire(dom, cod, _unchanged, name)
 
-    def fn(label):
-        lx, ly = split_label(f.dom, g.dom, label)
-        return f.apply(lx).tensor(g.apply(ly))
+        def rewrite(label):
+            x, y = cut(label)
+            return glue(rf(x), rg(y))
+        return _wire(dom, cod, rewrite, name)
+    if rf is not None:
+        ga = g.apply
 
-    return _streamed(dom, cod, fn, name="(%s@%s)" % (f.name, g.name))
+        def fn(label):
+            x, y = cut(label)
+            x = rf(x)
+            return _vec({glue(x, k): c for k, c in ga(y).entries.items()})
+    elif rg is not None:
+        fa = f.apply
+
+        def fn(label):
+            x, y = cut(label)
+            y = rg(y)
+            return _vec({glue(k, y): c for k, c in fa(x).entries.items()})
+    else:
+        fa, ga = f.apply, g.apply
+
+        def fn(label):
+            x, y = cut(label)
+            xs, ys = fa(x).entries.items(), ga(y).entries.items()
+            return _vec({glue(k1, k2): c1 * c2 for k1, c1 in xs for k2, c2 in ys})
+    return _streamed(dom, cod, fn, name)
 
 
 def direct_sum_maps(f, g):
@@ -504,14 +655,17 @@ def direct_sum_maps(f, g):
 
 def swap_map(X, Y):
     "The plain symmetry of Ab: no signs."
-    def fn(label):
-        fs = factors(label)
-        return Vec.basis(_join(fs[X.arity:] + fs[:X.arity]))
-    return LinMap(tensor_space(X, Y), tensor_space(Y, X), fn, name="swap")
+    return _permutation([X, Y], (1, 0), "swap")
 
 
 def perm_map(spaces, perm):
     """Wire permutation: output slot i carries input factor perm[i]."""
+    return _permutation(spaces, perm, "perm%s" % (perm,))
+
+
+def _permutation(spaces, perm, name):
+    if sorted(perm) != list(range(len(spaces))):
+        raise ValueError("%r is not a permutation of %d slots" % (perm, len(spaces)))
     dom = spaces[0]
     for sp in spaces[1:]:
         dom = tensor_space(dom, sp)
@@ -519,18 +673,18 @@ def perm_map(spaces, perm):
     for i in perm[1:]:
         cod = tensor_space(cod, spaces[i])
 
-    offsets = []
-    pos = 0
+    starts = [0]
     for sp in spaces:
-        offsets.append((pos, pos + sp.arity))
-        pos += sp.arity
-    slices = [offsets[i] for i in perm]
+        starts.append(starts[-1] + sp.arity)
+    # positions in ("t", f1, ..., fn) of the output's factors, in order
+    picks = [1 + j for i in perm for j in range(starts[i], starts[i + 1])]
+    if picks == sorted(picks):
+        return _wire(dom, cod, _unchanged, name)
+    pick = operator.itemgetter(*picks)
 
-    def fn(label):
-        fs = factors(label)
-        return Vec.basis(_join(tuple(f for a, b in slices for f in fs[a:b])))
-
-    return LinMap(dom, cod, fn, name="perm%s" % (perm,))
+    def rewrite(label):
+        return (_TENSOR,) + pick(label)
+    return _wire(dom, cod, rewrite, name)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +738,7 @@ def equal_on_window(f, g, K, law=""):
 
     Returns the first counterexample in enumeration order, if any.
     """
-    if f.dom.name != g.dom.name or f.cod.name != g.cod.name:
+    if not (_same_space(f.dom, g.dom) and _same_space(f.cod, g.cod)):
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))
     checked = 0
     for label in f.dom.enumerate(K):

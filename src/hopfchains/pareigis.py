@@ -15,6 +15,8 @@ checks all five structure maps agree label-for-label.
 
 from __future__ import annotations
 
+import functools
+
 from .chains import ChainComplex, ChainMap, IllegalChain, is_zero, zeros
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
@@ -198,14 +200,24 @@ def differential_comodule_bimonoid(s, window=VALIDATION_WINDOW):
                                    window=window)
 
 
+@functools.lru_cache(maxsize=None)
+def _identified_bimonoid(s):
+    """The I + D that every identification of sign s shares.
+
+    Building it checks comodule legality, the H suite and the product
+    suite; the maps are pure, so one build per sign serves every call.
+    """
+    return differential_comodule_bimonoid(s)
+
+
 def identify_semidirect(s, K=6):
     """Compare (I + D) >< Z with the Pareigis ring of the same sign.
 
     Transport along the label bijection d^a (x) x^k <-> psi^a xi^k and
     test all five structure maps for window-exact equality; the report
-    carries one verdict per map.
+    carries one verdict per map.  The I + D is built once per sign.
     """
-    hb = differential_comodule_bimonoid(s)
+    hb = _identified_bimonoid(s)
     sd = hb.product()
     ring = pareigis_ring(s)
     P = ring.carrier

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,10 @@ def test_parser_accepts_the_documented_flags():
 GOLDEN = {
     "bicomplex-check-t25-seed7.json": ["--command", "bicomplex-check", "--trials", "25",
                                        "--seed", "7"],
+    "check-axioms-laurent-w6.json": ["--command", "check-axioms", "--ring", "laurent",
+                                     "--window", "6"],
+    "check-axioms-pareigis-w8.json": ["--command", "check-axioms", "--ring", "pareigis",
+                                      "--window", "8"],
     "build-semidirect-s+1-w4.json": ["--command", "build-semidirect", "--s", "1",
                                      "--window", "4"],
     "build-semidirect-s-1-w4.json": ["--command", "build-semidirect", "--s", "-1",
@@ -145,3 +150,30 @@ def test_reports_match_the_stored_golden_reports(tmp_path, golden):
     out = tmp_path / golden
     assert main(GOLDEN[golden] + ["--output", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, labels", [
+    (["--command", "build-semidirect", "--window", "100000"], (2 * 200001) ** 3),
+    (["--command", "check-axioms", "--ring", "pareigis", "--window", "100000"],
+     (2 * 200001) ** 3),
+    (["--command", "check-axioms", "--ring", "laurent", "--window", "100000"],
+     200001 ** 3),
+    (["--command", "verify-pareigis", "--window", "100000"], (2 * 200001) ** 2),
+], ids=["build-semidirect", "check-axioms-pareigis", "check-axioms-laurent",
+        "verify-pareigis"])
+def test_a_window_past_the_label_budget_exits_two_at_once(capsys, argv, labels):
+    started = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert "config error" in err and str(labels) in err
+
+
+def test_the_label_budget_counts_the_carrier_summands(tmp_path, capsys):
+    # three free summands make I + D four-dimensional: (4 * 41)^3 labels
+    path = tmp_path / "carrier.json"
+    path.write_text(json.dumps({"rank": 1, "summands": [
+        {"degree": [d], "order": 0} for d in (-1, 1, 3)]}))
+    argv = ["--command", "build-semidirect", "--carrier-file", str(path)]
+    assert main(argv + ["--window", "20"]) == 2
+    assert str((4 * 41) ** 3) in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,16 @@ from hopfchains.linalg import (
     pair, perm_map, right, scale_map, split_label, sum_space, swap_map,
     tensor_maps, tensor_space, zero_map,
 )
-from hopfchains.grading import laurent_hopf, monomial
-from hopfchains.laws import Comodule, trivial_comodule
-from hopfchains.pareigis import differential_comodule_bimonoid, pareigis_ring, ring_by_name
+from hopfchains.grading import GradedModule, laurent_hopf, monomial, sigma_space
+from hopfchains.laws import (
+    Bimonoid, Coelement, Comodule, check_bialgebra_laws, check_coelement,
+    plain_swap, trivial_comodule,
+)
+from hopfchains.pareigis import (
+    differential_comodule_bimonoid, monomial as pm, pareigis_ring, ring_by_name,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def x(k):
@@ -320,3 +329,142 @@ def test_window_enumeration_is_monotone(name):
     # the premise that lets a law pass at window K stand for every K' <= K
     for K in range(6):
         assert set(space.enumerate(K)) <= set(space.enumerate(K + 1))
+
+
+# ---------------------------------------------------------------------------
+# wires: identity, swap and permutations fused into their neighbours
+
+
+def unfused(wire):
+    "A wire as a plain memoising leaf with the same relabelling."
+    return LinMap(wire.dom, wire.cod, lambda l: Vec.basis(wire._rewrite(l)),
+                  name=wire.name)
+
+
+def reference_compose(f, g):
+    return LinMap(f.dom, g.cod, lambda l: g(f.apply(l)))
+
+
+def reference_tensor(f, g):
+    "f (x) g through the generic cut and canonicalising tensor of labels."
+    def fn(label):
+        lx, ly = split_label(f.dom, g.dom, label)
+        return f.apply(lx).tensor(g.apply(ly))
+    return LinMap(tensor_space(f.dom, g.dom), tensor_space(f.cod, g.cod), fn)
+
+
+FUSED = (lambda m: m, compose_maps, tensor_maps)
+UNFUSED = (unfused, reference_compose, reference_tensor)
+RINGS = {"Z^2": laurent_hopf(2), "P": pareigis_ring(-1)}
+
+
+def wiring_cases(ring, p4, p3a, p3b, build):
+    "Composites mixing wires with structure maps, built by ``build``."
+    wire, then, times = build
+    A = ring.carrier
+    mu, delta, eps, eta, s = ring.mu, ring.delta, ring.epsilon, ring.eta, ring.antipode
+    ida = wire(identity_map(A))
+    perm4 = wire(perm_map([A] * 4, p4))
+    return {
+        "f;perm": then(times(delta, delta), perm4),
+        "f;perm;g": then(then(times(delta, delta), perm4), times(mu, mu)),
+        "id@f": then(times(ida, mu), mu),
+        "f@id": then(times(mu, ida), times(s, s)),
+        "perm;perm": then(wire(perm_map([A] * 3, p3a)), wire(perm_map([A] * 3, p3b))),
+        "perm;g": then(wire(perm_map([A] * 3, p3a)), times(mu, ida)),
+        "swap@f": times(wire(swap_map(A, A)), delta),
+        "f@swap": times(s, wire(swap_map(A, A))),
+        "perm@swap": times(wire(perm_map([A] * 3, p3a)), wire(swap_map(A, A))),
+        "eps@id;id@eta": then(times(eps, ida), times(ida, eta)),
+        "f;perm;g on A^2": then(then(times(delta, ida), wire(perm_map([A] * 3, p3b))),
+                            times(ida, mu)),
+    }
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(sorted(RINGS)), st.permutations(range(4)),
+       st.permutations(range(3)), st.permutations(range(3)))
+def test_fused_wires_agree_with_unfused_stages(ring_name, p4, p3a, p3b):
+    ring = RINGS[ring_name]
+    perms = (tuple(p4), tuple(p3a), tuple(p3b))
+    fused = wiring_cases(ring, *perms, FUSED)
+    reference = wiring_cases(ring, *perms, UNFUSED)
+    for case, f in fused.items():
+        r = reference[case]
+        assert f.dom.name == r.dom.name and f.cod.name == r.cod.name, case
+        for label in f.dom.enumerate(1):
+            assert f.apply(label) == r.apply(label), (case, label)
+
+
+def test_wires_keep_no_memo():
+    P = pareigis_ring(-1)
+    A = P.carrier
+    ida = identity_map(A)
+    assert ida._cache is None
+    swap, perm = swap_map(A, A), perm_map([A, A, A], (2, 0, 1))
+    middle = tensor_maps(tensor_maps(ida, swap), ida)
+    wires = [ida, swap, perm, middle, compose_maps(perm, perm),
+             compose_maps(swap, swap), tensor_maps(ida, ida)]
+    lhs = tensor_maps(P.delta, P.delta) >> middle >> tensor_maps(P.mu, P.mu)
+    assert equal_on_window(lhs, P.mu >> P.delta, 3, law="interchange")
+    assert equal_on_window(compose_maps(perm, compose_maps(perm, perm)),
+                           identity_map(perm.dom), 2)
+    for w in wires:
+        assert w._cache is None and w._rewrite is not None
+    # a wire kept as structure still memoises like a leaf
+    kept = memoised(swap)
+    assert kept._cache == {} and kept._rewrite is None
+    kept.apply(pair(pm(0, 1), pm(1, 0)))
+    assert pair(pm(0, 1), pm(1, 0)) in kept._cache
+
+
+def test_perm_map_rejects_a_non_permutation():
+    A = laurent_hopf(1).carrier
+    with pytest.raises(ValueError):
+        perm_map([A, A, A], (0, 0, 1))
+
+
+def test_spaces_sharing_a_name_are_told_apart():
+    one = identity_map(sigma_space(GradedModule.of({0: 1})))
+    two = identity_map(sigma_space(GradedModule.of({3: 2})))
+    assert one.dom.name == two.dom.name == "Sigma(m)"
+    leaf = scale_map(one, 2)
+    for build in (lambda: equal_on_window(one, two, 0),
+                  lambda: compose_maps(one, two),
+                  lambda: compose_maps(leaf, two),
+                  lambda: compose_maps(two, leaf),
+                  lambda: one + two,
+                  lambda: equal_on_window(tensor_maps(one, one),
+                                          tensor_maps(two, two), 0)):
+        with pytest.raises(SpaceMismatch):
+            build()
+    # the same basis under the same name is the same space
+    again = identity_map(sigma_space(GradedModule.of({0: 1})))
+    assert equal_on_window(one, again, 0)
+    assert equal_on_window(compose_maps(leaf, again), leaf, 0)
+
+
+def failing_verdicts():
+    "Full reports of two known-false inputs, as stored in tests/data."
+    def parity(a, b):
+        return -1 if (a[2][0] + b[2][0]) % 2 else 1
+
+    doc = {"parity-coelement-K8":
+           check_coelement(Coelement(laurent_hopf(1), parity), 8).to_json()}
+    for s in (-1, 1):
+        ring = pareigis_ring(s)
+        anti, tail, extra = ring.antipode, pm(1, 3), Vec.basis(pm(0, 1), 2)
+        broken = LinMap(anti.dom, anti.cod,
+                        lambda l: anti.apply(l) + extra if l == tail else anti.apply(l),
+                        name="antipode")
+        mutant = Bimonoid(ring.carrier, ring.mu, ring.eta, ring.delta,
+                          ring.epsilon, broken)
+        doc["antipode-broken-at-psi-xi3-s%+d-K3" % s] = check_bialgebra_laws(
+            mutant, plain_swap(), 3).to_json()
+    return doc
+
+
+def test_failing_verdicts_keep_their_first_counterexample():
+    # label, both sides and the labels checked up to the first failure
+    want = json.loads((DATA / "failing-verdicts.json").read_text())
+    assert failing_verdicts() == want

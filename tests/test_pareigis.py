@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from hopfchains import semidirect
 from hopfchains.chains import ChainComplex, mat, random_chain_map, random_complex
 from hopfchains.grading import monomial
 from hopfchains.laws import IllegalComodule, check_comodule_morphism
@@ -226,3 +227,18 @@ def test_comodule_json_rejects_non_integer_coefficients(coeff):
     doc["coaction"][key][0][0] = coeff
     with pytest.raises(ValueError, match="basis key %s" % re.escape(key)):
         comodule_from_json(doc)
+
+
+def test_identify_semidirect_builds_i_plus_d_once_per_sign(monkeypatch):
+    first = identify_semidirect(1, K=2)
+    suites = []
+    real = semidirect.check_bialgebra_laws
+
+    def spy(B, braid, K):
+        suites.append(B)
+        return real(B, braid, K)
+
+    monkeypatch.setattr(semidirect, "check_bialgebra_laws", spy)
+    again = identify_semidirect(1, K=2)
+    assert suites == []
+    assert again.to_json() == first.to_json()
