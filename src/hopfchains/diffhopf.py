@@ -45,6 +45,15 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(value):
+    "How a parsed JSON value reads in a message, e.g. ``a list``."
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 @dataclass(frozen=True)
 class GradedCarrier:
     """A finite list of cyclic summands (degree vector, order).
@@ -90,8 +99,28 @@ class GradedCarrier:
 
     @classmethod
     def from_json(cls, doc):
-        return cls.of([(tuple(s["degree"]), s["order"]) for s in doc["summands"]],
-                      rank=doc["rank"])
+        """Read ``{"rank": r, "summands": [{"degree": [...], "order": n}, ...]}``.
+
+        A document of any other shape raises a ``ValueError`` naming the
+        missing key or the expected shape.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError('a carrier is a JSON object with "rank" and "summands", '
+                             'not %s' % _json_type(doc))
+        for key in ("rank", "summands"):
+            if key not in doc:
+                raise ValueError('the carrier has no "%s" key' % key)
+        if not isinstance(doc["summands"], list):
+            raise ValueError('"summands" is a list of objects, not %s'
+                             % _json_type(doc["summands"]))
+        summands = []
+        for s in doc["summands"]:
+            if not (isinstance(s, dict) and isinstance(s.get("degree"), list)
+                    and "order" in s):
+                raise ValueError('a summand is an object with a "degree" list and an '
+                                 '"order", not %r' % (s,))
+            summands.append((tuple(s["degree"]), s["order"]))
+        return cls.of(summands, rank=doc["rank"])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ so the braiding is never implicit.
 from __future__ import annotations
 
 from .linalg import (
-    UNIT, UNIT_SPACE, CheckResult, LinMap, SpaceMismatch, Vec,
+    UNIT, UNIT_SPACE, CheckResult, LinMap, SpaceMismatch, Vec, _same_space,
     compose_maps, equal_on_window, identity_map, memoised, pair, perm_map,
     split_label, swap_map, tensor_maps, tensor_space,
 )
@@ -50,14 +50,15 @@ class Bimonoid:
         self.delta = delta
         self.epsilon = epsilon
         self.antipode = antipode
-        hh = tensor_space(carrier, carrier).name
-        shapes = [(mu, hh, carrier.name), (eta, UNIT_SPACE.name, carrier.name),
-                  (delta, carrier.name, hh), (epsilon, carrier.name, UNIT_SPACE.name)]
+        hh = tensor_space(carrier, carrier)
+        shapes = [(mu, hh, carrier), (eta, UNIT_SPACE, carrier),
+                  (delta, carrier, hh), (epsilon, carrier, UNIT_SPACE)]
         if antipode is not None:
-            shapes.append((antipode, carrier.name, carrier.name))
+            shapes.append((antipode, carrier, carrier))
         for f, dom, cod in shapes:
-            if f.dom.name != dom or f.cod.name != cod:
-                raise SpaceMismatch("structure map %r should be %s -> %s" % (f, dom, cod))
+            if not (_same_space(f.dom, dom) and _same_space(f.cod, cod)):
+                raise SpaceMismatch("structure map %r should be %s -> %s"
+                                    % (f, dom.name, cod.name))
 
     def __repr__(self):
         return "Bimonoid(%s)" % self.carrier.name

@@ -376,14 +376,23 @@ class LinMap:
       does not grow with the window; ``memoised`` makes a leaf of a
       composite kept as structure, such as a coaction;
     * a wire (``identity_map``, ``swap_map``, ``perm_map``) sends each
-      basis label to one basis label with coefficient 1.  It holds no
-      memo, and a composite built from it applies its relabelling
-      inside the neighbouring stage instead of as a stage of its own.
+      basis label to one basis label with coefficient 1: it permutes the
+      label's tensor factors.  It holds no memo, and a composite built
+      from it applies its relabelling inside the neighbouring stage
+      instead of as a stage of its own.
+
+    A composite and a wire keep their stage tree in ``_stages``
+    (``("compose", f, g)``, ``("tensor", f, g)`` or ``("wire", picks, rewrite)``;
+    ``None`` on a leaf).  ``equal_on_window`` compiles each side of a
+    law from that tree into one generated function (see ``_program``)
+    when the window holds more than ``_COMPILE_CUTOFF`` (64) labels, so
+    that the compiling is repaid; it evaluates a smaller window, and
+    every other caller evaluates any map, through ``apply``.
 
     ``f >> g`` is "f then g", ``f @ g`` the tensor product.
     """
 
-    __slots__ = ("dom", "cod", "fn", "name", "_cache", "_rewrite")
+    __slots__ = ("dom", "cod", "fn", "name", "_cache", "_stages")
 
     def __init__(self, dom, cod, fn, name=""):
         self.dom = dom
@@ -391,7 +400,7 @@ class LinMap:
         self.fn = fn
         self.name = name
         self._cache = {}
-        self._rewrite = None
+        self._stages = None
 
     def apply(self, label):
         cache = self._cache
@@ -463,15 +472,40 @@ def _unchanged(label):
     return label
 
 
-def _wire(dom, cod, rewrite, name):
-    "A wire: each basis label goes to the basis label ``rewrite`` gives it."
-    m = _streamed(dom, cod, lambda l: _vec({rewrite(l): 1}), name)
-    m._rewrite = rewrite
-    return m
+@functools.lru_cache(maxsize=None)
+def _wiring(picks):
+    """The stage tree and label function every wire with these ``picks`` shares.
+
+    Output factor i of the wire is input factor picks[i].  The tree
+    ``("wire", picks, rewrite)`` also carries the label rewrite, which
+    the neighbours of a wire apply in its place.  Only a label of two or
+    more factors can be permuted, and such a label is always
+    ``("t", f1, ...)``.
+    """
+    if picks == tuple(range(len(picks))):
+        rewrite = _unchanged
+    else:
+        pick = operator.itemgetter(*[1 + p for p in picks])
+
+        def rewrite(label):
+            return (_TENSOR,) + pick(label)
+    return ("wire", picks, rewrite), lambda l: _vec({rewrite(l): 1})
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_wiring(n):
+    return _wiring(tuple(range(n)))
+
+
+def _wire(dom, cod, picks, name):
+    "A wire: each basis label goes to the label of its factors in ``picks`` order."
+    stages, fn = _wiring(picks)
+    return _streamed(dom, cod, fn, name, stages)
 
 
 def identity_map(X):
-    return _wire(X, X, _unchanged, "id")
+    stages, fn = _identity_wiring(X.arity)
+    return _streamed(X, X, fn, "id", stages)
 
 
 def zero_map(X, Y):
@@ -482,10 +516,11 @@ def scale_map(f, c):
     return LinMap(f.dom, f.cod, lambda l: c * f.apply(l), name="%d*%s" % (c, f.name))
 
 
-def _streamed(dom, cod, fn, name):
-    "A composite map: evaluated afresh on every label, with no memo."
-    m = LinMap(dom, cod, fn, name=name)
+def _streamed(dom, cod, fn, name, stages):
+    "A composite map or a wire: evaluated afresh on every label, with no memo."
+    m = LinMap(dom, cod, fn, name)
     m._cache = None
+    m._stages = stages
     return m
 
 
@@ -530,14 +565,11 @@ def compose_maps(f, g):
         raise SpaceMismatch("compose: codomain %s of %r is not the domain %s of %r"
                             % (f.cod.name, f, g.dom.name, g))
     name = "(%s;%s)" % (f.name, g.name)
-    rf, rg = f._rewrite, g._rewrite
+    sf, sg = f._stages, g._stages
+    rf = sf[2] if sf is not None and sf[0] == "wire" else None
+    rg = sg[2] if sg is not None and sg[0] == "wire" else None
     if rf is not None and rg is not None:
-        if rf is _unchanged or rg is _unchanged:
-            rewrite = rg if rf is _unchanged else rf
-        else:
-            def rewrite(label):
-                return rg(rf(label))
-        return _wire(f.dom, g.cod, rewrite, name)
+        return _wire(f.dom, g.cod, tuple(sf[1][i] for i in sg[1]), name)
     if rg is _unchanged:
         fn = f.apply
     elif rg is not None:
@@ -557,7 +589,7 @@ def compose_maps(f, g):
 
         def fn(label):
             return g(fa(label))
-    return _streamed(f.dom, g.cod, fn, name)
+    return _streamed(f.dom, g.cod, fn, name, ("compose", f, g))
 
 
 @functools.lru_cache(maxsize=None)
@@ -605,17 +637,14 @@ def tensor_maps(f, g):
     dom = tensor_space(f.dom, g.dom)
     cod = tensor_space(f.cod, g.cod)
     name = "(%s@%s)" % (f.name, g.name)
+    sf, sg = f._stages, g._stages
+    rf = sf[2] if sf is not None and sf[0] == "wire" else None
+    rg = sg[2] if sg is not None and sg[0] == "wire" else None
+    if rf is not None and rg is not None:
+        a = f.dom.arity
+        return _wire(dom, cod, sf[1] + tuple(a + j for j in sg[1]), name)
     cut = _cut(f.dom.arity, g.dom.arity)
     glue = _glue(f.cod.arity, g.cod.arity)
-    rf, rg = f._rewrite, g._rewrite
-    if rf is not None and rg is not None:
-        if rf is _unchanged and rg is _unchanged:
-            return _wire(dom, cod, _unchanged, name)
-
-        def rewrite(label):
-            x, y = cut(label)
-            return glue(rf(x), rg(y))
-        return _wire(dom, cod, rewrite, name)
     if rf is not None:
         ga = g.apply
 
@@ -637,7 +666,7 @@ def tensor_maps(f, g):
             x, y = cut(label)
             xs, ys = fa(x).entries.items(), ga(y).entries.items()
             return _vec({glue(k1, k2): c1 * c2 for k1, c1 in xs for k2, c2 in ys})
-    return _streamed(dom, cod, fn, name)
+    return _streamed(dom, cod, fn, name, ("tensor", f, g))
 
 
 def direct_sum_maps(f, g):
@@ -676,15 +705,187 @@ def _permutation(spaces, perm, name):
     starts = [0]
     for sp in spaces:
         starts.append(starts[-1] + sp.arity)
-    # positions in ("t", f1, ..., fn) of the output's factors, in order
-    picks = [1 + j for i in perm for j in range(starts[i], starts[i + 1])]
-    if picks == sorted(picks):
-        return _wire(dom, cod, _unchanged, name)
-    pick = operator.itemgetter(*picks)
+    # the input factors the output carries, in order
+    picks = tuple(j for i in perm for j in range(starts[i], starts[i + 1]))
+    return _wire(dom, cod, picks, name)
 
-    def rewrite(label):
-        return (_TENSOR,) + pick(label)
-    return _wire(dom, cod, rewrite, name)
+
+# ---------------------------------------------------------------------------
+# law programs: a composite compiled into one generated function
+
+
+# A window of more labels than this is checked through compiled programs;
+# a smaller one costs less to evaluate through ``apply`` than to compile.
+_COMPILE_CUTOFF = 64
+
+# for-loops one program may nest (CPython allows 20 nested blocks)
+_MAX_LOOPS = 16
+
+
+def _program(m):
+    """A generated function with the values of ``m.apply``.
+
+    The function is compiled from m's stage tree and emits nested loops:
+    each leaf is one call of its memoising ``apply``, bound when the
+    program is made; wires and tensor cuts and joins are worked out on
+    the label's factors while compiling, so at run time they are tuple
+    slots, and an identity wire vanishes; the terms are summed into one
+    dict, dropping zeros, and one ``Vec`` is made at the end.  The
+    leaves of a tensor are applied before its loops, so an inner one is
+    not applied again for each term of an outer one.  A leaf, a wire and
+    a composite of more than ``_MAX_LOOPS`` leaves are their own program.
+    """
+    if m._stages is None or m._stages[0] == "wire" or _loops(m) > _MAX_LOOPS:
+        return m.apply
+    return _Compiler().program(m)
+
+
+def _loops(m):
+    "How many loops m's program nests: one per leaf."
+    stages = m._stages
+    if stages is None:
+        return 1
+    if stages[0] == "wire":
+        return 0
+    return _loops(stages[1]) + _loops(stages[2])
+
+
+def _tensor_row(m):
+    "The maps of a tensor of tensors, left to right."
+    stages = m._stages
+    if stages is None or stages[0] != "tensor":
+        return [m]
+    return _tensor_row(stages[1]) + _tensor_row(stages[2])
+
+
+class _Compiler:
+    """Writes and makes one program; see ``_program``.
+
+    While compiling, a label is a pair: an expression for the whole
+    label, or a tuple of expressions, one per tensor factor.  Each stage
+    turns one form into the other only where it needs to.  Nothing the
+    compiler makes refers back to itself, so it and the source die as
+    soon as the program is made.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.leaves = {}     # id(leaf) -> its parameter name
+        self.values = []     # the leaves' apply, in parameter order
+        self.spans = {}      # factor expressions -> the variable of that label
+        self.count = 0
+
+    def program(self, m):
+        arity = m.cod.arity
+
+        def collect(label, coeff, depth):
+            key = self.whole(label, arity)
+            if not key.isidentifier():
+                self.line(depth, "key = %s" % key)
+                key = "key"
+            self.line(depth, "v = get(%s, 0) + %s" % (key, coeff or "1"))
+            self.line(depth, "if v:")
+            self.line(depth + 1, "out[%s] = v" % key)
+            self.line(depth, "else:")
+            self.line(depth + 1, "del out[%s]" % key)
+
+        self.line(0, "out = {}")
+        self.line(0, "get = out.get")
+        self.stage(m, ("label", None), None, 0, collect)
+        self.line(0, "return vec(out)")
+        params = ["vec"] + ["L%d" % i for i in range(len(self.values))]
+        source = "def make(%s):\n    def run(label):\n%s\n    return run\n" % (
+            ", ".join(params), "\n".join("        " + l for l in self.lines))
+        env = {}
+        exec(compile(source, "<law program %s>" % m.name, "exec"), env)
+        # taken out of the globals it was defined in: those globals must
+        # not hold the program, or the cycle would keep its leaves alive
+        return env.pop("make")(_vec, *self.values)
+
+    def line(self, depth, text):
+        self.lines.append("    " * depth + text)
+
+    def fresh(self, stem):
+        self.count += 1
+        return "%s%d" % (stem, self.count)
+
+    def factors(self, label, n):
+        "Expressions for the n factors of a label."
+        whole, parts = label
+        if parts is None:
+            if n == 1:
+                return (whole,)
+            parts = tuple("%s[%d]" % (whole, i) for i in range(1, n + 1))
+            if n:
+                self.spans[parts] = whole
+        return parts
+
+    def whole(self, label, n):
+        "An expression for a label of n factors."
+        whole, parts = label
+        if whole is not None:
+            return whole
+        if parts in self.spans:
+            return self.spans[parts]
+        if n == 0:
+            return repr(UNIT)
+        if n == 1:
+            return parts[0]
+        return "(%r, %s)" % (_TENSOR, ", ".join(parts))
+
+    def call(self, leaf, label, depth):
+        "Apply a leaf to a label; the name of its image's entries."
+        name = self.leaves.get(id(leaf))
+        if name is None:
+            name = self.leaves[id(leaf)] = "L%d" % len(self.values)
+            self.values.append(leaf.apply)
+        entries = self.fresh("e")
+        self.line(depth, "%s = %s(%s).entries"
+                  % (entries, name, self.whole(label, leaf.dom.arity)))
+        return entries
+
+    def loop(self, entries, coeff, depth, then):
+        "Loop over the terms of an image; ``then`` emits the body."
+        k, c = self.fresh("k"), self.fresh("c")
+        self.line(depth, "for %s, %s in %s.items():" % (k, c, entries))
+        then((k, None), c if coeff is None else "%s * %s" % (coeff, c), depth + 1)
+
+    def stage(self, m, label, coeff, depth, then):
+        "Emit m on a label; ``then(label, coeff, depth)`` emits what takes each term."
+        stages = m._stages
+        if stages is None:
+            self.loop(self.call(m, label, depth), coeff, depth, then)
+        elif stages[0] == "wire":
+            parts = self.factors(label, m.dom.arity)
+            then((None, tuple(parts[p] for p in stages[1])), coeff, depth)
+        elif stages[0] == "compose":
+            g = stages[2]
+            self.stage(stages[1], label, coeff, depth,
+                       lambda l, c, d: self.stage(g, l, c, d, then))
+        else:
+            row = _tensor_row(m)
+            parts, pos, inputs = self.factors(label, m.dom.arity), 0, []
+            for f in row:
+                inputs.append((None, parts[pos:pos + f.dom.arity]))
+                pos += f.dom.arity
+            images = [self.call(f, x, depth) if f._stages is None else None
+                      for f, x in zip(row, inputs)]
+            self.row(row, inputs, images, (), coeff, depth, then)
+
+    def row(self, row, inputs, images, done, coeff, depth, then):
+        "Emit the maps of a tensor row in turn, each on its slice of the factors."
+        if not row:
+            then((None, done), coeff, depth)
+            return
+        f, arity = row[0], row[0].cod.arity
+
+        def rest(l, c, d):
+            self.row(row[1:], inputs[1:], images[1:],
+                     done + self.factors(l, arity), c, d, then)
+        if images[0] is not None:
+            self.loop(images[0], coeff, depth, rest)
+        else:
+            self.stage(f, inputs[0], coeff, depth, rest)
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +937,25 @@ class CheckResult:
 def equal_on_window(f, g, K, law=""):
     """Exact comparison of f and g on every domain label within window K.
 
-    Returns the first counterexample in enumeration order, if any.
+    Returns the first counterexample in enumeration order, if any.  The
+    labels are taken one at a time, in that order, so a failing check
+    stops at its first counterexample.  On a window of more than
+    ``_COMPILE_CUTOFF`` labels each side is evaluated by its compiled
+    program (``_program``), made for this call and dropped with it; a
+    smaller window is evaluated through ``apply``.
     """
     if not (_same_space(f.dom, g.dom) and _same_space(f.cod, g.cod)):
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))
+    labels = f.dom.enumerate(K)
+    if len(labels) > _COMPILE_CUTOFF:
+        lhs_of, rhs_of = _program(f), _program(g)
+    else:
+        lhs_of, rhs_of = f.apply, g.apply
     checked = 0
-    for label in f.dom.enumerate(K):
+    for label in labels:
         checked += 1
-        lhs = f.apply(label)
-        rhs = g.apply(label)
+        lhs = lhs_of(label)
+        rhs = rhs_of(label)
         if lhs != rhs:
             return CheckResult(law, False, checked, Counterexample(label, lhs, rhs))
     return CheckResult(law, True, checked)

@@ -177,3 +177,16 @@ def test_the_label_budget_counts_the_carrier_summands(tmp_path, capsys):
     argv = ["--command", "build-semidirect", "--carrier-file", str(path)]
     assert main(argv + ["--window", "20"]) == 2
     assert str((4 * 41) ** 3) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], 'a carrier is a JSON object with "rank" and "summands", not a list'),
+    ({"rank": 1}, 'the carrier has no "summands" key'),
+], ids=["list", "no-summands"])
+def test_carrier_file_of_the_wrong_shape_says_what_is_missing(tmp_path, capsys, doc,
+                                                              message):
+    path = tmp_path / "carrier.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--command", "carrier-check", "--carrier-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err

@@ -233,3 +233,30 @@ def test_antipode_rows_appear_only_when_present():
     report = check_bialgebra_laws(no_antipode, plain_swap(), 2)
     assert report.ok
     assert not {r.law for r in report} & {"antipode-left", "antipode-right"}
+
+
+def test_bimonoid_rejects_maps_on_a_namesake_carrier():
+    from hopfchains.grading import sigma_space
+    from hopfchains.laws import Bimonoid
+    from hopfchains.linalg import UNIT_SPACE, SpaceMismatch, zero_map
+
+    def zero_structure(H):
+        HH = tensor_space(H, H)
+        return (zero_map(HH, H), zero_map(UNIT_SPACE, H), zero_map(H, HH),
+                zero_map(H, UNIT_SPACE), zero_map(H, H))
+
+    carrier = sigma_space(GradedModule.of({0: 1}))
+    other = sigma_space(GradedModule.of({3: 2}))
+    assert carrier.name == other.name == "Sigma(m)"
+    mu, eta, delta, eps, anti = zero_structure(other)
+    with pytest.raises(SpaceMismatch):
+        Bimonoid(carrier, mu, eta, delta, eps)
+    # one map on the namesake is enough, the antipode included
+    own = zero_structure(carrier)
+    with pytest.raises(SpaceMismatch):
+        Bimonoid(carrier, own[0], own[1], delta, own[3])
+    with pytest.raises(SpaceMismatch):
+        Bimonoid(carrier, *own[:4], antipode=anti)
+    # the same basis under the same name is the same carrier
+    same = sigma_space(GradedModule.of({0: 1}))
+    Bimonoid(same, *own)

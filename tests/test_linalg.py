@@ -1,18 +1,24 @@
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfchains import laws, linalg
 from hopfchains.linalg import (
-    UNIT, UNIT_SPACE, ZERO, LinMap, Space, SpaceMismatch, Vec, atom,
+    UNIT, UNIT_SPACE, ZERO, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
     compose_maps, direct_sum_maps, equal_on_window, factors, finite_space,
     identity_map, label_from_json, label_key, label_to_json, left, memoised,
     pair, perm_map, right, scale_map, split_label, sum_space, swap_map,
     tensor_maps, tensor_space, zero_map,
 )
-from hopfchains.grading import GradedModule, laurent_hopf, monomial, sigma_space
+from hopfchains.grading import (
+    Bicharacter, GradedModule, laurent_hopf, monomial, sigma_space, sign_coelement,
+)
 from hopfchains.laws import (
     Bimonoid, Coelement, Comodule, check_bialgebra_laws, check_coelement,
     plain_swap, trivial_comodule,
@@ -337,8 +343,7 @@ def test_window_enumeration_is_monotone(name):
 
 def unfused(wire):
     "A wire as a plain memoising leaf with the same relabelling."
-    return LinMap(wire.dom, wire.cod, lambda l: Vec.basis(wire._rewrite(l)),
-                  name=wire.name)
+    return LinMap(wire.dom, wire.cod, wire.apply, name=wire.name)
 
 
 def reference_compose(f, g):
@@ -410,10 +415,10 @@ def test_wires_keep_no_memo():
     assert equal_on_window(compose_maps(perm, compose_maps(perm, perm)),
                            identity_map(perm.dom), 2)
     for w in wires:
-        assert w._cache is None and w._rewrite is not None
+        assert w._cache is None and w._stages[0] == "wire"
     # a wire kept as structure still memoises like a leaf
     kept = memoised(swap)
-    assert kept._cache == {} and kept._rewrite is None
+    assert kept._cache == {} and kept._stages is None
     kept.apply(pair(pm(0, 1), pm(1, 0)))
     assert pair(pm(0, 1), pm(1, 0)) in kept._cache
 
@@ -468,3 +473,124 @@ def test_failing_verdicts_keep_their_first_counterexample():
     # label, both sides and the labels checked up to the first failure
     want = json.loads((DATA / "failing-verdicts.json").read_text())
     assert failing_verdicts() == want
+
+
+# ---------------------------------------------------------------------------
+# law programs: each side of a law compiled into one function
+
+
+def window_labels(space, K, rng, limit=500, sample=100):
+    """The labels of a window: all of them, or a random sample of a large one.
+
+    A sampled label is joined from labels of the space's factors, so the
+    window itself is never enumerated.
+    """
+    cuts = [[(l,) if p.arity == 1 else l[1:] for l in p.enumerate(K)]
+            for p in space.parts]
+    size = 1
+    for c in cuts:
+        size *= len(c)
+    if size <= limit:
+        return space.enumerate(K)
+    return [reference_pair(*sum((rng.choice(c) for c in cuts), ()))
+            for _ in range(sample)]
+
+
+def assert_program_agrees(m, labels, case):
+    program = linalg._program(m)
+    for label in labels:
+        got = program(label)
+        assert got == m.apply(label), (case, label)
+        assert all(got.entries.values()), (case, label)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(sorted(RINGS)), st.permutations(range(4)),
+       st.permutations(range(3)), st.permutations(range(3)), st.integers(0, 2 ** 32))
+def test_compiled_wiring_agrees_with_apply(ring_name, p4, p3a, p3b, seed):
+    cases = wiring_cases(RINGS[ring_name], tuple(p4), tuple(p3a), tuple(p3b), FUSED)
+    rng = random.Random(seed)
+    for case, m in cases.items():
+        for K in (1, 2):
+            assert_program_agrees(m, window_labels(m.dom, K, rng), case)
+
+
+def _law_sides():
+    "Both sides of every law the bialgebra and coelement suites build over Z^2 and P."
+    sides = {}
+    coelements = {
+        "Z^2": sign_coelement(Bicharacter(2, (-1, 1)), RINGS["Z^2"]),
+        "P": Coelement(RINGS["P"], lambda a, b: -1 if (a[2][0] + a[2][1] * b[2][1]) % 2
+                       else 1, name="parity"),
+    }
+    for name, ring in RINGS.items():
+        def capture(f, g, K, law="", name=name):
+            sides["%s/%s" % (name, law)] = (f, g)
+            return CheckResult(law, True, 0)
+        with mock.patch.object(laws, "equal_on_window", capture):
+            check_bialgebra_laws(ring, plain_swap(), 0)
+            check_coelement(coelements[name], 0)
+    return sides
+
+
+LAW_SIDES = _law_sides()
+
+
+@pytest.mark.parametrize("law", sorted(LAW_SIDES))
+def test_compiled_law_sides_agree_with_apply(law):
+    for m in LAW_SIDES[law]:
+        for K in (1, 2):
+            assert_program_agrees(m, m.dom.enumerate(K), law)
+
+
+def test_a_composite_deeper_than_the_loop_limit_is_evaluated_by_apply():
+    # twenty leaves in a row would be twenty nested loops, more than
+    # CPython allows in one function
+    P = RINGS["P"]
+    m = P.antipode
+    for _ in range(19):
+        m = compose_maps(m, P.antipode)
+    m = compose_maps(P.delta, tensor_maps(m, identity_map(P.carrier)))
+    assert linalg._program(m) == m.apply
+    assert_program_agrees(m, m.dom.enumerate(2), "deep")
+
+
+def test_a_window_under_the_cutoff_compiles_nothing(monkeypatch):
+    compiled = []
+    real = linalg._program
+    monkeypatch.setattr(linalg, "_program", lambda m: compiled.append(m) or real(m))
+    P = RINGS["P"]
+    idh = identity_map(P.carrier)
+    lhs = compose_maps(tensor_maps(P.mu, idh), P.mu)
+    rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
+    assert len(lhs.dom.enumerate(0)) <= linalg._COMPILE_CUTOFF
+    assert equal_on_window(lhs, rhs, 0)
+    assert compiled == []
+    assert len(lhs.dom.enumerate(1)) > linalg._COMPILE_CUTOFF
+    assert equal_on_window(lhs, rhs, 1)
+    assert compiled == [lhs, rhs]
+
+
+def test_a_law_frees_its_leaves_when_the_check_returns():
+    P = RINGS["P"]
+    A = P.carrier
+
+    def negated(label):
+        return -P.antipode.apply(label)
+
+    freed = weakref.ref(negated)
+    leaf = LinMap(A, A, negated, name="-S")
+    del negated
+    idh = identity_map(A)
+    lhs = compose_maps(P.delta, compose_maps(tensor_maps(leaf, idh), P.mu))
+    rhs = compose_maps(P.delta, compose_maps(tensor_maps(idh, leaf), P.mu))
+    assert len(A.enumerate(40)) > linalg._COMPILE_CUTOFF
+    enabled = gc.isenabled()
+    gc.disable()  # only reference counts may free it: no cycle may hold it
+    try:
+        assert equal_on_window(lhs, rhs, 40)
+        del leaf, lhs, rhs
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
