@@ -324,8 +324,8 @@ def check_distributive_law(tau, X, K, comonoid=None):
     A = X.ring
     idx = identity_map(X.carrier)
     ida = identity_map(A.carrier)
-    if (tau.dom.name != tensor_space(X.carrier, A.carrier).name
-            or tau.cod.name != tensor_space(A.carrier, X.carrier).name):
+    if not (_same_space(tau.dom, tensor_space(X.carrier, A.carrier))
+            and _same_space(tau.cod, tensor_space(A.carrier, X.carrier))):
         raise SpaceMismatch("tau has shape %s -> %s" % (tau.dom.name, tau.cod.name))
     report = Report()
 

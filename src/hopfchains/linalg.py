@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -325,14 +326,23 @@ def tensor_space(X, Y):
         return True
 
     def window(K, parts=parts):
-        # each part's labels cut into factor tuples once, then joined
-        cuts = [[(l,) if p.arity == 1 else l[1:] for l in p.enumerate(K)]
-                for p in parts]
-        return [sum(combo, (_TENSOR,)) for combo in itertools.product(*cuts)]
+        return _joined(parts, [p.enumerate(K) for p in parts])
 
     space = Space(name, sum(arities), contains, window=window)
     space.parts = parts
     return space
+
+
+def _joined(parts, windows):
+    "The labels of the tensor of some parts, joined from their windows in order."
+    if len(parts) == 1:
+        return windows[0]
+    if all(p.arity == 1 for p in parts):
+        return [(_TENSOR,) + combo for combo in itertools.product(*windows)]
+    # a part of several factors is cut into them first
+    cuts = [[(l,) if p.arity == 1 else l[1:] for l in w]
+            for p, w in zip(parts, windows)]
+    return [sum(combo, (_TENSOR,)) for combo in itertools.product(*cuts)]
 
 
 def sum_space(X, Y, name=None):
@@ -383,11 +393,15 @@ class LinMap:
 
     A composite and a wire keep their stage tree in ``_stages``
     (``("compose", f, g)``, ``("tensor", f, g)`` or ``("wire", picks, rewrite)``;
-    ``None`` on a leaf).  ``equal_on_window`` compiles each side of a
-    law from that tree into one generated function (see ``_program``)
-    when the window holds more than ``_COMPILE_CUTOFF`` (64) labels, so
-    that the compiling is repaid; it evaluates a smaller window, and
-    every other caller evaluates any map, through ``apply``.
+    ``None`` on a leaf).  ``equal_on_window`` compiles both sides of a
+    law from their trees into one law kernel (see ``_kernel``) when the
+    window holds more than ``_COMPILE_CUTOFF`` (64) labels, so that the
+    compiling is repaid: one nested loop per factor of the domain, with
+    each leaf application an inline lookup in the leaf's memo and
+    ``apply`` called only on a miss.  A side whose leaves would nest more
+    loops than CPython allows (``_MAX_LOOPS``, counting the domain's) is
+    one call of its ``apply`` inside the kernel.  A smaller window, and
+    every other caller, evaluates any map through ``apply``.
 
     ``f >> g`` is "f then g", ``f @ g`` the tensor product.
     """
@@ -711,37 +725,43 @@ def _permutation(spaces, perm, name):
 
 
 # ---------------------------------------------------------------------------
-# law programs: a composite compiled into one generated function
+# law kernels: one generated loop per law over the window's factors
 
 
-# A window of more labels than this is checked through compiled programs;
-# a smaller one costs less to evaluate through ``apply`` than to compile.
+# A window of more labels than this is checked by a law kernel; a smaller
+# one costs less to evaluate through ``apply`` than to compile.
 _COMPILE_CUTOFF = 64
 
-# for-loops one program may nest (CPython allows 20 nested blocks)
-_MAX_LOOPS = 16
+# for-loops one kernel may nest: CPython allows 20 statically nested blocks
+_MAX_LOOPS = 20
 
 
-def _program(m):
-    """A generated function with the values of ``m.apply``.
+def _kernel(f, g, parts):
+    """The law kernel of ``f == g`` on a domain of these parts.
 
-    The function is compiled from m's stage tree and emits nested loops:
-    each leaf is one call of its memoising ``apply``, bound when the
-    program is made; wires and tensor cuts and joins are worked out on
-    the label's factors while compiling, so at run time they are tuple
-    slots, and an identity wire vanishes; the terms are summed into one
-    dict, dropping zeros, and one ``Vec`` is made at the end.  The
-    leaves of a tensor are applied before its loops, so an inner one is
-    not applied again for each term of an outer one.  A leaf, a wire and
-    a composite of more than ``_MAX_LOOPS`` leaves are their own program.
+    Called with one window per part, it checks the labels of their
+    tensor one at a time, in enumeration order.  It returns ``(n,
+    label, lhs, rhs)`` at the n-th label, the first whose two images
+    (dicts, with no zero stored) differ, and ``(n, None, None, None)``
+    after n labels that all agree.
+
+    The kernel is one generated function with one nested ``for`` per
+    part.  Inside them each side is compiled from its stage tree: a leaf
+    application is an inline lookup in the leaf's memo, bound when the
+    kernel is made, with ``apply`` called only on a miss; wires and
+    tensor cuts and joins are worked out on the label's factors while
+    compiling, so at run time they are tuple slots, and a label is only
+    built where a leaf needs it; the terms are summed into one dict.
+    The leaves of a tensor are applied before its loops, so an inner one
+    is not applied again for each term of an outer one.  A side whose
+    leaves, one loop each, would nest more than ``_MAX_LOOPS`` loops
+    with the domain's is one call of its ``apply``.
     """
-    if m._stages is None or m._stages[0] == "wire" or _loops(m) > _MAX_LOOPS:
-        return m.apply
-    return _Compiler().program(m)
+    return _Compiler().kernel(f, g, parts)
 
 
 def _loops(m):
-    "How many loops m's program nests: one per leaf."
+    "How many loops m's compiled body nests: one per leaf."
     stages = m._stages
     if stages is None:
         return 1
@@ -759,48 +779,64 @@ def _tensor_row(m):
 
 
 class _Compiler:
-    """Writes and makes one program; see ``_program``.
+    """Writes and makes one law kernel; see ``_kernel``.
 
     While compiling, a label is a pair: an expression for the whole
     label, or a tuple of expressions, one per tensor factor.  Each stage
     turns one form into the other only where it needs to.  Nothing the
     compiler makes refers back to itself, so it and the source die as
-    soon as the program is made.
+    soon as the kernel is made.
     """
 
     def __init__(self):
         self.lines = []
-        self.leaves = {}     # id(leaf) -> its parameter name
-        self.values = []     # the leaves' apply, in parameter order
+        self.names = {}      # (id(map), stem) -> the parameter of its apply or memo
+        self.values = {}     # the kernel's parameters before the windows -> values
         self.spans = {}      # factor expressions -> the variable of that label
         self.count = 0
 
-    def program(self, m):
-        arity = m.cod.arity
+    def kernel(self, f, g, parts):
+        self.line(0, "n = 0")
+        label = ()
+        for i, p in enumerate(parts):
+            self.line(i, "for a%d in W%d:" % (i, i))
+            label += self.factors(("a%d" % i, None), p.arity)
+        label, depth = (None, label), len(parts)
+        self.line(depth, "n += 1")
+        self.side(f, label, "lhs", depth, len(parts))
+        self.side(g, label, "rhs", depth, len(parts))
+        self.line(depth, "if lhs != rhs:")
+        self.line(depth + 1, "return n, %s, lhs, rhs" % self.whole(label, f.dom.arity))
+        self.line(0, "return n, None, None, None")
+        params = list(self.values) + ["W%d" % i for i in range(len(parts))]
+        source = "def kernel(%s):\n%s\n" % (
+            ", ".join(params), "\n".join("    " + l for l in self.lines))
+        env = {}
+        exec(compile(source, "<law kernel>", "exec"), env)
+        # taken out of the globals it was defined in, so that the kernel
+        # and its globals form no cycle and die with the call
+        return functools.partial(env.pop("kernel"), *self.values.values())
+
+    def side(self, m, label, out, depth, domain_loops):
+        "Emit one side of the law, leaving its image's entries in ``out``."
+        if m._stages is None or domain_loops + _loops(m) > _MAX_LOOPS:
+            self.line(depth, "%s = %s" % (out, self.call(m, label, depth)))
+            return
 
         def collect(label, coeff, depth):
-            key = self.whole(label, arity)
+            key = self.whole(label, m.cod.arity)
             if not key.isidentifier():
                 self.line(depth, "key = %s" % key)
                 key = "key"
             self.line(depth, "v = get(%s, 0) + %s" % (key, coeff or "1"))
             self.line(depth, "if v:")
-            self.line(depth + 1, "out[%s] = v" % key)
+            self.line(depth + 1, "%s[%s] = v" % (out, key))
             self.line(depth, "else:")
-            self.line(depth + 1, "del out[%s]" % key)
+            self.line(depth + 1, "del %s[%s]" % (out, key))
 
-        self.line(0, "out = {}")
-        self.line(0, "get = out.get")
-        self.stage(m, ("label", None), None, 0, collect)
-        self.line(0, "return vec(out)")
-        params = ["vec"] + ["L%d" % i for i in range(len(self.values))]
-        source = "def make(%s):\n    def run(label):\n%s\n    return run\n" % (
-            ", ".join(params), "\n".join("        " + l for l in self.lines))
-        env = {}
-        exec(compile(source, "<law program %s>" % m.name, "exec"), env)
-        # taken out of the globals it was defined in: those globals must
-        # not hold the program, or the cycle would keep its leaves alive
-        return env.pop("make")(_vec, *self.values)
+        self.line(depth, "%s = {}" % out)
+        self.line(depth, "get = %s.get" % out)
+        self.stage(m, label, None, depth, collect)
 
     def line(self, depth, text):
         self.lines.append("    " * depth + text)
@@ -808,6 +844,14 @@ class _Compiler:
     def fresh(self, stem):
         self.count += 1
         return "%s%d" % (stem, self.count)
+
+    def bind(self, owner, stem, value):
+        "The parameter that carries ``value`` into the kernel."
+        name = self.names.get((id(owner), stem))
+        if name is None:
+            name = self.names[(id(owner), stem)] = "%s%d" % (stem, len(self.values))
+            self.values[name] = value
+        return name
 
     def factors(self, label, n):
         "Expressions for the n factors of a label."
@@ -833,16 +877,21 @@ class _Compiler:
             return parts[0]
         return "(%r, %s)" % (_TENSOR, ", ".join(parts))
 
-    def call(self, leaf, label, depth):
-        "Apply a leaf to a label; the name of its image's entries."
-        name = self.leaves.get(id(leaf))
-        if name is None:
-            name = self.leaves[id(leaf)] = "L%d" % len(self.values)
-            self.values.append(leaf.apply)
-        entries = self.fresh("e")
-        self.line(depth, "%s = %s(%s).entries"
-                  % (entries, name, self.whole(label, leaf.dom.arity)))
-        return entries
+    def call(self, m, label, depth):
+        """Apply a map to a label; an expression for its image's entries.
+
+        A leaf is looked up in its memo first, and applied on a miss.
+        """
+        x = self.whole(label, m.dom.arity)
+        image = self.fresh("e")
+        apply = self.bind(m, "L", m.apply)
+        if m._cache is None:
+            self.line(depth, "%s = %s(%s)" % (image, apply, x))
+        else:
+            self.line(depth, "%s = %s(%s)" % (image, self.bind(m, "M", m._cache.get), x))
+            self.line(depth, "if %s is None:" % image)
+            self.line(depth + 1, "%s = %s(%s)" % (image, apply, x))
+        return image + ".entries"
 
     def loop(self, entries, coeff, depth, then):
         "Loop over the terms of an image; ``then`` emits the body."
@@ -939,23 +988,31 @@ def equal_on_window(f, g, K, law=""):
 
     Returns the first counterexample in enumeration order, if any.  The
     labels are taken one at a time, in that order, so a failing check
-    stops at its first counterexample.  On a window of more than
-    ``_COMPILE_CUTOFF`` labels each side is evaluated by its compiled
-    program (``_program``), made for this call and dropped with it; a
-    smaller window is evaluated through ``apply``.
+    stops at its first counterexample.  The window is the tensor of the
+    domain's part windows, and its size the product of their lengths.
+    A window of more than ``_COMPILE_CUTOFF`` labels is checked by one
+    law kernel (``_kernel``), made for this call and dropped with it,
+    which loops over the part windows and never lists the window; a
+    smaller one is listed from the part windows and evaluated through
+    ``apply``.
     """
     if not (_same_space(f.dom, g.dom) and _same_space(f.cod, g.cod)):
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))
-    labels = f.dom.enumerate(K)
-    if len(labels) > _COMPILE_CUTOFF:
-        lhs_of, rhs_of = _program(f), _program(g)
-    else:
-        lhs_of, rhs_of = f.apply, g.apply
+    parts = f.dom.parts
+    windows = [p.enumerate(K) for p in parts]
+    if math.prod(map(len, windows)) > _COMPILE_CUTOFF and len(parts) <= _MAX_LOOPS:
+        checked, label, lhs, rhs = _kernel(f, g, parts)(*windows)
+        if lhs is None:
+            return CheckResult(law, True, checked)
+        return CheckResult(law, False, checked,
+                           Counterexample(label, _vec(lhs), _vec(rhs)))
+    # the unit space has no parts and the one label UNIT
+    labels = _joined(parts, windows) if parts else f.dom.enumerate(K)
     checked = 0
     for label in labels:
         checked += 1
-        lhs = lhs_of(label)
-        rhs = rhs_of(label)
+        lhs = f.apply(label)
+        rhs = g.apply(label)
         if lhs != rhs:
             return CheckResult(law, False, checked, Counterexample(label, lhs, rhs))
     return CheckResult(law, True, checked)

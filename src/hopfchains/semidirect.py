@@ -26,7 +26,7 @@ from .laws import (
     plain_swap, same_ring, tensor_comodule, unit_comodule,
 )
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, equal_on_window,
+    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, _same_space, equal_on_window,
     identity_map, memoised, pair, split_label, tensor_maps, tensor_space,
 )
 
@@ -57,7 +57,7 @@ class ComoduleBimonoid:
 
     def __init__(self, hopf, comodule, coelement, window=VALIDATION_WINDOW,
                  validate=True):
-        if hopf.carrier.name != comodule.carrier.name:
+        if not _same_space(hopf.carrier, comodule.carrier):
             raise SpaceMismatch("bimonoid and comodule must share a carrier")
         if not same_ring(comodule.ring, coelement.ring):
             raise SpaceMismatch("coelement is for a different ring")

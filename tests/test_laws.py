@@ -260,3 +260,16 @@ def test_bimonoid_rejects_maps_on_a_namesake_carrier():
     # the same basis under the same name is the same carrier
     same = sigma_space(GradedModule.of({0: 1}))
     Bimonoid(same, *own)
+
+
+def test_a_distributive_law_on_another_carrier_of_the_same_name_is_refused():
+    # D1 and D2 are both Sigma(d), in degrees 1 and 3: tau of D2 is not a
+    # map on D1 (x) A, whatever the two carriers are called
+    from hopfchains.linalg import SpaceMismatch
+    gamma = sign_coelement(Bicharacter(1, (-1,)))
+    D1 = graded_to_comodule(GradedModule.of({1: 1}, name="d"), gamma.ring)
+    D2 = graded_to_comodule(GradedModule.of({3: 1}, name="d"), gamma.ring)
+    assert D1.carrier.name == D2.carrier.name
+    with pytest.raises(SpaceMismatch, match="tau has shape"):
+        check_distributive_law(distributive_law_tau(D2), D1, 2)
+    assert check_distributive_law(distributive_law_tau(D1), D1, 2).ok

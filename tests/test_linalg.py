@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import weakref
 from pathlib import Path
@@ -476,32 +477,28 @@ def test_failing_verdicts_keep_their_first_counterexample():
 
 
 # ---------------------------------------------------------------------------
-# law programs: each side of a law compiled into one function
+# law kernels: one generated loop per law over the window's factors
 
 
-def window_labels(space, K, rng, limit=500, sample=100):
-    """The labels of a window: all of them, or a random sample of a large one.
-
-    A sampled label is joined from labels of the space's factors, so the
-    window itself is never enumerated.
-    """
-    cuts = [[(l,) if p.arity == 1 else l[1:] for l in p.enumerate(K)]
-            for p in space.parts]
-    size = 1
-    for c in cuts:
-        size *= len(c)
-    if size <= limit:
-        return space.enumerate(K)
-    return [reference_pair(*sum((rng.choice(c) for c in cuts), ()))
-            for _ in range(sample)]
+def part_windows(space, K, rng, limit=500):
+    """One window per part of the space, each cut to a random sub-window
+    when their tensor would hold more than ``limit`` labels, so that a
+    large window is never enumerated."""
+    windows = [p.enumerate(K) for p in space.parts]
+    if math.prod(map(len, windows)) <= limit:
+        return windows
+    keep = max(1, int(limit ** (1 / len(windows))))
+    return [[w[i] for i in sorted(rng.sample(range(len(w)), min(keep, len(w))))]
+            for w in windows]
 
 
-def assert_program_agrees(m, labels, case):
-    program = linalg._program(m)
-    for label in labels:
-        got = program(label)
-        assert got == m.apply(label), (case, label)
-        assert all(got.entries.values()), (case, label)
+def assert_kernel_agrees(m, windows, case):
+    """The kernel pits m, compiled, against m as an opaque leaf evaluated
+    through ``apply``; equal dicts also mean the compiled side stores no
+    zero, since an image from ``apply`` holds none."""
+    n, label, lhs, rhs = linalg._kernel(m, memoised(m), m.dom.parts)(*windows)
+    assert lhs is None, (case, label, lhs, rhs)
+    assert n == math.prod(map(len, windows)), case
 
 
 @settings(deadline=None, max_examples=20)
@@ -512,7 +509,7 @@ def test_compiled_wiring_agrees_with_apply(ring_name, p4, p3a, p3b, seed):
     rng = random.Random(seed)
     for case, m in cases.items():
         for K in (1, 2):
-            assert_program_agrees(m, window_labels(m.dom, K, rng), case)
+            assert_kernel_agrees(m, part_windows(m.dom, K, rng), case)
 
 
 def _law_sides():
@@ -524,12 +521,23 @@ def _law_sides():
                        else 1, name="parity"),
     }
     for name, ring in RINGS.items():
-        def capture(f, g, K, law="", name=name):
-            sides["%s/%s" % (name, law)] = (f, g)
-            return CheckResult(law, True, 0)
-        with mock.patch.object(laws, "equal_on_window", capture):
+        def run(ring=ring, name=name):
             check_bialgebra_laws(ring, plain_swap(), 0)
             check_coelement(coelements[name], 0)
+        for law, fg in _captured(run).items():
+            sides["%s/%s" % (name, law)] = fg
+    return sides
+
+
+def _captured(run):
+    "The two sides of every law ``run`` checks, by law name, left unchecked."
+    sides = {}
+
+    def capture(f, g, K, law=""):
+        sides[law] = (f, g)
+        return CheckResult(law, True, 0)
+    with mock.patch.object(laws, "equal_on_window", capture):
+        run()
     return sides
 
 
@@ -540,25 +548,145 @@ LAW_SIDES = _law_sides()
 def test_compiled_law_sides_agree_with_apply(law):
     for m in LAW_SIDES[law]:
         for K in (1, 2):
-            assert_program_agrees(m, m.dom.enumerate(K), law)
+            assert_kernel_agrees(m, [p.enumerate(K) for p in m.dom.parts], law)
 
 
-def test_a_composite_deeper_than_the_loop_limit_is_evaluated_by_apply():
-    # twenty leaves in a row would be twenty nested loops, more than
-    # CPython allows in one function
+def reference_check(f, g, K, law):
+    "equal_on_window as a plain loop of ``apply`` over the listed window."
+    checked = 0
+    for label in f.dom.enumerate(K):
+        checked += 1
+        lhs, rhs = f.apply(label), g.apply(label)
+        if lhs != rhs:
+            return CheckResult(law, False, checked, linalg.Counterexample(label, lhs, rhs))
+    return CheckResult(law, True, checked)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(sorted(RINGS)),
+       st.sampled_from(["mu", "eta", "delta", "epsilon", "antipode"]),
+       st.integers(0, 2 ** 32))
+def test_a_planted_defect_is_reported_as_a_plain_loop_reports_it(ring_name, which, seed):
+    ring, rng, K = RINGS[ring_name], random.Random(seed), 1
+    leaf = getattr(ring, which)
+    bad = rng.choice(leaf.dom.enumerate(K))
+    extra = Vec.basis(rng.choice(leaf.cod.enumerate(K)), rng.choice([-1, 1, 2]))
+
+    def fn(label):
+        return leaf.apply(label) + extra if label == bad else leaf.apply(label)
+    maps = {name: getattr(ring, name) for name in ("mu", "eta", "delta", "epsilon", "antipode")}
+    maps[which] = LinMap(leaf.dom, leaf.cod, fn, name=leaf.name)
+    mutant = Bimonoid(ring.carrier, **maps)
+    sides = _captured(lambda: check_bialgebra_laws(mutant, plain_swap(), K))
+    compiled = 0
+    for law, (f, g) in sides.items():
+        compiled += len(f.dom.enumerate(K)) > linalg._COMPILE_CUTOFF
+        # (label, lhs, rhs) of the first counterexample, and the labels checked
+        assert equal_on_window(f, g, K, law) == reference_check(f, g, K, law), law
+    assert compiled
+
+
+def test_a_composite_deeper_than_the_loop_limit_is_evaluated_by_apply(monkeypatch):
+    # twenty-one leaves in a row, with the domain's loop, would be
+    # twenty-two nested loops, more than CPython allows in one function
     P = RINGS["P"]
     m = P.antipode
     for _ in range(19):
         m = compose_maps(m, P.antipode)
     m = compose_maps(P.delta, tensor_maps(m, identity_map(P.carrier)))
-    assert linalg._program(m) == m.apply
-    assert_program_agrees(m, m.dom.enumerate(2), "deep")
+    reference = memoised(m)
+    size = len(P.carrier.enumerate(40))
+    assert size > linalg._COMPILE_CUTOFF
+    applied = spy_apply(monkeypatch)
+    assert equal_on_window(m, reference, 40) == CheckResult("", True, size)
+    assert m in applied
+
+
+def spy_apply(monkeypatch):
+    "The maps whose ``apply`` is called from now on."
+    applied = []
+    real = LinMap.apply
+
+    def apply(self, label):
+        applied.append(self)
+        return real(self, label)
+    monkeypatch.setattr(LinMap, "apply", apply)
+    return applied
+
+
+@pytest.mark.parametrize("leaves", [16, 17])
+def test_the_loop_budget_counts_the_domain_loops(monkeypatch, leaves):
+    # on a four-factor domain a side of 16 leaves nests 20 loops, which
+    # compiles; one of 17 leaves would nest 21, and is one call of apply
+    Z = RINGS["Z^2"]
+    A = Z.carrier
+    chain = Z.antipode
+    for _ in range(leaves - 1):
+        chain = compose_maps(chain, Z.antipode)
+    ida = identity_map(A)
+    lhs = tensor_maps(tensor_maps(tensor_maps(chain, ida), ida), ida)
+    # the antipode of the group ring is an involution
+    rhs = (identity_map(lhs.dom) if leaves % 2 == 0 else
+           tensor_maps(tensor_maps(tensor_maps(Z.antipode, ida), ida), ida))
+    applied = spy_apply(monkeypatch)
+    assert equal_on_window(lhs, rhs, 1) == CheckResult("", True, 9 ** 4)
+    assert (lhs in applied) == (leaves > 16)
+
+
+def test_a_unit_domain_checks_its_one_label():
+    for ring in RINGS.values():
+        unit_law = (compose_maps(ring.eta, ring.delta), tensor_maps(ring.eta, ring.eta))
+        assert ring.eta.dom.parts == ()
+        assert equal_on_window(*unit_law, 5) == CheckResult("", True, 1)
+        got = equal_on_window(ring.eta, scale_map(ring.eta, 2), 5)
+        assert not got.equal and got.instances == 1 and got.counterexample.label == UNIT
+
+
+def test_a_compiled_window_is_never_listed(monkeypatch):
+    listed = []
+    real = Space.enumerate
+
+    def enumerate(self, K):
+        listed.append(self)
+        return real(self, K)
+    monkeypatch.setattr(Space, "enumerate", enumerate)
+    compiled = []
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel",
+                        lambda f, g, parts: compiled.append(f) or kernel(f, g, parts))
+    P = RINGS["P"]
+    idh = identity_map(P.carrier)
+    lhs = compose_maps(tensor_maps(P.mu, idh), P.mu)
+    rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
+    assert equal_on_window(lhs, rhs, 2).instances == 10 ** 3
+    assert compiled == [lhs]
+    assert listed == [P.carrier] * 3
+
+
+def test_a_part_of_two_factors_is_cut_into_them():
+    A = laurent_hopf(1).carrier
+    window = [pair(x(i), x(-i)) for i in range(3)]
+    two = Space("two", 2, lambda l: True, window=lambda K: window)
+    D = tensor_space(A, two)
+    want = [pair(a, w) for a in A.enumerate(40) for w in window]
+    assert D.parts == (A, two) and D.enumerate(40) == want
+    # the kernel reads the part's factors from its label, and joins the
+    # label it reports from them
+    swap = swap_map(A, two)
+    flip = LinMap(D, swap.cod, lambda l: Vec.basis(pair(*factors(l)[1:], factors(l)[0])))
+    assert len(want) > linalg._COMPILE_CUTOFF
+    assert equal_on_window(swap, flip, 40) == CheckResult("", True, len(want))
+    bad = want[100]
+    wrong = LinMap(D, swap.cod, lambda l: ZERO if l == bad else flip.apply(l))
+    got = equal_on_window(swap, wrong, 40)
+    assert got == reference_check(swap, wrong, 40, "") and got.counterexample.label == bad
 
 
 def test_a_window_under_the_cutoff_compiles_nothing(monkeypatch):
     compiled = []
-    real = linalg._program
-    monkeypatch.setattr(linalg, "_program", lambda m: compiled.append(m) or real(m))
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel",
+                        lambda f, g, parts: compiled.append((f, g)) or kernel(f, g, parts))
     P = RINGS["P"]
     idh = identity_map(P.carrier)
     lhs = compose_maps(tensor_maps(P.mu, idh), P.mu)
@@ -568,7 +696,7 @@ def test_a_window_under_the_cutoff_compiles_nothing(monkeypatch):
     assert compiled == []
     assert len(lhs.dom.enumerate(1)) > linalg._COMPILE_CUTOFF
     assert equal_on_window(lhs, rhs, 1)
-    assert compiled == [lhs, rhs]
+    assert compiled == [(lhs, rhs)]
 
 
 def test_a_law_frees_its_leaves_when_the_check_returns():

@@ -11,8 +11,8 @@ from hopfchains.laws import (
     trivial_comodule,
 )
 from hopfchains.linalg import (
-    UNIT, UNIT_SPACE, LinMap, Vec, atom, equal_on_window, identity_map, left,
-    pair, right, tensor_maps, tensor_space,
+    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, atom, equal_on_window,
+    identity_map, left, pair, right, tensor_maps, tensor_space,
 )
 from hopfchains.chains import random_complex
 from hopfchains import semidirect
@@ -254,3 +254,16 @@ def test_a_failing_product_raises_every_time(product_suites):
         assert [r.law for r in err.value.results] == ["interchange"]
     assert product_suites == [2, 2, 1]
     assert hb._product.window is None and hb._product.report is None
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_a_comodule_on_another_carrier_of_the_same_name_is_refused(validate):
+    # both rings live on (Sigma(d)+I), with d in degree 1 and in degree 3
+    gamma = sign_coelement(Bicharacter(1, (-1,)), laurent_hopf(1))
+    hb1, hb2 = (build_differential_hopf(
+        graded_to_comodule(GradedModule.of({k: 1}, name="d"), gamma.ring), gamma)
+        for k in (1, 3))
+    assert hb1.hopf.carrier.name == hb2.comodule.carrier.name
+    with pytest.raises(SpaceMismatch, match="bimonoid and comodule must share a carrier"):
+        ComoduleBimonoid(hb1.hopf, hb2.comodule, gamma, validate=validate)
+    assert ComoduleBimonoid(hb1.hopf, hb1.comodule, gamma, validate=validate)
