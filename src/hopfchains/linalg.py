@@ -337,9 +337,7 @@ def _joined(parts, windows):
     "The labels of the tensor of some parts, joined from their windows in order."
     if len(parts) == 1:
         return windows[0]
-    if all(p.arity == 1 for p in parts):
-        return [(_TENSOR,) + combo for combo in itertools.product(*windows)]
-    # a part of several factors is cut into them first
+    # each part's labels cut into factor tuples, then joined
     cuts = [[(l,) if p.arity == 1 else l[1:] for l in w]
             for p, w in zip(parts, windows)]
     return [sum(combo, (_TENSOR,)) for combo in itertools.product(*cuts)]
