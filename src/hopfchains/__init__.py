@@ -15,10 +15,10 @@ from .linalg import (
     right, sum_space, tensor_maps, tensor_space,
 )
 from .laws import (
-    Bimonoid, Braiding, Coelement, Comodule, IllegalComodule, Report,
-    check_bialgebra_laws, check_coelement, check_comodule_morphism,
+    Bimonoid, Braiding, Coelement, Comodule, IllegalComodule, LawViolation,
+    Report, check_bialgebra_laws, check_coelement, check_comodule_morphism,
     check_distributive_law, comodule_braiding, distributive_law_tau,
-    plain_swap, coelement_braiding, tensor_comodule,
+    plain_swap, coelement_braiding, tensor_comodule, verify,
 )
 from .grading import (
     Bicharacter, GradedModule, comodule_to_graded_projections,
@@ -30,7 +30,7 @@ from .diffhopf import (
     check_differential_carrier, cyclic_tensor,
 )
 from .semidirect import (
-    ComoduleBimonoid, LawViolation, SemidirectRing, WComodule, comparison_f,
+    ComoduleBimonoid, SemidirectRing, WComodule, comparison_f,
     comparison_f_inverse, semidirect_antipode, semidirect_product,
     tensor_wcomodule,
 )

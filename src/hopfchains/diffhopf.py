@@ -190,17 +190,17 @@ def brute_force_carrier_check(D, bich):
     return True
 
 
-def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW, force=False):
+def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW):
     """The Hopf ring on Left(D) + Right(I) from an admissible comodule D.
 
     Nonzero multiplication components are unitor relabelings (D.D = 0),
     comultiplication components their inverses, and the antipode is -1
     on D and +1 on I.  The hypothesis "self-braiding of D is -1" is
-    verified on the window before building; ``force=True`` is a test
-    hook that skips the guard (the interchange law then fails).
+    verified on ``window`` before building and the ring after it;
+    ``window=None`` skips both (the interchange law may then fail).
     """
     braid = comodule_braiding(D, D, coelement)
-    if not force:
+    if window is not None:
         dd = tensor_space(D.carrier, D.carrier)
         verdict = equal_on_window(braid, scale_map(identity_map(dd), -1),
                                   window, law="self-braiding")
@@ -251,6 +251,5 @@ def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW, force=False)
         return Vec({pair(k, label): c for k, c in A.eta.apply(UNIT).items()})
 
     coact = LinMap(H, tensor_space(A.carrier, H), coact_fn, name="alpha")
-    comodule = Comodule(A, H, coact, check_window=window if not force else None)
-    return ComoduleBimonoid(hopf, comodule, coelement, window=window,
-                            validate=not force)
+    comodule = Comodule(A, H, coact, check_window=window)
+    return ComoduleBimonoid(hopf, comodule, coelement, window=window)

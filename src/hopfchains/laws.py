@@ -10,7 +10,7 @@ so the braiding is never implicit.
 from __future__ import annotations
 
 from .linalg import (
-    UNIT, UNIT_SPACE, CheckResult, LinMap, SpaceMismatch, Vec, _same_space,
+    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, _same_space,
     compose_maps, equal_on_window, identity_map, memoised, pair, perm_map,
     split_label, swap_map, tensor_maps, tensor_space,
 )
@@ -102,21 +102,58 @@ class IllegalComodule(Exception):
     "A coaction failing the counit or coassociativity law."
 
 
-class Comodule:
+class LawViolation(Exception):
+    "An algebraic law failed; carries the offending check results."
+
+    def __init__(self, results):
+        self.results = results
+        super().__init__("; ".join(repr(r) for r in results))
+
+
+class Verified:
+    """An object ``verify`` checks: ``suite(K)`` is its Report on window K
+    and ``violation`` the exception its failures raise.  ``verify`` alone
+    sets ``window`` and ``report``, the largest window that passed and
+    its Report.
+    """
+
+    window = report = None
+    violation = LawViolation
+
+
+def verify(obj, K):
+    """The passing Report of ``obj.suite`` at a window >= K; None if K is.
+
+    The suite runs only when no window >= K has passed on ``obj`` yet:
+    window enumeration is monotone in K, so an earlier pass covers every
+    label of window K.  A failing suite raises ``obj.violation`` of its
+    failures each time it is asked for and is never remembered.
+    """
+    if K is None:
+        return None
+    if obj.window is None or obj.window < K:
+        report = obj.suite(K)
+        if not report.ok:
+            raise obj.violation(report.failures())
+        obj.window, obj.report = K, report
+    return obj.report
+
+
+class Comodule(Verified):
     """A based space with a coaction into A (x) X.
 
-    Legality (counit law and coassociativity) is checked on a default
-    window at construction time and can be rechecked at any window.
+    Legality (the counit law and coassociativity) is verified when built
+    on ``check_window`` (None: unverified); ``legality`` runs it anew.
     """
 
     def __init__(self, ring, carrier, coaction, check_window=VALIDATION_WINDOW):
         self.ring = ring
         self.carrier = carrier
         self.coaction = memoised(coaction)
-        if check_window is not None:
-            report = self.legality(check_window)
-            if not report.ok:
-                raise IllegalComodule(repr(report.failures()[0]))
+        verify(self, check_window)
+
+    def violation(self, failures):
+        return IllegalComodule(repr(failures[0]))
 
     def legality(self, K):
         A = self.ring
@@ -129,6 +166,8 @@ class Comodule:
                            tensor_maps(identity_map(A.carrier), self.coaction))
         counit.append(equal_on_window(lhs, rhs, K, law="comodule-coassociativity"))
         return counit
+
+    suite = legality
 
     def __repr__(self):
         return "Comodule(%s over %s)" % (self.carrier.name, self.ring.carrier.name)
@@ -147,7 +186,7 @@ def unit_comodule(ring):
 
 
 def same_ring(A, B):
-    return A is B or A.carrier.name == B.carrier.name
+    return A is B or _same_space(A.carrier, B.carrier)
 
 
 def tensor_comodule(X, Y, check_window=None):

@@ -20,7 +20,7 @@ import functools
 from .chains import ChainComplex, ChainMap, IllegalChain, is_zero, zeros
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
-from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, IllegalComodule, Report
+from .laws import Bimonoid, Comodule, IllegalComodule, Report
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, Space, Vec, atom, equal_on_window,
     identity_map, left, pair, right, split_label, tensor_maps, tensor_space,
@@ -192,12 +192,11 @@ def ring_by_name(name):
 # identification with the semidirect product
 
 
-def differential_comodule_bimonoid(s, window=VALIDATION_WINDOW):
+def differential_comodule_bimonoid(s):
     "The two-term Hopf ring I + D over the Laurent ring, D = Z in degree s."
     gamma = sign_coelement(Bicharacter(1, (-1,)))
     dmod = GradedModule.of({s: 1}, rank=1, name="d")
-    return build_differential_hopf(graded_to_comodule(dmod, gamma.ring), gamma,
-                                   window=window)
+    return build_differential_hopf(graded_to_comodule(dmod, gamma.ring), gamma)
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,7 +255,7 @@ def identify_semidirect(s, K=6):
 # chains as comodules
 
 
-def chain_to_comodule(X, s, ring=None, check_window=0):
+def chain_to_comodule(X, s, ring=None):
     """View a bounded complex as a comodule over the Pareigis ring.
 
     The ring grading of a degree-n basis vector is m = s.n, so that the
@@ -282,7 +281,7 @@ def chain_to_comodule(X, s, ring=None, check_window=0):
 
     coaction = LinMap(carrier, tensor_space(ring.carrier, carrier), coact_fn,
                       name="beta")
-    return Comodule(ring, carrier, coaction, check_window=check_window)
+    return Comodule(ring, carrier, coaction, check_window=0)
 
 
 def comodule_to_chain(B, name=None):
@@ -391,13 +390,13 @@ def linmap_to_chain_map(g, X, Y):
     return ChainMap(X, Y, blocks)
 
 
-def chain_to_wcomodule(X, s, hb=None, window=0):
+def chain_to_wcomodule(X, s, hb=None):
     """View a complex as a comodule over I + D inside the graded category.
 
     The grading coaction sends a degree-n vector to x^(s.n) (x) itself;
     the H-coaction records the differential on the Left(d) leg.  Feeding
     the result to the comparison functor recovers ``chain_to_comodule``
-    up to the semidirect label bijection.
+    up to the semidirect label bijection.  It is verified on window 0.
     """
     from .semidirect import WComodule
 
@@ -423,7 +422,7 @@ def chain_to_wcomodule(X, s, hb=None, window=0):
 
     alpha = LinMap(carrier, tensor_space(A.carrier, carrier), alpha_fn, name="alpha")
     chi = LinMap(carrier, tensor_space(H.carrier, carrier), chi_fn, name="chi")
-    return WComodule(hb, carrier, alpha, chi, window=window)
+    return WComodule(hb, carrier, alpha, chi, window=0)
 
 
 def comodule_to_json(B):
@@ -453,7 +452,7 @@ def comodule_to_json(B):
             "coaction": coaction}
 
 
-def comodule_from_json(doc, check_window=0):
+def comodule_from_json(doc):
     "Inverse of comodule_to_json; every coefficient must be a JSON integer."
     import json
 
@@ -474,4 +473,4 @@ def comodule_from_json(doc, check_window=0):
         table[b] = out
     coaction = LinMap(carrier, tensor_space(ring.carrier, carrier),
                       lambda l: table[l], name="beta")
-    return Comodule(ring, carrier, coaction, check_window=check_window)
+    return Comodule(ring, carrier, coaction, check_window=0)

@@ -21,9 +21,10 @@ A-comodules and comodules over the product ring.
 from __future__ import annotations
 
 from .laws import (
-    VALIDATION_WINDOW, Bimonoid, Comodule, Report, check_bialgebra_laws,
-    check_comodule_morphism, coelement_braiding, comodule_braiding,
-    plain_swap, same_ring, tensor_comodule, unit_comodule,
+    VALIDATION_WINDOW, Bimonoid, Comodule, LawViolation, Report, Verified,
+    check_bialgebra_laws, check_comodule_morphism, coelement_braiding,
+    comodule_braiding, plain_swap, same_ring, tensor_comodule, unit_comodule,
+    verify,
 )
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, _same_space, equal_on_window,
@@ -31,32 +32,17 @@ from .linalg import (
 )
 
 
-class LawViolation(Exception):
-    "An algebraic law failed; carries the offending check results."
-
-    def __init__(self, results):
-        self.results = results
-        super().__init__("; ".join(repr(r) for r in results))
-
-
-def _require(report):
-    bad = [r for r in report if not r.equal]
-    if bad:
-        raise LawViolation(bad)
-
-
-class ComoduleBimonoid:
+class ComoduleBimonoid(Verified):
     """A bimonoid whose carrier is a comodule over (A, gamma).
 
-    Construction verifies that all four structure maps are A-comodule
-    morphisms and that the bialgebra laws hold for the coelement-induced
-    braiding; pass ``validate=False`` only to study how constructions
-    fail on illegal input.  The semidirect product is built at most once
-    per object and verified at most once per window (``product``).
+    Construction verifies on ``window`` (None: not at all) that all four
+    structure maps are A-comodule morphisms and that the bialgebra laws
+    hold for the coelement-induced braiding.  The semidirect product is
+    built at most once per object and verified at most once per window
+    (``product``).
     """
 
-    def __init__(self, hopf, comodule, coelement, window=VALIDATION_WINDOW,
-                 validate=True):
+    def __init__(self, hopf, comodule, coelement, window=VALIDATION_WINDOW):
         if not _same_space(hopf.carrier, comodule.carrier):
             raise SpaceMismatch("bimonoid and comodule must share a carrier")
         if not same_ring(comodule.ring, coelement.ring):
@@ -66,9 +52,14 @@ class ComoduleBimonoid:
         self.coelement = coelement
         self.ring = comodule.ring
         self._product = None
-        if validate:
-            _require(self.morphism_report(window))
-            _require(check_bialgebra_laws(hopf, self.braiding(), window))
+        verify(self, window)
+
+    def suite(self, K):
+        "The morphism report, then (if it passes) the braided bialgebra suite."
+        report = self.morphism_report(K)
+        if report.ok:
+            report += check_bialgebra_laws(self.hopf, self.braiding(), K)
+        return report
 
     def braiding(self):
         return coelement_braiding(self.coelement, [self.comodule])
@@ -90,51 +81,31 @@ class ComoduleBimonoid:
         return semidirect_product(self, window)
 
 
-class SemidirectRing(Bimonoid):
-    """The product bimonoid on H (x) A, remembering where it came from.
-
-    ``window`` and ``report`` hold the largest window on which the suite
-    has passed, and that suite's Report; both are None until it has.
-    """
+class SemidirectRing(Bimonoid, Verified):
+    "The product bimonoid on H (x) A, remembering where it came from."
 
     def __init__(self, carrier, mu, eta, delta, epsilon, antipode, source):
         super().__init__(carrier, mu, eta, delta, epsilon, antipode)
         self.source = source
-        self.hopf = source.hopf
-        self.grading = source.ring
-        self.coelement = source.coelement
-        self.window = None
-        self.report = None
 
-    def verify(self, K):
-        """The passing bimonoid suite under the plain swap, at window >= K.
-
-        The suite runs only when no window >= K has passed yet: window
-        enumeration is monotone in K, so an earlier pass already covers
-        every label of window K.  A failing suite raises LawViolation
-        each time it is asked for and is never remembered.
-        """
-        if self.window is None or self.window < K:
-            report = check_bialgebra_laws(self, plain_swap(), K)
-            _require(report)
-            self.window, self.report = K, report
-        return self.report
+    def suite(self, K):
+        "The bimonoid suite under the plain swap, antipode identities included."
+        return check_bialgebra_laws(self, plain_swap(), K)
 
 
-def semidirect_product(HB, window=VALIDATION_WINDOW, check=True):
+def semidirect_product(HB, window=VALIDATION_WINDOW):
     """H >< A, built once per ``HB`` and verified on ``window``.
 
     Every call for the same ``HB`` returns the same ``SemidirectRing``.
-    With ``check`` the full bimonoid suite under the plain swap must
-    hold on ``window``; the antipode is attached when both H and A carry
-    one, and both antipode identities are part of that suite.  See
-    ``SemidirectRing.verify`` for when the suite actually runs.
+    The full bimonoid suite under the plain swap must hold on ``window``
+    (None builds without verifying); the antipode is attached when both
+    H and A carry one, and both antipode identities are part of that
+    suite.  See ``laws.verify`` for when the suite actually runs.
     """
     ring = HB._product
     if ring is None:
         ring = HB._product = _build_product(HB)
-    if check:
-        ring.verify(window)
+    verify(ring, window)
     return ring
 
 
@@ -192,83 +163,73 @@ def _build_product(HB):
 
     antipode = None
     if H.antipode is not None and A.antipode is not None:
-        antipode = _antipode_map(HB, Q)
+        antipode = _antipode_map(HB, mu, Q)
 
     return SemidirectRing(Q, mu, eta, delta, epsilon, antipode, HB)
 
 
-def _antipode_map(HB, Q):
-    """The antipode composite, read off the product's string diagram.
+def _antipode_map(HB, mu, Q):
+    """The biproduct antipode, multiplied out with the product's own ``mu``.
 
-    Three copies of the coaction output h_(-1) are taken; the first
-    multiplies a_1 and is inverted into the A-output, the second
-    multiplies a_2 and is inverted into gamma's right slot, the third
-    fills gamma's left slot.  The H-output is s_H(h_(0)).
+        S(h (x) a) = (1 (x) S_A(h_(-1) a)) . (S_H(h_(0)) (x) 1)
+
+    (Radford, J. Algebra 1985; Majid, J. Algebra 1994).
     """
     H, A = HB.hopf, HB.ring
-    gamma = HB.coelement.gamma
     coact = HB.comodule.coaction
     Hs, As = H.carrier, A.carrier
+    one_h, one_a = H.eta.apply(UNIT), A.eta.apply(UNIT)
 
     def fn(label):
         h, a = split_label(Hs, As, label)
         out = Vec.zero()
-        for m_h0, c0 in coact.apply(h).items():
+        for m_h0, c in coact.apply(h).items():
             hm, h0 = split_label(As, Hs, m_h0)
-            sh = H.antipode.apply(h0)
-            for uv, c1 in A.delta.apply(hm).items():
-                u1, rest = split_label(As, As, uv)
-                for vw, c2 in A.delta.apply(rest).items():
-                    v1, v2 = split_label(As, As, vw)
-                    for aa, c3 in A.delta.apply(a).items():
-                        a_1, a_2 = split_label(As, As, aa)
-                        outer = A.antipode(A.mu.apply(pair(u1, a_1)))
-                        inner = A.antipode(A.mu.apply(pair(v1, a_2)))
-                        for w, cw in inner.items():
-                            sign = gamma(v2, w)
-                            if not sign:
-                                continue
-                            coeff = c0 * c1 * c2 * c3 * cw * sign
-                            out = out + coeff * sh.tensor(outer)
+            left = one_h.tensor(A.antipode(A.mu.apply(pair(hm, a))))
+            right = H.antipode.apply(h0).tensor(one_a)
+            out = out + c * mu(left.tensor(right))
         return out
 
     return LinMap(Q, Q, fn, name="antipode")
 
 
-def semidirect_antipode(HB, window=VALIDATION_WINDOW, check=True):
+def semidirect_antipode(HB, window=VALIDATION_WINDOW):
     """The antipode of the memoised H >< A.
 
-    With ``check`` the product's suite must hold on ``window``; that
+    The product's suite must hold on ``window`` (None: unverified); that
     suite contains both antipode identities, on the same maps under the
     same plain swap, so no separate check runs here.
     """
     if HB.hopf.antipode is None or HB.ring.antipode is None:
         raise ValueError("both H and A must carry antipodes")
-    return semidirect_product(HB, window, check).antipode
+    return semidirect_product(HB, window).antipode
 
 
 # ---------------------------------------------------------------------------
 # comodules over H inside the comodule category, and the comparison functors
 
 
-class WComodule:
+class WComodule(Verified):
     """A carrier with compatible A- and H-coactions (alpha and chi).
 
     This is a comodule over H taken inside the category of A-comodules:
     alpha must be a legal A-coaction, chi a legal H-coaction, and chi an
-    A-comodule morphism into H (x) B with its tensor coaction.
+    A-comodule morphism into H (x) B with its tensor coaction.  All three
+    are verified on ``window``; None builds without verifying.
     """
 
-    def __init__(self, hb, carrier, alpha, chi, window=VALIDATION_WINDOW,
-                 validate=True):
+    def __init__(self, hb, carrier, alpha, chi, window=VALIDATION_WINDOW):
         self.hb = hb
         self.carrier = carrier
         self.alpha = memoised(alpha)
         self.chi = memoised(chi)
-        self.as_comodule = Comodule(hb.ring, carrier, self.alpha,
-                                    check_window=window if validate else None)
-        if validate:
-            _require(self.legality(window))
+        self.as_comodule = Comodule(hb.ring, carrier, self.alpha, check_window=None)
+        verify(self, window)
+
+    def suite(self, K):
+        "Legality of alpha (IllegalComodule), then of chi (``legality``)."
+        verify(self.as_comodule, K)
+        return self.legality(K)
 
     def legality(self, K):
         H = self.hb.hopf
@@ -304,8 +265,7 @@ def tensor_wcomodule(B, C, window=None):
            >> tensor_maps(tensor_maps(idh, sigma), idc)
            >> tensor_maps(tensor_maps(H.mu, idb), idc))
     carrier = tensor_space(B.carrier, C.carrier)
-    return WComodule(hb, carrier, alpha, chi,
-                     window=window, validate=window is not None)
+    return WComodule(hb, carrier, alpha, chi, window=window)
 
 
 def comparison_f(B, window=VALIDATION_WINDOW):
@@ -320,7 +280,7 @@ def comparison_f(B, window=VALIDATION_WINDOW):
     return Comodule(ring, B.carrier, coaction, check_window=window)
 
 
-def comparison_f_inverse(X, window=VALIDATION_WINDOW, validate=True):
+def comparison_f_inverse(X, window=VALIDATION_WINDOW):
     """F^{-1}: recover (alpha, chi) by killing the other leg's counit."""
     ring = X.ring
     if not isinstance(ring, SemidirectRing):
@@ -332,4 +292,4 @@ def comparison_f_inverse(X, window=VALIDATION_WINDOW, validate=True):
     idh = identity_map(H.carrier)
     alpha = X.coaction >> tensor_maps(tensor_maps(H.epsilon, ida), idb)
     chi = X.coaction >> tensor_maps(tensor_maps(idh, A.epsilon), idb)
-    return WComodule(hb, X.carrier, alpha, chi, window=window, validate=validate)
+    return WComodule(hb, X.carrier, alpha, chi, window=window)

@@ -44,7 +44,7 @@ def test_inadmissible_carrier_breaks_interchange_at_dd():
     # through must break exactly the interchange law, at d (x) d, with
     # the double-coproduct side equal to 2(d (x) d).
     gamma = sign_coelement(Bicharacter(1, (-1,)))
-    hb = build_differential_hopf(d_comodule(0, gamma.ring), gamma, force=True)
+    hb = build_differential_hopf(d_comodule(0, gamma.ring), gamma, window=None)
     report = check_bialgebra_laws(hb.hopf, hb.braiding(), 3)
     bad = report.failures()
     assert [r.law for r in bad] == ["interchange"]
@@ -191,7 +191,7 @@ def test_degree_shift_is_not_a_comodule_morphism():
 
 def test_failures_persist_at_larger_windows():
     gamma = sign_coelement(Bicharacter(1, (-1,)))
-    hb = build_differential_hopf(d_comodule(0, gamma.ring), gamma, force=True)
+    hb = build_differential_hopf(d_comodule(0, gamma.ring), gamma, window=None)
     for K in (2, 3, 4):
         report = check_bialgebra_laws(hb.hopf, hb.braiding(), K)
         assert not report.ok
@@ -273,3 +273,22 @@ def test_a_distributive_law_on_another_carrier_of_the_same_name_is_refused():
     with pytest.raises(SpaceMismatch, match="tau has shape"):
         check_distributive_law(distributive_law_tau(D2), D1, 2)
     assert check_distributive_law(distributive_law_tau(D1), D1, 2).ok
+
+
+def test_comodules_over_namesake_rings_are_refused():
+    # two I + D rings on (Sigma(d)+I), with d in degree 1 and in degree 3
+    from hopfchains.linalg import SpaceMismatch, finite_space
+    gamma = sign_coelement(Bicharacter(1, (-1,)))
+    H1, H2, again = (build_differential_hopf(d_comodule(k, gamma.ring), gamma,
+                                             window=None).hopf for k in (1, 3, 1))
+    assert H1.carrier.name == H2.carrier.name
+    B = finite_space("b", [atom("b")])
+    X, Y = trivial_comodule(H1, B), trivial_comodule(H2, B)
+    with pytest.raises(SpaceMismatch, match="different rings"):
+        tensor_comodule(X, Y)
+    with pytest.raises(SpaceMismatch, match="shared ring"):
+        comodule_braiding(X, Y, Coelement(H1, lambda a, b: 1))
+    with pytest.raises(SpaceMismatch, match="different rings"):
+        check_comodule_morphism(identity_map(B), X, Y, 0)
+    # a rebuild of the same ring is the same ring
+    assert check_comodule_morphism(identity_map(B), X, trivial_comodule(again, B), 0)

@@ -7,19 +7,20 @@ from hopfchains.grading import (
     sign_coelement,
 )
 from hopfchains.laws import (
-    Coelement, check_bialgebra_laws, plain_swap, tensor_comodule,
-    trivial_comodule,
+    VALIDATION_WINDOW, Coelement, Comodule, IllegalComodule, check_bialgebra_laws,
+    plain_swap, tensor_comodule, trivial_comodule, verify,
 )
 from hopfchains.linalg import (
     UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, atom, equal_on_window,
-    identity_map, left, pair, right, tensor_maps, tensor_space,
+    identity_map, left, pair, right, scale_map, split_label, tensor_maps,
+    tensor_space,
 )
-from hopfchains.chains import random_complex
-from hopfchains import semidirect
+from hopfchains.chains import ChainComplex, mat, random_complex
+from hopfchains import laws, semidirect
 from hopfchains.diffhopf import build_differential_hopf
 from hopfchains.pareigis import chain_to_wcomodule, differential_comodule_bimonoid
 from hopfchains.semidirect import (
-    ComoduleBimonoid, LawViolation, SemidirectRing, comparison_f,
+    ComoduleBimonoid, LawViolation, SemidirectRing, WComodule, comparison_f,
     comparison_f_inverse, semidirect_antipode, semidirect_product,
     tensor_wcomodule,
 )
@@ -76,6 +77,49 @@ def test_antipode_components(hb):
         assert sd.antipode.apply(dx(s, j)) == want
     assert sd.antipode.apply(ox(4)) == Vec.basis(ox(-4))
     assert sd.antipode.apply(ox(0)) == Vec.basis(ox(0))
+
+
+def composite_antipode(HB, Q):
+    """Oracle: the antipode composite, read off the product's string diagram.
+
+    Three copies of the coaction output h_(-1) are taken; the first
+    multiplies a_1 and is inverted into the A-output, the second
+    multiplies a_2 and is inverted into gamma's right slot, the third
+    fills gamma's left slot.  The H-output is s_H(h_(0)).
+    """
+    H, A = HB.hopf, HB.ring
+    gamma = HB.coelement.gamma
+    coact = HB.comodule.coaction
+    Hs, As = H.carrier, A.carrier
+
+    def fn(label):
+        h, a = split_label(Hs, As, label)
+        out = Vec.zero()
+        for m_h0, c0 in coact.apply(h).items():
+            hm, h0 = split_label(As, Hs, m_h0)
+            sh = H.antipode.apply(h0)
+            for uv, c1 in A.delta.apply(hm).items():
+                u1, rest = split_label(As, As, uv)
+                for vw, c2 in A.delta.apply(rest).items():
+                    v1, v2 = split_label(As, As, vw)
+                    for aa, c3 in A.delta.apply(a).items():
+                        a_1, a_2 = split_label(As, As, aa)
+                        outer = A.antipode(A.mu.apply(pair(u1, a_1)))
+                        inner = A.antipode(A.mu.apply(pair(v1, a_2)))
+                        for w, cw in inner.items():
+                            sign = gamma(v2, w)
+                            if not sign:
+                                continue
+                            coeff = c0 * c1 * c2 * c3 * cw * sign
+                            out = out + coeff * sh.tensor(outer)
+        return out
+
+    return LinMap(Q, Q, fn, name="composite")
+
+
+def test_biproduct_antipode_agrees_with_the_composite(hb):
+    sd = hb.product()
+    assert equal_on_window(sd.antipode, composite_antipode(hb, sd.carrier), 8).equal
 
 
 def test_full_suite_and_antipode_identities(hb):
@@ -135,6 +179,7 @@ def test_trivial_coelement_and_coaction_give_the_plain_tensor_bimonoid():
     assert equal_on_window(sd.mu, plain_mu, 2)
     plain_delta = tensor_maps(relabeled.delta, A.delta) >> middle(carrier, A.carrier)
     assert equal_on_window(sd.delta, plain_delta, 2)
+    assert equal_on_window(sd.antipode, composite_antipode(hb, sd.carrier), 6).equal
 
 
 def test_law_violation_on_illegal_input():
@@ -236,7 +281,7 @@ def test_a_larger_window_runs_the_suite_again(product_suites):
 
 def test_an_unchecked_product_is_verified_when_asked(product_suites):
     hb = differential_comodule_bimonoid(-1)
-    sd = semidirect_product(hb, window=2, check=False)
+    sd = semidirect_product(hb, window=None)
     assert product_suites == [] and sd.window is None
     assert semidirect_product(hb, window=2) is sd
     assert product_suites == [2] and sd.window == 2
@@ -245,7 +290,7 @@ def test_an_unchecked_product_is_verified_when_asked(product_suites):
 def test_a_failing_product_raises_every_time(product_suites):
     gamma = sign_coelement(Bicharacter(1, (-1,)))
     D = graded_to_comodule(GradedModule.of({0: 1}, name="d"), gamma.ring)
-    hb = build_differential_hopf(D, gamma, force=True)
+    hb = build_differential_hopf(D, gamma, window=None)
     for call in (lambda: semidirect_product(hb, window=2),
                  lambda: hb.product(2),
                  lambda: semidirect_antipode(hb, window=1)):
@@ -256,8 +301,8 @@ def test_a_failing_product_raises_every_time(product_suites):
     assert hb._product.window is None and hb._product.report is None
 
 
-@pytest.mark.parametrize("validate", [False, True])
-def test_a_comodule_on_another_carrier_of_the_same_name_is_refused(validate):
+@pytest.mark.parametrize("window", [None, VALIDATION_WINDOW])
+def test_a_comodule_on_another_carrier_of_the_same_name_is_refused(window):
     # both rings live on (Sigma(d)+I), with d in degree 1 and in degree 3
     gamma = sign_coelement(Bicharacter(1, (-1,)), laurent_hopf(1))
     hb1, hb2 = (build_differential_hopf(
@@ -265,5 +310,110 @@ def test_a_comodule_on_another_carrier_of_the_same_name_is_refused(validate):
         for k in (1, 3))
     assert hb1.hopf.carrier.name == hb2.comodule.carrier.name
     with pytest.raises(SpaceMismatch, match="bimonoid and comodule must share a carrier"):
-        ComoduleBimonoid(hb1.hopf, hb2.comodule, gamma, validate=validate)
-    assert ComoduleBimonoid(hb1.hopf, hb1.comodule, gamma, validate=validate)
+        ComoduleBimonoid(hb1.hopf, hb2.comodule, gamma, window=window)
+    assert ComoduleBimonoid(hb1.hopf, hb1.comodule, gamma, window=window)
+
+
+# ---------------------------------------------------------------------------
+# one verify path: a window or None, memoised per object by laws.verify
+
+
+@pytest.fixture
+def laws_run(monkeypatch):
+    "Names of the laws checked, in call order, wherever a suite checks one."
+    names = []
+
+    def spy(f, g, K, law=""):
+        names.append(law)
+        return equal_on_window(f, g, K, law=law)
+
+    for module in (laws, semidirect):
+        monkeypatch.setattr(module, "equal_on_window", spy)
+    return names
+
+
+def one_path_cases():
+    """For each verified type: (build on a window or None, the same with a
+    broken structure map, the exception the broken one raises)."""
+    gamma = sign_coelement(Bicharacter(1, (-1,)))
+    A = gamma.ring
+    D = graded_to_comodule(GradedModule.of({1: 1}, name="d"), A)
+
+    def comodule(scale):
+        return lambda w: Comodule(A, D.carrier, scale_map(D.coaction, scale),
+                                  check_window=w)
+
+    hb = build_differential_hopf(D, gamma)
+    B = chain_to_wcomodule(ChainComplex({0: 1, 1: 1}, {1: mat([[1]])}, name="e"), 1, hb)
+
+    def wcomodule(alpha_scale, chi_scale):
+        return lambda w: WComodule(hb, B.carrier, scale_map(B.alpha, alpha_scale),
+                                   scale_map(B.chi, chi_scale), window=w)
+
+    def bimonoid(hb, coelement):
+        return lambda w: ComoduleBimonoid(hb.hopf, hb.comodule, coelement, window=w)
+
+    trivial = Coelement(A, lambda a, b: 1, name="trivial")
+    # Z in degree 0 is not admissible: its product breaks the interchange law
+    hb0 = build_differential_hopf(
+        graded_to_comodule(GradedModule.of({0: 1}, name="d"), A), gamma, window=None)
+
+    def product(hb):
+        return lambda w: semidirect_product(bimonoid(hb, gamma)(None), w)
+
+    return {
+        "comodule": (comodule(1), comodule(2), IllegalComodule),
+        # alpha is checked before chi
+        "wcomodule-alpha": (wcomodule(1, 1), wcomodule(2, 2), IllegalComodule),
+        "wcomodule-chi": (wcomodule(1, 1), wcomodule(1, 2), LawViolation),
+        "bimonoid": (bimonoid(hb, gamma), bimonoid(hb, trivial), LawViolation),
+        "product": (product(hb), product(hb0), LawViolation),
+    }
+
+
+@pytest.mark.parametrize("kind", ["comodule", "wcomodule-alpha", "wcomodule-chi",
+                                  "bimonoid", "product"])
+def test_a_window_or_none_is_the_only_switch(kind, laws_run):
+    build, build_broken, violation = one_path_cases()[kind]
+    laws_run.clear()
+
+    # None builds without checking a law, the broken maps included
+    obj, broken = build(None), build_broken(None)
+    assert laws_run == [] and obj.window is None and obj.report is None
+
+    # a window runs the suite once; a window no larger runs nothing
+    report = verify(obj, 2)
+    assert report.ok and obj.window == 2 and obj.report is report
+    ran = len(laws_run)
+    assert ran > 0
+    assert verify(obj, 2) is report and verify(obj, 1) is report
+    assert len(laws_run) == ran
+    # a larger window runs it again
+    assert verify(obj, 3).ok and obj.window == 3
+    assert len(laws_run) > ran
+    assert verify(obj, None) is None and obj.window == 3
+
+    # a failing suite raises every time, on construction and on verify,
+    # and is never remembered
+    for call in (lambda: build_broken(1), lambda: verify(broken, 1),
+                 lambda: verify(broken, 1)):
+        before = len(laws_run)
+        with pytest.raises(violation):
+            call()
+        assert len(laws_run) > before
+    assert broken.window is None and broken.report is None
+
+
+def test_a_bimonoid_of_non_morphisms_fails_before_its_bialgebra_suite(laws_run):
+    gamma = sign_coelement(Bicharacter(1, (-1,)))
+    D = graded_to_comodule(GradedModule.of({1: 1}, name="d"), gamma.ring)
+    hb = build_differential_hopf(D, gamma)
+    # a doubled coaction is no comodule, and mu is no morphism of it
+    doubled = Comodule(hb.ring, hb.comodule.carrier,
+                       scale_map(hb.comodule.coaction, 2), check_window=None)
+    laws_run.clear()
+    with pytest.raises(LawViolation) as err:
+        ComoduleBimonoid(hb.hopf, doubled, gamma, window=1)
+    assert err.value.results and all(
+        r.law.startswith("comodule-morphism") for r in err.value.results)
+    assert all(law.startswith("comodule-morphism") for law in laws_run)
