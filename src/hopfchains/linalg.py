@@ -26,7 +26,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +397,14 @@ class LinMap:
     window holds more than ``_COMPILE_CUTOFF`` (64) labels, so that the
     compiling is repaid: one nested loop per factor of the domain, with
     each leaf application an inline lookup in the leaf's memo and
-    ``apply`` called only on a miss.  A side whose leaves would nest more
-    loops than CPython allows (``_MAX_LOOPS``, counting the domain's) is
-    one call of its ``apply`` inside the kernel.  A smaller window, and
-    every other caller, evaluates any map through ``apply``.
+    ``apply`` called only on a miss.  A lookup is made once per value of
+    the factors it reads, in the loop of the last of them, and once for
+    both sides; the kernel's code is made once per distinct source and
+    shared by every law of that shape, with the leaves bound per check.
+    A side whose leaves would nest more loops than CPython allows
+    (``_MAX_LOOPS``, counting the domain's) is one call of its ``apply``
+    inside the kernel.  A smaller window, and every other caller,
+    evaluates any map through ``apply``.
 
     ``f >> g`` is "f then g", ``f @ g`` the tensor product.
     """
@@ -745,17 +750,34 @@ def _kernel(f, g, parts):
 
     The kernel is one generated function with one nested ``for`` per
     part.  Inside them each side is compiled from its stage tree: a leaf
-    application is an inline lookup in the leaf's memo, bound when the
-    kernel is made, with ``apply`` called only on a miss; wires and
-    tensor cuts and joins are worked out on the label's factors while
-    compiling, so at run time they are tuple slots, and a label is only
-    built where a leaf needs it; the terms are summed into one dict.
-    The leaves of a tensor are applied before its loops, so an inner one
-    is not applied again for each term of an outer one.  A side whose
-    leaves, one loop each, would nest more than ``_MAX_LOOPS`` loops
-    with the domain's is one call of its ``apply``.
+    application is an inline lookup in the leaf's memo, with ``apply``
+    called only on a miss; wires and tensor cuts and joins are worked
+    out on the label's factors while compiling, so at run time they are
+    tuple slots, and a label is only built where a leaf needs it; the
+    terms are summed into one dict.  A lookup is hoisted to the top of
+    the loop that binds the last factor it reads, or to the kernel's top
+    if it reads none, so that ``mu(a0, a1)`` on three parts is looked up
+    once per pair, not once per label; and one lookup serves both sides
+    wherever they apply the same leaf to the same factors.  A side whose
+    leaves, one loop each, would nest more than ``_MAX_LOOPS`` loops with
+    the domain's is one call of its ``apply``.
+
+    The source names no leaf: the leaves' memos and ``apply`` methods
+    are the function's first parameters, bound for this one law with
+    ``functools.partial``.  So the function itself is made once per
+    distinct source (``_compiled``) and serves every law of that shape.
     """
     return _Compiler().kernel(f, g, parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(source):
+    "The kernel function a source defines; it holds code, never a leaf."
+    env = {}
+    exec(compile(source, "<law kernel>", "exec"), env)
+    # taken out of the globals it was defined in, so that only the cache
+    # keeps the function alive, and no cycle does
+    return env.pop("kernel")
 
 
 def _loops(m):
@@ -768,26 +790,25 @@ def _loops(m):
     return _loops(stages[1]) + _loops(stages[2])
 
 
-def _tensor_row(m):
-    "The maps of a tensor of tensors, left to right."
-    stages = m._stages
-    if stages is None or stages[0] != "tensor":
-        return [m]
-    return _tensor_row(stages[1]) + _tensor_row(stages[2])
-
-
 class _Compiler:
     """Writes and makes one law kernel; see ``_kernel``.
 
     While compiling, a label is a pair: an expression for the whole
     label, or a tuple of expressions, one per tensor factor.  Each stage
-    turns one form into the other only where it needs to.  Nothing the
-    compiler makes refers back to itself, so it and the source die as
-    soon as the kernel is made.
+    turns one form into the other only where it needs to.  Every factor
+    expression records the depth of the loop that binds it (a domain
+    factor its part's loop, a term of an image its term loop), and every
+    loop keeps a head, the lines at the top of its body.  A lookup goes
+    to the head of the deepest loop its key reads, once per leaf and key
+    expression.  Nothing the compiler makes refers back to itself, so it
+    and the source die as soon as the kernel is made.
     """
 
     def __init__(self):
-        self.lines = []
+        self.lines = [[]]    # blocks of lines, a loop's head a block of its own
+        self.heads = {}      # depth -> the head of the loop open at that depth
+        self.depths = {}     # factor expressions -> the depth of the loop binding them
+        self.images = {}     # (id(leaf), key expression) -> the variable of its image
         self.names = {}      # (id(map), stem) -> the parameter of its apply or memo
         self.values = {}     # the kernel's parameters before the windows -> values
         self.spans = {}      # factor expressions -> the variable of that label
@@ -795,9 +816,11 @@ class _Compiler:
 
     def kernel(self, f, g, parts):
         self.line(0, "n = 0")
+        self.open(0, ())
         label = ()
         for i, p in enumerate(parts):
             self.line(i, "for a%d in W%d:" % (i, i))
+            self.open(i + 1, ("a%d" % i,))
             label += self.factors(("a%d" % i, None), p.arity)
         label, depth = (None, label), len(parts)
         self.line(depth, "n += 1")
@@ -808,17 +831,13 @@ class _Compiler:
         self.line(0, "return n, None, None, None")
         params = list(self.values) + ["W%d" % i for i in range(len(parts))]
         source = "def kernel(%s):\n%s\n" % (
-            ", ".join(params), "\n".join("    " + l for l in self.lines))
-        env = {}
-        exec(compile(source, "<law kernel>", "exec"), env)
-        # taken out of the globals it was defined in, so that the kernel
-        # and its globals form no cycle and die with the call
-        return functools.partial(env.pop("kernel"), *self.values.values())
+            ", ".join(params), "\n".join("    " + l for b in self.lines for l in b))
+        return functools.partial(_compiled(source), *self.values.values())
 
     def side(self, m, label, out, depth, domain_loops):
         "Emit one side of the law, leaving its image's entries in ``out``."
         if m._stages is None or domain_loops + _loops(m) > _MAX_LOOPS:
-            self.line(depth, "%s = %s" % (out, self.call(m, label, depth)))
+            self.line(depth, "%s = %s" % (out, self.call(m, label)))
             return
 
         def collect(label, coeff, depth):
@@ -837,7 +856,13 @@ class _Compiler:
         self.stage(m, label, None, depth, collect)
 
     def line(self, depth, text):
-        self.lines.append("    " * depth + text)
+        self.lines[-1].append("    " * depth + text)
+
+    def open(self, depth, names):
+        "Start the body of a loop at ``depth``, whose ``for`` binds ``names``."
+        self.heads[depth] = []
+        self.lines += [self.heads[depth], []]
+        self.depths.update(dict.fromkeys(names, depth))
 
     def fresh(self, stem):
         self.count += 1
@@ -860,6 +885,7 @@ class _Compiler:
             parts = tuple("%s[%d]" % (whole, i) for i in range(1, n + 1))
             if n:
                 self.spans[parts] = whole
+            self.depths.update(dict.fromkeys(parts, self.depths[whole]))
         return parts
 
     def whole(self, label, n):
@@ -875,33 +901,47 @@ class _Compiler:
             return parts[0]
         return "(%r, %s)" % (_TENSOR, ", ".join(parts))
 
-    def call(self, m, label, depth):
+    def depth(self, label):
+        "The depth of the deepest loop binding a factor of the label; 0 for none."
+        whole, parts = label
+        if whole is not None:
+            return self.depths[whole]
+        return max(map(self.depths.__getitem__, parts), default=0)
+
+    def call(self, m, label):
         """Apply a map to a label; an expression for its image's entries.
 
         A leaf is looked up in its memo first, and applied on a miss.
+        The lookup goes to the head of the deepest loop the label reads,
+        and is made once there for each map and key expression.
         """
         x = self.whole(label, m.dom.arity)
-        image = self.fresh("e")
-        apply = self.bind(m, "L", m.apply)
-        if m._cache is None:
-            self.line(depth, "%s = %s(%s)" % (image, apply, x))
-        else:
-            self.line(depth, "%s = %s(%s)" % (image, self.bind(m, "M", m._cache.get), x))
-            self.line(depth, "if %s is None:" % image)
-            self.line(depth + 1, "%s = %s(%s)" % (image, apply, x))
+        image = self.images.get((id(m), x))
+        if image is None:
+            image = self.images[(id(m), x)] = self.fresh("e")
+            apply = self.bind(m, "L", m.apply)
+            if m._cache is None:
+                lines = ["%s = %s(%s)" % (image, apply, x)]
+            else:
+                lines = ["%s = %s(%s)" % (image, self.bind(m, "M", m._cache.get), x),
+                         "if %s is None:" % image,
+                         "    %s = %s(%s)" % (image, apply, x)]
+            depth = self.depth(label)
+            self.heads[depth] += ["    " * depth + l for l in lines]
         return image + ".entries"
 
     def loop(self, entries, coeff, depth, then):
         "Loop over the terms of an image; ``then`` emits the body."
         k, c = self.fresh("k"), self.fresh("c")
         self.line(depth, "for %s, %s in %s.items():" % (k, c, entries))
+        self.open(depth + 1, (k,))
         then((k, None), c if coeff is None else "%s * %s" % (coeff, c), depth + 1)
 
     def stage(self, m, label, coeff, depth, then):
         "Emit m on a label; ``then(label, coeff, depth)`` emits what takes each term."
         stages = m._stages
         if stages is None:
-            self.loop(self.call(m, label, depth), coeff, depth, then)
+            self.loop(self.call(m, label), coeff, depth, then)
         elif stages[0] == "wire":
             parts = self.factors(label, m.dom.arity)
             then((None, tuple(parts[p] for p in stages[1])), coeff, depth)
@@ -910,29 +950,16 @@ class _Compiler:
             self.stage(stages[1], label, coeff, depth,
                        lambda l, c, d: self.stage(g, l, c, d, then))
         else:
-            row = _tensor_row(m)
-            parts, pos, inputs = self.factors(label, m.dom.arity), 0, []
-            for f in row:
-                inputs.append((None, parts[pos:pos + f.dom.arity]))
-                pos += f.dom.arity
-            images = [self.call(f, x, depth) if f._stages is None else None
-                      for f, x in zip(row, inputs)]
-            self.row(row, inputs, images, (), coeff, depth, then)
+            # f on the first factors, then g on the rest for each term of f
+            f, g = stages[1], stages[2]
+            parts = self.factors(label, m.dom.arity)
+            x, y = (None, parts[:f.dom.arity]), (None, parts[f.dom.arity:])
 
-    def row(self, row, inputs, images, done, coeff, depth, then):
-        "Emit the maps of a tensor row in turn, each on its slice of the factors."
-        if not row:
-            then((None, done), coeff, depth)
-            return
-        f, arity = row[0], row[0].cod.arity
-
-        def rest(l, c, d):
-            self.row(row[1:], inputs[1:], images[1:],
-                     done + self.factors(l, arity), c, d, then)
-        if images[0] is not None:
-            self.loop(images[0], coeff, depth, rest)
-        else:
-            self.stage(f, inputs[0], coeff, depth, rest)
+            def right(l, c, d):
+                done = self.factors(l, f.cod.arity)
+                self.stage(g, y, c, d, lambda l, c, d: then(
+                    (None, done + self.factors(l, g.cod.arity)), c, d))
+            self.stage(f, x, coeff, depth, right)
 
 
 # ---------------------------------------------------------------------------
@@ -955,11 +982,17 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one window-exact comparison (tolerance is zero)."""
+    """Outcome of one window-exact comparison (tolerance is zero).
+
+    ``seconds`` is the wall time ``equal_on_window`` took; it is left out
+    of equality, ``repr`` and ``to_json``, so verdicts and reports do not
+    depend on timing.
+    """
     law: str
     equal: bool
     instances: int
     counterexample: Counterexample | None = None
+    seconds: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def verdict(self):
@@ -989,21 +1022,22 @@ def equal_on_window(f, g, K, law=""):
     stops at its first counterexample.  The window is the tensor of the
     domain's part windows, and its size the product of their lengths.
     A window of more than ``_COMPILE_CUTOFF`` labels is checked by one
-    law kernel (``_kernel``), made for this call and dropped with it,
-    which loops over the part windows and never lists the window; a
+    law kernel (``_kernel``), which loops over the part windows and
+    never lists the window, and drops its leaves when it returns; a
     smaller one is listed from the part windows and evaluated through
-    ``apply``.
+    ``apply``.  The result records the check's wall time in ``seconds``.
     """
     if not (_same_space(f.dom, g.dom) and _same_space(f.cod, g.cod)):
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))
+    started = time.perf_counter()
     parts = f.dom.parts
     windows = [p.enumerate(K) for p in parts]
     if math.prod(map(len, windows)) > _COMPILE_CUTOFF and len(parts) <= _MAX_LOOPS:
         checked, label, lhs, rhs = _kernel(f, g, parts)(*windows)
         if lhs is None:
-            return CheckResult(law, True, checked)
-        return CheckResult(law, False, checked,
-                           Counterexample(label, _vec(lhs), _vec(rhs)))
+            return CheckResult(law, True, checked, None, time.perf_counter() - started)
+        return CheckResult(law, False, checked, Counterexample(label, _vec(lhs), _vec(rhs)),
+                           time.perf_counter() - started)
     # the unit space has no parts and the one label UNIT
     labels = _joined(parts, windows) if parts else f.dom.enumerate(K)
     checked = 0
@@ -1012,5 +1046,6 @@ def equal_on_window(f, g, K, law=""):
         lhs = f.apply(label)
         rhs = g.apply(label)
         if lhs != rhs:
-            return CheckResult(law, False, checked, Counterexample(label, lhs, rhs))
-    return CheckResult(law, True, checked)
+            return CheckResult(law, False, checked, Counterexample(label, lhs, rhs),
+                               time.perf_counter() - started)
+    return CheckResult(law, True, checked, None, time.perf_counter() - started)

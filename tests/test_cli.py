@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from hopfchains.cli import RunConfig, build_parser, main, render_json, run_command
+from hopfchains.cli import (
+    RunConfig, Rows, build_parser, main, render_json, render_text, run_command,
+)
+from hopfchains.linalg import CheckResult
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,6 +120,18 @@ def test_json_report_schema():
     assert names == sorted(names)
 
 
+def test_a_law_row_shows_the_time_of_its_own_check():
+    rows = Rows()
+    rows.extend_report("laws", [CheckResult("slow", True, 9, seconds=0.25),
+                                CheckResult("fast", True, 9, seconds=0.003)])
+    assert [r["millis"] for r in rows.rows] == [250, 3]
+    status, report = run(command="check-axioms", ring="laurent", window=6)
+    millis = {r["name"]: r["millis"] for r in report["results"]}
+    # one label against 13^3: each law's row is timed alone, not as its suite
+    assert millis["laws/delta-eta"] < millis["laws/associativity"], render_text(report)
+    assert {r["millis"] for r in json.loads(render_json(report))["results"]} == {0}
+
+
 def test_parser_accepts_the_documented_flags():
     parser = build_parser()
     args = parser.parse_args([
@@ -190,3 +205,15 @@ def test_carrier_file_of_the_wrong_shape_says_what_is_missing(tmp_path, capsys, 
     assert main(["--command", "carrier-check", "--carrier-file", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+def test_the_console_script_job_checks_every_golden_report():
+    # each "golden <file> <argv>" line of the workflow runs the installed
+    # console script and compares its report with tests/data/<file>
+    workflow = Path(__file__).parent.parent / ".github" / "workflows" / "tier1.yml"
+    checked = {}
+    for line in workflow.read_text().splitlines():
+        words = line.split()
+        if words[:1] == ["golden"]:
+            checked[words[1]] = words[2:]
+    assert checked == GOLDEN

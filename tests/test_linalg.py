@@ -722,3 +722,96 @@ def test_a_law_frees_its_leaves_when_the_check_returns():
     finally:
         if enabled:
             gc.enable()
+
+
+class CountingMemo(dict):
+    "A leaf memo that counts its lookups."
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return dict.get(self, key, default)
+
+
+def counted(leaf):
+    "A leaf of its own, applying ``leaf``, whose memo counts its lookups."
+    m = LinMap(leaf.dom, leaf.cod, leaf.apply, name=leaf.name + "'")
+    m._cache = CountingMemo()
+    return m
+
+
+def lookups(leaf, f, g, K):
+    "The result of checking f == g on window K again, and the counted leaf's lookups."
+    equal_on_window(f, g, K)  # fills the memos, so that apply looks up nothing
+    leaf._cache.gets = 0
+    return equal_on_window(f, g, K), leaf._cache.gets
+
+
+def test_a_lookup_is_made_once_per_value_of_the_factors_it_reads():
+    P = RINGS["P"]
+    A = P.carrier
+    idh = identity_map(A)
+    mu = counted(P.mu)
+    lhs = compose_maps(tensor_maps(mu, idh), P.mu)
+    rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
+    n = len(A.enumerate(1))
+    assert n ** 3 > linalg._COMPILE_CUTOFF
+    # mu' reads the first two factors: once per pair, not once per label
+    assert lookups(mu, lhs, rhs, 1) == (CheckResult("", True, n ** 3), n ** 2)
+
+
+def test_a_hoisted_leaf_broken_at_a_tail_label_is_reported_as_a_plain_loop_reports_it():
+    P = RINGS["P"]
+    A = P.carrier
+    idh = identity_map(A)
+    window = A.enumerate(1)
+    bad = pair(window[-1], window[-2])
+
+    def fn(label):
+        return P.mu.apply(label) + Vec.basis(window[0]) if label == bad else P.mu.apply(label)
+    mutant = LinMap(P.mu.dom, P.mu.cod, fn, name="mu'")
+    lhs = compose_maps(tensor_maps(mutant, idh), P.mu)
+    rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
+    got = equal_on_window(lhs, rhs, 1)
+    assert got == reference_check(lhs, rhs, 1, "")
+    assert not got.equal and factors(got.counterexample.label)[:2] == factors(bad)
+
+
+def test_one_lookup_serves_both_sides():
+    P = RINGS["P"]
+    A = P.carrier
+    idh = identity_map(A)
+    delta = counted(P.delta)
+    after = tensor_maps(idh, P.mu)
+    lhs = compose_maps(tensor_maps(delta, idh), after)
+    rhs = compose_maps(tensor_maps(delta, idh), memoised(after))
+    n = len(A.enumerate(4))
+    assert n ** 2 > linalg._COMPILE_CUTOFF
+    # delta' on the first factor, on both sides: once per first factor
+    assert lookups(delta, lhs, rhs, 4) == (CheckResult("", True, n ** 2), n)
+
+
+def test_a_law_of_one_shape_is_compiled_once_for_every_ring(monkeypatch):
+    sources = []
+    monkeypatch.setattr(linalg, "compile",
+                        lambda source, *args: sources.append(source) or compile(source, *args),
+                        raising=False)
+    linalg._compiled.cache_clear()
+    for s in (-1, 1):
+        P = pareigis_ring(s)
+        idh = identity_map(P.carrier)
+        lhs = compose_maps(tensor_maps(P.mu, idh), P.mu)
+        rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
+        assert len(lhs.dom.enumerate(1)) > linalg._COMPILE_CUTOFF
+        assert equal_on_window(lhs, rhs, 1)
+    assert len(sources) == 1
+
+
+def test_a_check_keeps_its_wall_time_out_of_its_verdict():
+    P = RINGS["P"]
+    got = equal_on_window(P.mu, P.mu, 4)
+    assert got.seconds > 0
+    assert got == CheckResult("", True, got.instances)
+    assert repr(got) == repr(CheckResult("", True, got.instances))
+    assert "seconds" not in got.to_json()
