@@ -360,8 +360,13 @@ def main(argv=None):
         return 2
     text = render_json(report) if cfg.format == "json" else render_text(report)
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            print("config error: cannot write %s: %s" % (cfg.output, err.strerror or err),
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status

@@ -18,12 +18,17 @@ from itertools import product
 
 from .laws import Bimonoid, Coelement, Comodule, IllegalComodule
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Space, Vec, atom, finite_space, pair,
+    UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, atom, finite_space, pair,
     split_label, tensor_space,
 )
 
 
 def laurent_space(r):
+    "The carrier of ``laurent_hopf(r)``: one space per rank r."
+    return _interned(_laurent_space, r)
+
+
+def _laurent_space(r):
     name = "Z" if r == 1 else "Z^%d" % r
 
     def contains(label):

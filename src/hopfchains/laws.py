@@ -10,7 +10,7 @@ so the braiding is never implicit.
 from __future__ import annotations
 
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, _same_space,
+    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec,
     compose_maps, equal_on_window, identity_map, memoised, pair, perm_map,
     split_label, swap_map, tensor_maps, tensor_space,
 )
@@ -56,7 +56,7 @@ class Bimonoid:
         if antipode is not None:
             shapes.append((antipode, carrier, carrier))
         for f, dom, cod in shapes:
-            if not (_same_space(f.dom, dom) and _same_space(f.cod, cod)):
+            if f.dom is not dom or f.cod is not cod:
                 raise SpaceMismatch("structure map %r should be %s -> %s"
                                     % (f, dom.name, cod.name))
 
@@ -185,13 +185,9 @@ def unit_comodule(ring):
     return trivial_comodule(ring, UNIT_SPACE)
 
 
-def same_ring(A, B):
-    return A is B or _same_space(A.carrier, B.carrier)
-
-
 def tensor_comodule(X, Y, check_window=None):
     "Monoidal structure of the comodule category: multiply the A-legs."
-    if not same_ring(X.ring, Y.ring):
+    if X.ring.carrier is not Y.ring.carrier:
         raise SpaceMismatch("tensor of comodules over different rings")
     A = X.ring
     carrier = tensor_space(X.carrier, Y.carrier)
@@ -222,7 +218,7 @@ def comodule_braiding(X, Y, coelement):
     homogeneous elements over a grading ring it is gamma(deg y, deg x)
     times the swap.
     """
-    if not (same_ring(X.ring, Y.ring) and same_ring(X.ring, coelement.ring)):
+    if not (X.ring.carrier is Y.ring.carrier is coelement.ring.carrier):
         raise SpaceMismatch("braiding requires a shared ring")
     A = X.ring.carrier
     gamma = coelement.gamma
@@ -249,12 +245,12 @@ def comodule_braiding(X, Y, coelement):
 
 
 def coelement_braiding(coelement, comodules):
-    "A Braiding looking comodules up by carrier name."
-    table = {c.carrier.name: c for c in comodules}
+    "A Braiding looking comodules up by their carriers."
+    table = {c.carrier: c for c in comodules}
 
     def provider(X, Y):
         try:
-            cx, cy = table[X.name], table[Y.name]
+            cx, cy = table[X], table[Y]
         except KeyError as err:
             raise SpaceMismatch("no comodule registered for %s" % err)
         return comodule_braiding(cx, cy, coelement)
@@ -363,8 +359,8 @@ def check_distributive_law(tau, X, K, comonoid=None):
     A = X.ring
     idx = identity_map(X.carrier)
     ida = identity_map(A.carrier)
-    if not (_same_space(tau.dom, tensor_space(X.carrier, A.carrier))
-            and _same_space(tau.cod, tensor_space(A.carrier, X.carrier))):
+    if (tau.dom is not tensor_space(X.carrier, A.carrier)
+            or tau.cod is not tensor_space(A.carrier, X.carrier)):
         raise SpaceMismatch("tau has shape %s -> %s" % (tau.dom.name, tau.cod.name))
     report = Report()
 
@@ -390,7 +386,7 @@ def check_distributive_law(tau, X, K, comonoid=None):
 
 def check_comodule_morphism(f, X, Y, K):
     "Verdict of (1 (x) f) . alpha_X = alpha_Y . f on the window."
-    if not same_ring(X.ring, Y.ring):
+    if X.ring.carrier is not Y.ring.carrier:
         raise SpaceMismatch("comodule morphism across different rings")
     ida = identity_map(X.ring.carrier)
     return equal_on_window(

@@ -27,6 +27,7 @@ import itertools
 import math
 import operator
 import time
+import weakref
 from dataclasses import dataclass, field
 
 
@@ -260,7 +261,7 @@ ZERO = Vec.zero()
 
 
 class SpaceMismatch(Exception):
-    "Raised when maps are combined across incompatibly named spaces."
+    "Raised when maps are combined across distinct spaces."
 
 
 class Space:
@@ -270,10 +271,18 @@ class Space:
     makes the strictified tensor splittable: a label of ``X (x) Y`` is cut
     after the first ``X.arity`` factors.  Spaces with a finite basis
     enumerate it for every window.
+
+    The constructors (``finite_space``, ``tensor_space``, ``sum_space``
+    and the ring carriers) intern their spaces: while a space is alive,
+    every construction from the same data returns that one object, so
+    two spaces are one space exactly when they are the same object
+    (``is``).  A space made by calling ``Space`` directly is its own,
+    unlike any other.  A name is part of the data of a finite space and
+    a direct sum, but no check compares names on their own.
     """
 
     __slots__ = ("name", "arity", "contains", "_window", "basis", "parts",
-                 "left", "right")
+                 "left", "right", "__weakref__")
 
     def __init__(self, name, arity, contains, window=None, basis=None):
         self.name = name
@@ -295,8 +304,29 @@ class Space:
         return "Space(%r)" % self.name
 
 
+# every live interned space, keyed by its maker and generating data
+_SPACES = weakref.WeakValueDictionary()
+
+
+def _interned(make, *data):
+    """The one live space ``make(*data)``, made only if none is alive.
+
+    The table holds its spaces weakly, so a space dies with its last
+    user and the table does not grow with the spaces a run throws away.
+    """
+    key = (make,) + data
+    space = _SPACES.get(key)
+    if space is None:
+        space = _SPACES[key] = make(*data)
+    return space
+
+
 def finite_space(name, basis):
-    basis = list(basis)
+    "The space with this name and this basis, in this order."
+    return _interned(_finite_space, name, tuple(basis))
+
+
+def _finite_space(name, basis):
     members = set(basis)
     return Space(name, 1, lambda l: l in members, basis=basis)
 
@@ -306,12 +336,19 @@ UNIT_SPACE.parts = ()
 
 
 def tensor_space(X, Y):
-    "Strictified tensor of spaces; the unit is absorbed, factors flatten."
+    """Strictified tensor of spaces; the unit is absorbed, factors flatten.
+
+    A tensor space is interned by its tuple of primitive factors, so
+    ``(X (x) Y) (x) Z`` and ``X (x) (Y (x) Z)`` are one object.
+    """
     if X.arity == 0:
         return Y
     if Y.arity == 0:
         return X
-    parts = X.parts + Y.parts
+    return _interned(_tensor_space, X.parts + Y.parts)
+
+
+def _tensor_space(parts):
     name = "(" + "*".join(p.name for p in parts) + ")"
     arities = [p.arity for p in parts]
 
@@ -346,8 +383,10 @@ def _joined(parts, windows):
 
 def sum_space(X, Y, name=None):
     "Direct sum; labels are Left/Right-tagged labels of the summands."
-    name = name or "(%s+%s)" % (X.name, Y.name)
+    return _interned(_sum_space, X, Y, name or "(%s+%s)" % (X.name, Y.name))
 
+
+def _sum_space(X, Y, name):
     def contains(label):
         if label == UNIT or label[0] not in (_LEFT, _RIGHT):
             return False
@@ -457,7 +496,7 @@ class LinMap:
         return tensor_maps(self, other)
 
     def __add__(self, other):
-        if not (_same_space(self.dom, other.dom) and _same_space(self.cod, other.cod)):
+        if self.dom is not other.dom or self.cod is not other.cod:
             raise SpaceMismatch("cannot add %s and %s" % (self, other))
         return LinMap(self.dom, self.cod,
                       lambda l: self.apply(l) + other.apply(l),
@@ -552,33 +591,13 @@ def memoised(f):
     return LinMap(f.dom, f.cod, f.apply, name=f.name)
 
 
-def _same_space(X, Y):
-    """Are X and Y one space?  A name alone does not say so.
-
-    Finite spaces must also share their basis, tensor spaces their
-    factors and direct sums their summands.  A space given by a window
-    enumerator (a ring's carrier, built afresh with every ring) is
-    identified by its name.
-    """
-    if X is Y:
-        return True
-    if X.name != Y.name or X.arity != Y.arity or len(X.parts) != len(Y.parts):
-        return False
-    if len(X.parts) != 1:
-        return all(map(_same_space, X.parts, Y.parts))
-    if X.left is not None or Y.left is not None:
-        return (X.left is not None and Y.left is not None
-                and _same_space(X.left, Y.left) and _same_space(X.right, Y.right))
-    return X.basis == Y.basis
-
-
 def compose_maps(f, g):
     """f then g; f's codomain must be g's domain.
 
     A wire is applied inside its neighbour: after f it relabels the keys
     of f's image, before g it relabels g's argument.
     """
-    if not _same_space(f.cod, g.dom):
+    if f.cod is not g.dom:
         raise SpaceMismatch("compose: codomain %s of %r is not the domain %s of %r"
                             % (f.cod.name, f, g.dom.name, g))
     name = "(%s;%s)" % (f.name, g.name)
@@ -1027,7 +1046,7 @@ def equal_on_window(f, g, K, law=""):
     smaller one is listed from the part windows and evaluated through
     ``apply``.  The result records the check's wall time in ``seconds``.
     """
-    if not (_same_space(f.dom, g.dom) and _same_space(f.cod, g.cod)):
+    if f.dom is not g.dom or f.cod is not g.cod:
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))
     started = time.perf_counter()
     parts = f.dom.parts

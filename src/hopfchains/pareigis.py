@@ -22,7 +22,7 @@ from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Bimonoid, Comodule, IllegalComodule, Report
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Space, Vec, atom, equal_on_window,
+    UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, atom, equal_on_window,
     identity_map, left, pair, right, split_label, tensor_maps, tensor_space,
 )
 
@@ -96,6 +96,11 @@ def rewrite_once(word):
 
 
 def pareigis_space(s):
+    "The carrier of ``pareigis_ring(s)``: one space per sign s."
+    return _interned(_pareigis_space, s)
+
+
+def _pareigis_space(s):
     name = "P" if s == -1 else "P+"
 
     def contains(label):

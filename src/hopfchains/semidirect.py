@@ -23,11 +23,11 @@ from __future__ import annotations
 from .laws import (
     VALIDATION_WINDOW, Bimonoid, Comodule, LawViolation, Report, Verified,
     check_bialgebra_laws, check_comodule_morphism, coelement_braiding,
-    comodule_braiding, plain_swap, same_ring, tensor_comodule, unit_comodule,
+    comodule_braiding, plain_swap, tensor_comodule, unit_comodule,
     verify,
 )
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, _same_space, equal_on_window,
+    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, equal_on_window,
     identity_map, memoised, pair, split_label, tensor_maps, tensor_space,
 )
 
@@ -43,9 +43,9 @@ class ComoduleBimonoid(Verified):
     """
 
     def __init__(self, hopf, comodule, coelement, window=VALIDATION_WINDOW):
-        if not _same_space(hopf.carrier, comodule.carrier):
+        if hopf.carrier is not comodule.carrier:
             raise SpaceMismatch("bimonoid and comodule must share a carrier")
-        if not same_ring(comodule.ring, coelement.ring):
+        if comodule.ring.carrier is not coelement.ring.carrier:
             raise SpaceMismatch("coelement is for a different ring")
         self.hopf = hopf
         self.comodule = comodule

@@ -70,6 +70,18 @@ def test_carrier_check_rejects_malformed_carrier(tmp_path, capsys, doc):
     assert "config error" in capsys.readouterr().err
 
 
+def test_an_unwritable_output_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "carrier.json"
+    path.write_text(json.dumps(
+        {"rank": 1, "summands": [{"degree": [-1], "order": 0}]}))
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--command", "carrier-check", "--carrier-file", str(path),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write %s" % out)
+    assert "Traceback" not in err and not out.parent.exists()
+
+
 def test_build_semidirect_runs_the_suite():
     status, report = run(command="build-semidirect", s=1, window=2)
     assert status == 0

@@ -9,8 +9,8 @@ from hopfchains.grading import (
 )
 from hopfchains.laws import (
     Coelement, Comodule, check_bialgebra_laws, check_coelement,
-    check_comodule_morphism, check_distributive_law, comodule_braiding,
-    distributive_law_tau, plain_swap, tensor_comodule, trivial_comodule,
+    check_comodule_morphism, check_distributive_law, coelement_braiding,
+    comodule_braiding, distributive_law_tau, plain_swap, tensor_comodule, trivial_comodule,
     unit_comodule,
 )
 from hopfchains.linalg import (
@@ -290,5 +290,23 @@ def test_comodules_over_namesake_rings_are_refused():
         comodule_braiding(X, Y, Coelement(H1, lambda a, b: 1))
     with pytest.raises(SpaceMismatch, match="different rings"):
         check_comodule_morphism(identity_map(B), X, Y, 0)
-    # a rebuild of the same ring is the same ring
+    # a rebuild of the same ring is the same ring, on one carrier object
+    assert again.carrier is H1.carrier and H2.carrier is not H1.carrier
     assert check_comodule_morphism(identity_map(B), X, trivial_comodule(again, B), 0)
+
+
+def test_coelement_braiding_tells_namesake_carriers_apart():
+    # X1 and X2 both live on a Sigma(d); the braiding of X1 with itself
+    # must come from X1's coaction, whatever else is registered
+    from hopfchains.linalg import finite_space
+    gamma = sign_coelement(Bicharacter(1, (-1,)))
+    X1 = d_comodule(1, gamma.ring)
+    X2 = trivial_comodule(gamma.ring, finite_space("Sigma(d)", [atom("w")]))
+    assert X1.carrier.name == X2.carrier.name and X1.carrier is not X2.carrier
+    d = atom("d", 1, 0)
+    want = comodule_braiding(X1, X1, gamma).apply(pair(d, d))
+    assert want == -Vec.basis(pair(d, d))
+    braid = coelement_braiding(gamma, [X1, X2])
+    assert braid.of(X1.carrier, X1.carrier).apply(pair(d, d)) == want
+    w = atom("w")
+    assert braid.of(X2.carrier, X2.carrier).apply(pair(w, w)) == Vec.basis(pair(w, w))

@@ -444,10 +444,39 @@ def test_spaces_sharing_a_name_are_told_apart():
                                           tensor_maps(two, two), 0)):
         with pytest.raises(SpaceMismatch):
             build()
-    # the same basis under the same name is the same space
+    assert one.dom is not two.dom
+    # the same basis under the same name is the same space, one object
     again = identity_map(sigma_space(GradedModule.of({0: 1})))
+    assert again.dom is one.dom
+    assert finite_space("Sigma(m)", one.dom.enumerate(0)) is one.dom
+    assert finite_space("Sigma(m)", two.dom.enumerate(0)[::-1]) is not two.dom
     assert equal_on_window(one, again, 0)
     assert equal_on_window(compose_maps(leaf, again), leaf, 0)
+
+
+def test_spaces_are_interned_by_their_data():
+    Z = laurent_hopf(1).carrier
+    assert laurent_hopf(1).carrier is Z and laurent_hopf(2).carrier is not Z
+    assert pareigis_ring(-1).carrier is not pareigis_ring(1).carrier
+    A, B = finite_space("A", [atom("a")]), finite_space("B", [atom("b")])
+    assert finite_space("A", [atom("a")]) is A
+    assert finite_space("A", [atom("b")]) is not A
+    assert tensor_space(tensor_space(A, B), Z) is tensor_space(A, tensor_space(B, Z))
+    assert tensor_space(A, B) is not tensor_space(B, A)
+    assert tensor_space(A, UNIT_SPACE) is A and tensor_space(UNIT_SPACE, A) is A
+    assert sum_space(A, UNIT_SPACE) is sum_space(A, UNIT_SPACE)
+    assert sum_space(A, UNIT_SPACE) is not sum_space(A, UNIT_SPACE, name="A+1")
+    assert sum_space(A, B) is not sum_space(B, A)
+
+
+def test_a_space_nothing_holds_is_freed():
+    S = finite_space("unheld", [atom("u", 1), atom("u", 2)])
+    T = tensor_space(S, S)
+    dead = weakref.ref(S), weakref.ref(T)
+    del S, T
+    gc.collect()
+    # the tensor's entry held its factors only while the tensor lived
+    assert [ref() for ref in dead] == [None, None]
 
 
 def failing_verdicts():
