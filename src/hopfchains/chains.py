@@ -13,6 +13,8 @@ ints, see ``mat``), so all arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
+
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Comodule
@@ -748,6 +750,18 @@ class SecondDifferentialResult:
         return "SecondDifferential(rejected at %s)" % (self.violations,)
 
 
+@functools.lru_cache(maxsize=None)
+def _second_differential_ring(kappa, s):
+    """The Hopf ring on I + D for ``second_differential``, the degree of
+    its differential generator d in the double grading, and d's label.
+    """
+    ddeg = (s * (1 + kappa) // 2, 1)
+    dmodule = GradedModule.of({ddeg: 1}, rank=2, name="dgen")
+    hb = build_differential_hopf(graded_to_comodule(dmodule),
+                                 sign_coelement(Bicharacter(2, (-1, kappa))))
+    return hb.hopf, ddeg, dmodule.basis()[0]
+
+
 def second_differential(B, kappa, s, strict=False):
     """Decide the kappa-square law and emit the two-term-ring coaction.
 
@@ -756,7 +770,10 @@ def second_differential(B, kappa, s, strict=False):
     the coaction b |-> 1 (x) b + d (x) d2(b) over the Hopf ring built on
     I + D is returned and its comodule legality verified, together with
     an independent check that the coaction is a chain map for the
-    Koszul-signed differential on the tensor product.
+    Koszul-signed differential on the tensor product.  That ring depends
+    on (kappa, s) alone, so it is built and verified once per pair in a
+    process; the square law, the comodule and the chain-map check are
+    decided anew for every B.
     """
     expected = (0, -1) if kappa == -1 else (-s, -1)
     if B.d2_bidegree != expected:
@@ -775,14 +792,7 @@ def second_differential(B, kappa, s, strict=False):
             raise SquareViolation(violations)
         return SecondDifferentialResult(False, violations, None, None)
 
-    # the degree of the differential generator in the double grading
-    ddeg = (s * (1 + kappa) // 2, 1)
-    bich = Bicharacter(2, (-1, kappa))
-    dmodule = GradedModule.of({ddeg: 1}, rank=2, name="dgen")
-    hb = build_differential_hopf(graded_to_comodule(dmodule),
-                                 sign_coelement(bich))
-    H = hb.hopf
-    dlabel = dmodule.basis()[0]
+    H, ddeg, dlabel = _second_differential_ring(kappa, s)
     carrier = finite_space(B.name, B.basis())
 
     def coact_fn(label):

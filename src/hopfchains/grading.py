@@ -13,6 +13,7 @@ product of kappa_c^(g_c h_c) over the grading coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -54,12 +55,23 @@ def degree_of(label):
 def laurent_hopf(r=1):
     """The group ring of Z^r with its Hopf structure.
 
+    There is one ring per rank in a process, however r is passed, so
+    the memos of its pure structure maps serve every caller.
+
     >>> Z = laurent_hopf(1)
+    >>> Z is laurent_hopf(r=1)
+    True
     >>> Z.delta.apply(monomial(3)) == Vec.basis(pair(monomial(3), monomial(3)))
     True
     >>> Z.antipode.apply(monomial(3)) == Vec.basis(monomial(-3))
     True
     """
+    return _laurent_hopf(r)
+
+
+@functools.lru_cache(maxsize=None)
+def _laurent_hopf(r):
+    "The one ``laurent_hopf(r)``, keyed by r alone."
     A = laurent_space(r)
     AA = tensor_space(A, A)
 
@@ -157,9 +169,6 @@ class GradedModule:
         for deg, _ in self.components:
             out.extend(self.basis_at(deg))
         return out
-
-    def total_dim(self):
-        return sum(dim for _, dim in self.components)
 
     def to_json(self):
         return {"rank": self.rank,

@@ -281,7 +281,7 @@ class Space:
     a direct sum, but no check compares names on their own.
     """
 
-    __slots__ = ("name", "arity", "contains", "_window", "basis", "parts",
+    __slots__ = ("name", "arity", "contains", "_window", "basis", "_parts",
                  "left", "right", "__weakref__")
 
     def __init__(self, name, arity, contains, window=None, basis=None):
@@ -290,9 +290,18 @@ class Space:
         self.contains = contains
         self._window = window
         self.basis = None if basis is None else list(basis)
-        self.parts = (self,)
+        self._parts = None
         self.left = None
         self.right = None
+
+    @property
+    def parts(self):
+        """The primitive spaces this one is the tensor of: ``(self,)`` for a
+        primitive space, made on each call so that no space holds itself
+        and reference counting alone frees it.
+        """
+        parts = self._parts
+        return (self,) if parts is None else parts
 
     def enumerate(self, K):
         "Labels inside window K, in deterministic order; monotone in K."
@@ -332,7 +341,7 @@ def _finite_space(name, basis):
 
 
 UNIT_SPACE = Space("I", 0, lambda l: l == UNIT, basis=[UNIT])
-UNIT_SPACE.parts = ()
+UNIT_SPACE._parts = ()
 
 
 def tensor_space(X, Y):
@@ -367,7 +376,7 @@ def _tensor_space(parts):
         return _joined(parts, [p.enumerate(K) for p in parts])
 
     space = Space(name, sum(arities), contains, window=window)
-    space.parts = parts
+    space._parts = parts
     return space
 
 
@@ -504,14 +513,6 @@ class LinMap:
 
     def __neg__(self):
         return scale_map(self, -1)
-
-    def supported_on_codomain(self, K):
-        "Debug check: outputs on window K land on valid codomain labels."
-        for l in self.dom.enumerate(K):
-            for out_label in self.apply(l).entries:
-                if not self.cod.contains(out_label):
-                    return False, (l, out_label)
-        return True, None
 
     def __repr__(self):
         return "LinMap(%s: %s -> %s)" % (self.name or "?", self.dom.name, self.cod.name)

@@ -118,7 +118,15 @@ def pareigis_ring(s=-1):
 
     s = -1 gives the classical presentation (coproduct tail xi^{-1} (x)
     psi, antipode s(psi) = psi.xi); s = +1 exchanges xi and xi^{-1}.
+    There is one ring per sign in a process: every call returns it, so
+    the memos of its pure structure maps serve every caller.
     """
+    return _pareigis_ring(s)
+
+
+@functools.lru_cache(maxsize=None)
+def _pareigis_ring(s):
+    "The one ``pareigis_ring(s)``; a bad sign raises and is not remembered."
     if s not in (-1, 1):
         raise ValueError("s must be +-1")
     P = pareigis_space(s)
@@ -402,10 +410,12 @@ def chain_to_wcomodule(X, s, hb=None):
     the H-coaction records the differential on the Left(d) leg.  Feeding
     the result to the comparison functor recovers ``chain_to_comodule``
     up to the semidirect label bijection.  It is verified on window 0.
+    Without ``hb`` it is the I + D that ``identify_semidirect`` shares,
+    built and verified once per sign.
     """
     from .semidirect import WComodule
 
-    hb = hb or differential_comodule_bimonoid(s)
+    hb = hb or _identified_bimonoid(s)
     A = hb.ring
     H = hb.hopf
     dlabel = atom("d", s, 0)

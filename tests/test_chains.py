@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfchains
+from hopfchains import chains
 from hopfchains.chains import (
     Bicomplex, ChainComplex, IllegalChain, SquareViolation,
     chain_symmetry, comonad_comparison, curry_adjunction, disk,
@@ -222,6 +223,43 @@ def test_identity_square_is_rejected_for_kappa_plus_one():
     assert (1, 1) in res.violations
     with pytest.raises(SquareViolation):
         second_differential(B, 1, -1, strict=True)
+
+
+def test_the_two_term_ring_is_built_once_per_kappa_and_sign(monkeypatch):
+    built = []
+    real = chains.build_differential_hopf
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "build_differential_hopf", spy)
+    rng = random.Random(5)
+    rings = set()
+    for kappa in (-1, 1):
+        for s in (-1, 1):
+            first = second_differential(random_bicomplex(rng, kappa, s), kappa, s)
+            assert first.accepted
+            before = len(built)
+            for _ in range(3):
+                again = second_differential(random_bicomplex(rng, kappa, s), kappa, s)
+                assert again.accepted and again.chain_compat.equal
+                assert again.comodule.ring is first.comodule.ring
+            assert len(built) == before
+            rings.add(first.comodule.ring)
+    assert len(rings) == 4
+
+
+def test_a_violating_square_is_rejected_after_its_ring_is_made():
+    ranks = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    d1 = {(1, 0): mat([[1]]), (1, 1): mat([[1]])}
+    assert second_differential(Bicomplex(ranks, d1, {}, (0, -1)), -1, 1).accepted
+    # d' anticommutes with d on the one square, where kappa = -1 asks
+    # them to commute
+    d2 = {(0, 1): mat([[1]]), (1, 1): mat([[-1]])}
+    res = second_differential(Bicomplex(ranks, d1, d2, (0, -1)), -1, 1)
+    assert not res.accepted and res.violations == ((1, 1),)
+    assert res.comodule is None
 
 
 def test_random_bicomplexes_satisfy_their_square_law():

@@ -174,3 +174,12 @@ def test_graded_module_json_round_trip():
     M = GradedModule.of({(1, 0): 2, (-1, 2): 1}, rank=2, name="m")
     doc = M.to_json()
     assert GradedModule.from_json(doc, name="m") == M
+
+
+def test_there_is_one_laurent_ring_per_rank():
+    assert laurent_hopf() is laurent_hopf(1) is laurent_hopf(r=1)
+    assert laurent_hopf(2) is not laurent_hopf(1)
+    for kappas in ((1, 1), (1, -1), (-1, -1)):
+        assert sign_coelement(Bicharacter(2, kappas)).ring is laurent_hopf(2)
+    for M in (GradedModule.of({(1, 0): 2}), GradedModule.of({3: 1})):
+        assert graded_to_comodule(M).ring is laurent_hopf(M.rank)

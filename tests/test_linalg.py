@@ -184,10 +184,19 @@ def test_sum_space_window_enumeration():
     assert not H.contains(atom("d"))
 
 
+def supported_on_codomain(f, K):
+    "Do the outputs of f on window K land on valid codomain labels?"
+    for l in f.dom.enumerate(K):
+        for out_label in f.apply(l).entries:
+            if not f.cod.contains(out_label):
+                return False, (l, out_label)
+    return True, None
+
+
 def test_structure_maps_land_on_valid_codomain_labels():
     Z = laurent_hopf(1)
     for f in (Z.mu, Z.delta, Z.antipode, Z.epsilon, Z.eta):
-        ok, witness = f.supported_on_codomain(2)
+        ok, witness = supported_on_codomain(f, 2)
         assert ok, witness
 
 
@@ -477,6 +486,21 @@ def test_a_space_nothing_holds_is_freed():
     gc.collect()
     # the tensor's entry held its factors only while the tensor lived
     assert [ref() for ref in dead] == [None, None]
+
+
+def test_a_dropped_primitive_space_is_freed_without_the_collector():
+    spaces = [finite_space("unheld", [atom("u", 1), atom("u", 2)]),
+              sigma_space(GradedModule.of({(4, 1): 2}, name="unheld"))]
+    dead = [weakref.ref(S) for S in spaces]
+    assert all(S.parts == (S,) for S in spaces)
+    enabled = gc.isenabled()
+    gc.disable()  # only reference counts may free them: no cycle may hold one
+    try:
+        del spaces
+        assert [ref() for ref in dead] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def failing_verdicts():

@@ -7,12 +7,16 @@ import pytest
 from hopfchains import semidirect
 from hopfchains.chains import ChainComplex, mat, random_chain_map, random_complex
 from hopfchains.grading import monomial
-from hopfchains.laws import IllegalComodule, check_comodule_morphism
+from hopfchains.laws import (
+    Bimonoid, IllegalComodule, check_bialgebra_laws, check_comodule_morphism,
+    plain_swap,
+)
 from hopfchains.linalg import LinMap, Vec, atom, finite_space, pair, tensor_space
 from hopfchains.pareigis import (
     ALPHABET, PSI, XI, XI_INV, chain_map_to_linmap, chain_to_comodule,
-    comodule_to_chain, identify_semidirect, linmap_to_chain_map, monomial as pm,
-    normalize_word, pareigis_ring, rewrite_once, ring_by_name, word_of,
+    chain_to_wcomodule, comodule_to_chain, identify_semidirect,
+    linmap_to_chain_map, monomial as pm, normalize_word, pareigis_ring,
+    rewrite_once, ring_by_name, word_of,
 )
 
 
@@ -242,3 +246,39 @@ def test_identify_semidirect_builds_i_plus_d_once_per_sign(monkeypatch):
     again = identify_semidirect(1, K=2)
     assert suites == []
     assert again.to_json() == first.to_json()
+
+
+def test_there_is_one_pareigis_ring_per_sign():
+    P = pareigis_ring(-1)
+    assert P is pareigis_ring(-1) is pareigis_ring() is ring_by_name("pareigis")
+    assert P is not pareigis_ring(1)
+    assert pareigis_ring(1) is ring_by_name("pareigis-plus")
+    X = ChainComplex({0: 1, 1: 1}, {1: mat([[1]])}, name="e")
+    assert chain_to_comodule(X, 1).ring is pareigis_ring(1)
+    assert chain_to_wcomodule(X, 1).hb is chain_to_wcomodule(X, 1).hb
+
+
+def test_a_bad_sign_is_refused_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            pareigis_ring(0)
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+def test_a_mutant_of_the_shared_ring_keeps_its_own_verdict(s):
+    # the honest suite fills the shared ring's memos first; a mutant
+    # built on its maps must still fail where it was broken, and the
+    # shared antipode's memo must not learn the mutant's value
+    ring = pareigis_ring(s)
+    W = 3
+    assert check_bialgebra_laws(ring, plain_swap(), W + 1).ok
+    anti, tail, extra = ring.antipode, pm(1, W), Vec.basis(pm(0, 1), 2)
+    broken = LinMap(anti.dom, anti.cod,
+                    lambda l: anti.apply(l) + extra if l == tail else anti.apply(l),
+                    name="antipode")
+    mutant = Bimonoid(ring.carrier, ring.mu, ring.eta, ring.delta, ring.epsilon, broken)
+    failures = check_bialgebra_laws(mutant, plain_swap(), W).failures()
+    assert [r.law for r in failures] == ["antipode-left", "antipode-right"]
+    assert all(r.counterexample.label == tail for r in failures)
+    assert pareigis_ring(s) is ring
+    assert check_bialgebra_laws(pareigis_ring(s), plain_swap(), 4).ok
