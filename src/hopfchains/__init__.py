@@ -35,11 +35,11 @@ from .semidirect import (
     tensor_wcomodule,
 )
 from .chains import (
-    Bicomplex, ChainComplex, ChainMap, IllegalChain, SquareViolation,
-    chain_symmetry, comonad_comparison, curry_adjunction, internal_hom,
-    left_adjoint_complex, random_bicomplex, random_chain_map, random_complex,
-    right_adjoint_complex, second_differential, tensor_chains,
-    triangle_identities_hold, underlying_graded,
+    Bicomplex, ChainComplex, ChainMap, IllegalChain, chain_symmetry,
+    comonad_comparison, curry_adjunction, internal_hom, left_adjoint_complex,
+    random_bicomplex, random_chain_map, random_complex, right_adjoint_complex,
+    second_differential, tensor_chains, triangle_identities_hold,
+    underlying_graded,
 )
 from .pareigis import (
     chain_to_comodule, comodule_to_chain, identify_semidirect, normalize_word,

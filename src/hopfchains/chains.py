@@ -148,12 +148,11 @@ class ChainComplex:
     outside the stored window vanish.
     """
 
-    def __init__(self, ranks, diffs, name="c", check=True):
+    def __init__(self, ranks, diffs, name="c"):
         self.ranks = {n: r for n, r in ranks.items() if r}
         self.diffs = _nonzero(diffs)
         self.name = name
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         for n, d in self.diffs.items():
@@ -668,14 +667,6 @@ def comonad_comparison(X, maps=()):
 # bicomplexes and the second differential
 
 
-class SquareViolation(Exception):
-    "The kappa-square law fails; carries the offending cells."
-
-    def __init__(self, cells):
-        self.cells = tuple(cells)
-        super().__init__("square law fails at %s" % (self.cells,))
-
-
 class Bicomplex:
     """Bigraded ranks with a vertical differential d and a second family d2.
 
@@ -685,7 +676,7 @@ class Bicomplex:
     ``second_differential``.
     """
 
-    def __init__(self, ranks, d1, d2, d2_bidegree, name="b", check=True):
+    def __init__(self, ranks, d1, d2, d2_bidegree, name="b"):
         self.ranks = {c: r for c, r in ranks.items() if r}
         self.name = name
         self.d2_bidegree = tuple(d2_bidegree)
@@ -693,8 +684,7 @@ class Bicomplex:
         self.d2 = _nonzero(d2)
         if self.d2_bidegree[1] != -1:
             raise IllegalChain("second differential must lower the inner degree")
-        if check:
-            self._check()
+        self._check()
 
     def rank(self, cell):
         return self.ranks.get(cell, 0)
@@ -751,18 +741,18 @@ class SecondDifferentialResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _second_differential_ring(kappa, s):
-    """The Hopf ring on I + D for ``second_differential``, the degree of
-    its differential generator d in the double grading, and d's label.
+def _second_differential_ring(kappa, ddeg):
+    """The Hopf ring on I + D for ``second_differential``, whose
+    differential generator d has degree ``ddeg`` in the double grading,
+    and d's label.
     """
-    ddeg = (s * (1 + kappa) // 2, 1)
     dmodule = GradedModule.of({ddeg: 1}, rank=2, name="dgen")
     hb = build_differential_hopf(graded_to_comodule(dmodule),
                                  sign_coelement(Bicharacter(2, (-1, kappa))))
-    return hb.hopf, ddeg, dmodule.basis()[0]
+    return hb.hopf, dmodule.basis()[0]
 
 
-def second_differential(B, kappa, s, strict=False):
+def second_differential(B, kappa, s):
     """Decide the kappa-square law and emit the two-term-ring coaction.
 
     kappa = -1 asks the squares to commute (d2 of bidegree (0, -1));
@@ -771,8 +761,9 @@ def second_differential(B, kappa, s, strict=False):
     I + D is returned and its comodule legality verified, together with
     an independent check that the coaction is a chain map for the
     Koszul-signed differential on the tensor product.  That ring depends
-    on (kappa, s) alone, so it is built and verified once per pair in a
-    process; the square law, the comodule and the chain-map check are
+    on kappa and the degree s(1 + kappa)/2 of d alone, so it is built and
+    verified once per pair in a process (kappa = -1 gives one ring for
+    both signs); the square law, the comodule and the chain-map check are
     decided anew for every B.
     """
     expected = (0, -1) if kappa == -1 else (-s, -1)
@@ -788,11 +779,10 @@ def second_differential(B, kappa, s, strict=False):
         if not mat_eq(after_d, want):
             violations.append((n, m))
     if violations:
-        if strict:
-            raise SquareViolation(violations)
         return SecondDifferentialResult(False, violations, None, None)
 
-    H, ddeg, dlabel = _second_differential_ring(kappa, s)
+    ddeg = (s * (1 + kappa) // 2, 1)
+    H, dlabel = _second_differential_ring(kappa, ddeg)
     carrier = finite_space(B.name, B.basis())
 
     def coact_fn(label):

@@ -205,7 +205,7 @@ def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW):
         verdict = equal_on_window(braid, scale_map(identity_map(dd), -1),
                                   window, law="self-braiding")
         if not verdict.equal:
-            raise NotAdmissible(repr(verdict))
+            raise NotAdmissible(verdict)
 
     A = coelement.ring
     Ds = D.carrier

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import time
 import weakref
@@ -440,19 +439,17 @@ class LinMap:
 
     A composite and a wire keep their stage tree in ``_stages``
     (``("compose", f, g)``, ``("tensor", f, g)`` or ``("wire", picks, rewrite)``;
-    ``None`` on a leaf).  ``equal_on_window`` compiles both sides of a
-    law from their trees into one law kernel (see ``_kernel``) when the
-    window holds more than ``_COMPILE_CUTOFF`` (64) labels, so that the
-    compiling is repaid: one nested loop per factor of the domain, with
-    each leaf application an inline lookup in the leaf's memo and
-    ``apply`` called only on a miss.  A lookup is made once per value of
-    the factors it reads, in the loop of the last of them, and once for
-    both sides; the kernel's code is made once per distinct source and
-    shared by every law of that shape, with the leaves bound per check.
-    A side whose leaves would nest more loops than CPython allows
-    (``_MAX_LOOPS``, counting the domain's) is one call of its ``apply``
-    inside the kernel.  A smaller window, and every other caller,
-    evaluates any map through ``apply``.
+    ``None`` on a leaf).  ``equal_on_window`` checks every window with
+    one law kernel (see ``_kernel``) made from both sides' trees: one
+    nested loop per factor of the domain, with each leaf application an
+    inline lookup in the leaf's memo and ``apply`` called only on a
+    miss.  A lookup is made once per value of the factors it reads, in
+    the loop of the last of them, and once for both sides.  The kernel
+    is made once per law shape in a process and shared by every law of
+    that shape, with the leaves bound per check.  A side whose leaves
+    would nest more loops than CPython allows (``_MAX_LOOPS``, counting
+    the domain's) is one call of its ``apply`` inside the kernel.  Every
+    other caller evaluates any map through ``apply``.
 
     ``f >> g`` is "f then g", ``f @ g`` the tensor product.
     """
@@ -751,12 +748,12 @@ def _permutation(spaces, perm, name):
 # law kernels: one generated loop per law over the window's factors
 
 
-# A window of more labels than this is checked by a law kernel; a smaller
-# one costs less to evaluate through ``apply`` than to compile.
-_COMPILE_CUTOFF = 64
-
 # for-loops one kernel may nest: CPython allows 20 statically nested blocks
 _MAX_LOOPS = 20
+
+# law shape -> its kernel function; a shape is ints, strings and tuples,
+# and a kernel holds code, so the table keeps no map, space or vector alive
+_kernels = {}
 
 
 def _kernel(f, g, parts):
@@ -782,86 +779,119 @@ def _kernel(f, g, parts):
     leaves, one loop each, would nest more than ``_MAX_LOOPS`` loops with
     the domain's is one call of its ``apply``.
 
-    The source names no leaf: the leaves' memos and ``apply`` methods
-    are the function's first parameters, bound for this one law with
-    ``functools.partial``.  So the function itself is made once per
-    distinct source (``_compiled``) and serves every law of that shape.
+    The function is made from the law's shape alone (``_shape``), once
+    per shape in a process (``_kernels``), and serves every law of that
+    shape.  Its first parameters are each leaf's ``apply`` and memo
+    lookup, in the leaves' order of first use; they are bound here, for
+    this one law.
     """
-    return _Compiler().kernel(f, g, parts)
+    leaves = {}
+    shape = _shape(f, g, parts, leaves)
+    kernel = _kernels.get(shape)
+    if kernel is None:
+        kernel = _kernels[shape] = _Compiler().kernel(shape)
+    args = []
+    for m in leaves:
+        args += (m.apply, None if m._cache is None else m._cache.get)
+    return functools.partial(kernel, *args)
 
 
-@functools.lru_cache(maxsize=None)
-def _compiled(source):
-    "The kernel function a source defines; it holds code, never a leaf."
-    env = {}
-    exec(compile(source, "<law kernel>", "exec"), env)
-    # taken out of the globals it was defined in, so that only the cache
-    # keeps the function alive, and no cycle does
-    return env.pop("kernel")
+def _shape(f, g, parts, leaves):
+    """The shape of the law ``f == g`` on a domain of these parts.
+
+    It is the parts' arities and the stage tree of each side, with each
+    wire replaced by ``("wire", picks)``, each composite by ``(kind, dom
+    arity of its first map, shape, shape)`` and each leaf by ``(index,
+    dom arity, cod arity, has a memo)``.  The index is the leaf's place
+    in order of first use across both sides, so laws whose leaves repeat
+    differently have different shapes; ``leaves`` maps each leaf met to
+    its index.  A side whose leaves, one loop each, would nest more than
+    ``_MAX_LOOPS`` loops with the domain's stands as a leaf itself, after
+    the leaves it holds (whose parameters the kernel then leaves unused).
+    """
+    sides = []
+    for m in (f, g):
+        tree, loops = _tree(m, leaves)
+        sides.append(_leaf(m, leaves) if len(parts) + loops > _MAX_LOOPS else tree)
+    return (tuple(p.arity for p in parts),) + tuple(sides)
 
 
-def _loops(m):
-    "How many loops m's compiled body nests: one per leaf."
+def _tree(m, leaves):
+    "m's stage tree as a shape has it, and how many loops it nests: one per leaf."
     stages = m._stages
     if stages is None:
-        return 1
+        return _leaf(m, leaves), 1
     if stages[0] == "wire":
-        return 0
-    return _loops(stages[1]) + _loops(stages[2])
+        return stages[:2], 0
+    kind, f, g = stages
+    first, loops_f = _tree(f, leaves)
+    then, loops_g = _tree(g, leaves)
+    return (kind, f.dom.arity, first, then), loops_f + loops_g
+
+
+def _leaf(m, leaves):
+    "m as a leaf of a shape; ``leaves`` gives it its index at its first use."
+    return leaves.setdefault(m, len(leaves)), m.dom.arity, m.cod.arity, m._cache is not None
 
 
 class _Compiler:
-    """Writes and makes one law kernel; see ``_kernel``.
+    """Writes and makes the law kernel of one shape; see ``_kernel``.
 
-    While compiling, a label is a pair: an expression for the whole
-    label, or a tuple of expressions, one per tensor factor.  Each stage
-    turns one form into the other only where it needs to.  Every factor
-    expression records the depth of the loop that binds it (a domain
-    factor its part's loop, a term of an image its term loop), and every
-    loop keeps a head, the lines at the top of its body.  A lookup goes
-    to the head of the deepest loop its key reads, once per leaf and key
-    expression.  Nothing the compiler makes refers back to itself, so it
-    and the source die as soon as the kernel is made.
+    It reads the shape only, never a map.  Leaf i's ``apply`` and memo
+    lookup are the parameters ``Li`` and ``Mi``.  While compiling, a
+    label is a tuple of expressions, one per tensor factor; a label that
+    a loop binds whole keeps the variable that names it (``spans``), so
+    a stage that needs the whole label takes that variable.  Every
+    factor expression records the depth of the loop that binds it (a
+    domain factor its part's loop, a term of an image its term loop),
+    and every loop keeps a head, the lines at the top of its body.  A
+    lookup goes to the head of the deepest loop its key reads, once per
+    leaf and key expression.
     """
 
     def __init__(self):
         self.lines = [[]]    # blocks of lines, a loop's head a block of its own
         self.heads = {}      # depth -> the head of the loop open at that depth
         self.depths = {}     # factor expressions -> the depth of the loop binding them
-        self.images = {}     # (id(leaf), key expression) -> the variable of its image
-        self.names = {}      # (id(map), stem) -> the parameter of its apply or memo
-        self.values = {}     # the kernel's parameters before the windows -> values
+        self.images = {}     # (leaf index, key expression) -> the variable of its image
         self.spans = {}      # factor expressions -> the variable of that label
+        self.leaves = 0      # how many leaves the kernel's parameters carry
         self.count = 0
 
-    def kernel(self, f, g, parts):
+    def kernel(self, shape):
+        arities, f, g = shape
         self.line(0, "n = 0")
         self.open(0, ())
         label = ()
-        for i, p in enumerate(parts):
+        for i, arity in enumerate(arities):
             self.line(i, "for a%d in W%d:" % (i, i))
             self.open(i + 1, ("a%d" % i,))
-            label += self.factors(("a%d" % i, None), p.arity)
-        label, depth = (None, label), len(parts)
+            label += self.factors("a%d" % i, arity)
+        depth = len(arities)
         self.line(depth, "n += 1")
-        self.side(f, label, "lhs", depth, len(parts))
-        self.side(g, label, "rhs", depth, len(parts))
+        self.side(f, label, "lhs", depth)
+        self.side(g, label, "rhs", depth)
         self.line(depth, "if lhs != rhs:")
-        self.line(depth + 1, "return n, %s, lhs, rhs" % self.whole(label, f.dom.arity))
+        self.line(depth + 1, "return n, %s, lhs, rhs" % self.whole(label))
         self.line(0, "return n, None, None, None")
-        params = list(self.values) + ["W%d" % i for i in range(len(parts))]
+        params = (["L%d, M%d" % (i, i) for i in range(self.leaves)]
+                  + ["W%d" % i for i in range(len(arities))])
         source = "def kernel(%s):\n%s\n" % (
             ", ".join(params), "\n".join("    " + l for b in self.lines for l in b))
-        return functools.partial(_compiled(source), *self.values.values())
+        env = {}
+        exec(compile(source, "<law kernel>", "exec"), env)
+        # taken out of the globals it was defined in, so that only the
+        # table keeps the function alive, and no cycle does
+        return env.pop("kernel")
 
-    def side(self, m, label, out, depth, domain_loops):
+    def side(self, tree, label, out, depth):
         "Emit one side of the law, leaving its image's entries in ``out``."
-        if m._stages is None or domain_loops + _loops(m) > _MAX_LOOPS:
-            self.line(depth, "%s = %s" % (out, self.call(m, label)))
+        if type(tree[0]) is int:
+            self.line(depth, "%s = %s" % (out, self.call(tree, label)))
             return
 
         def collect(label, coeff, depth):
-            key = self.whole(label, m.cod.arity)
+            key = self.whole(label)
             if not key.isidentifier():
                 self.line(depth, "key = %s" % key)
                 key = "key"
@@ -873,7 +903,7 @@ class _Compiler:
 
         self.line(depth, "%s = {}" % out)
         self.line(depth, "get = %s.get" % out)
-        self.stage(m, label, None, depth, collect)
+        self.stage(tree, label, None, depth, collect)
 
     def line(self, depth, text):
         self.lines[-1].append("    " * depth + text)
@@ -888,98 +918,70 @@ class _Compiler:
         self.count += 1
         return "%s%d" % (stem, self.count)
 
-    def bind(self, owner, stem, value):
-        "The parameter that carries ``value`` into the kernel."
-        name = self.names.get((id(owner), stem))
-        if name is None:
-            name = self.names[(id(owner), stem)] = "%s%d" % (stem, len(self.values))
-            self.values[name] = value
-        return name
-
-    def factors(self, label, n):
-        "Expressions for the n factors of a label."
-        whole, parts = label
-        if parts is None:
-            if n == 1:
-                return (whole,)
-            parts = tuple("%s[%d]" % (whole, i) for i in range(1, n + 1))
-            if n:
-                self.spans[parts] = whole
-            self.depths.update(dict.fromkeys(parts, self.depths[whole]))
+    def factors(self, whole, n):
+        "Expressions for the n factors of the label a loop binds to ``whole``."
+        if n == 1:
+            return (whole,)
+        parts = tuple("%s[%d]" % (whole, i) for i in range(1, n + 1))
+        if n:
+            self.spans[parts] = whole
+        self.depths.update(dict.fromkeys(parts, self.depths[whole]))
         return parts
 
-    def whole(self, label, n):
-        "An expression for a label of n factors."
-        whole, parts = label
-        if whole is not None:
-            return whole
-        if parts in self.spans:
-            return self.spans[parts]
-        if n == 0:
+    def whole(self, label):
+        "An expression for a label."
+        if label in self.spans:
+            return self.spans[label]
+        if not label:
             return repr(UNIT)
-        if n == 1:
-            return parts[0]
-        return "(%r, %s)" % (_TENSOR, ", ".join(parts))
+        if len(label) == 1:
+            return label[0]
+        return "(%r, %s)" % (_TENSOR, ", ".join(label))
 
-    def depth(self, label):
-        "The depth of the deepest loop binding a factor of the label; 0 for none."
-        whole, parts = label
-        if whole is not None:
-            return self.depths[whole]
-        return max(map(self.depths.__getitem__, parts), default=0)
+    def call(self, leaf, label):
+        """Apply a leaf to a label; an expression for its image's entries.
 
-    def call(self, m, label):
-        """Apply a map to a label; an expression for its image's entries.
-
-        A leaf is looked up in its memo first, and applied on a miss.
-        The lookup goes to the head of the deepest loop the label reads,
-        and is made once there for each map and key expression.
+        A leaf with a memo is looked up in it first, and applied on a
+        miss.  The lookup goes to the head of the deepest loop the label
+        reads, and is made once there for each leaf and key expression.
         """
-        x = self.whole(label, m.dom.arity)
-        image = self.images.get((id(m), x))
+        i, memo = leaf[0], leaf[3]
+        x = self.whole(label)
+        image = self.images.get((i, x))
         if image is None:
-            image = self.images[(id(m), x)] = self.fresh("e")
-            apply = self.bind(m, "L", m.apply)
-            if m._cache is None:
-                lines = ["%s = %s(%s)" % (image, apply, x)]
-            else:
-                lines = ["%s = %s(%s)" % (image, self.bind(m, "M", m._cache.get), x),
+            image = self.images[(i, x)] = self.fresh("e")
+            self.leaves = max(self.leaves, i + 1)
+            if memo:
+                lines = ["%s = M%d(%s)" % (image, i, x),
                          "if %s is None:" % image,
-                         "    %s = %s(%s)" % (image, apply, x)]
-            depth = self.depth(label)
+                         "    %s = L%d(%s)" % (image, i, x)]
+            else:
+                lines = ["%s = L%d(%s)" % (image, i, x)]
+            depth = max(map(self.depths.__getitem__, label), default=0)
             self.heads[depth] += ["    " * depth + l for l in lines]
         return image + ".entries"
 
-    def loop(self, entries, coeff, depth, then):
-        "Loop over the terms of an image; ``then`` emits the body."
-        k, c = self.fresh("k"), self.fresh("c")
-        self.line(depth, "for %s, %s in %s.items():" % (k, c, entries))
-        self.open(depth + 1, (k,))
-        then((k, None), c if coeff is None else "%s * %s" % (coeff, c), depth + 1)
-
-    def stage(self, m, label, coeff, depth, then):
-        "Emit m on a label; ``then(label, coeff, depth)`` emits what takes each term."
-        stages = m._stages
-        if stages is None:
-            self.loop(self.call(m, label), coeff, depth, then)
-        elif stages[0] == "wire":
-            parts = self.factors(label, m.dom.arity)
-            then((None, tuple(parts[p] for p in stages[1])), coeff, depth)
-        elif stages[0] == "compose":
-            g = stages[2]
-            self.stage(stages[1], label, coeff, depth,
+    def stage(self, tree, label, coeff, depth, then):
+        "Emit a shape tree on a label; ``then(label, coeff, depth)`` emits what takes each term."
+        kind = tree[0]
+        if kind == "wire":
+            then(tuple(label[p] for p in tree[1]), coeff, depth)
+        elif kind == "compose":
+            g = tree[3]
+            self.stage(tree[2], label, coeff, depth,
                        lambda l, c, d: self.stage(g, l, c, d, then))
-        else:
+        elif kind == "tensor":
             # f on the first factors, then g on the rest for each term of f
-            f, g = stages[1], stages[2]
-            parts = self.factors(label, m.dom.arity)
-            x, y = (None, parts[:f.dom.arity]), (None, parts[f.dom.arity:])
-
-            def right(l, c, d):
-                done = self.factors(l, f.cod.arity)
-                self.stage(g, y, c, d, lambda l, c, d: then(
-                    (None, done + self.factors(l, g.cod.arity)), c, d))
-            self.stage(f, x, coeff, depth, right)
+            cut, f, g = tree[1:]
+            self.stage(f, label[:cut], coeff, depth, lambda l, c, d: self.stage(
+                g, label[cut:], c, d, lambda r, c, d: then(l + r, c, d)))
+        else:
+            # a loop over the terms of the leaf's image
+            k, c = self.fresh("k"), self.fresh("c")
+            self.line(depth, "for %s, %s in %s.items():" % (k, c, self.call(tree, label)))
+            self.open(depth + 1, (k,))
+            then(self.factors(k, tree[2]), c if coeff is None else "%s * %s" % (coeff, c),
+                 depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,33 +1041,21 @@ def equal_on_window(f, g, K, law=""):
 
     Returns the first counterexample in enumeration order, if any.  The
     labels are taken one at a time, in that order, so a failing check
-    stops at its first counterexample.  The window is the tensor of the
-    domain's part windows, and its size the product of their lengths.
-    A window of more than ``_COMPILE_CUTOFF`` labels is checked by one
-    law kernel (``_kernel``), which loops over the part windows and
-    never lists the window, and drops its leaves when it returns; a
-    smaller one is listed from the part windows and evaluated through
-    ``apply``.  The result records the check's wall time in ``seconds``.
+    stops at its first counterexample.  Every window is checked by one
+    law kernel (``_kernel``), which loops over the domain's part windows
+    and never lists the window, and drops its leaves when it returns.  A
+    domain of more parts than one kernel may nest loops is listed, and
+    its kernel has one loop over that list.  The result records the
+    check's wall time in ``seconds``.
     """
     if f.dom is not g.dom or f.cod is not g.cod:
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))
     started = time.perf_counter()
     parts = f.dom.parts
-    windows = [p.enumerate(K) for p in parts]
-    if math.prod(map(len, windows)) > _COMPILE_CUTOFF and len(parts) <= _MAX_LOOPS:
-        checked, label, lhs, rhs = _kernel(f, g, parts)(*windows)
-        if lhs is None:
-            return CheckResult(law, True, checked, None, time.perf_counter() - started)
-        return CheckResult(law, False, checked, Counterexample(label, _vec(lhs), _vec(rhs)),
-                           time.perf_counter() - started)
-    # the unit space has no parts and the one label UNIT
-    labels = _joined(parts, windows) if parts else f.dom.enumerate(K)
-    checked = 0
-    for label in labels:
-        checked += 1
-        lhs = f.apply(label)
-        rhs = g.apply(label)
-        if lhs != rhs:
-            return CheckResult(law, False, checked, Counterexample(label, lhs, rhs),
-                               time.perf_counter() - started)
-    return CheckResult(law, True, checked, None, time.perf_counter() - started)
+    if len(parts) > _MAX_LOOPS:
+        parts = (f.dom,)
+    checked, label, lhs, rhs = _kernel(f, g, parts)(*[p.enumerate(K) for p in parts])
+    if lhs is None:
+        return CheckResult(law, True, checked, None, time.perf_counter() - started)
+    return CheckResult(law, False, checked, Counterexample(label, _vec(lhs), _vec(rhs)),
+                       time.perf_counter() - started)

@@ -90,6 +90,18 @@ def test_build_semidirect_runs_the_suite():
     assert "semidirect/interchange" in names
 
 
+def test_build_semidirect_gives_the_reason_an_even_carrier_is_rejected(tmp_path):
+    path = tmp_path / "carrier.json"
+    path.write_text(json.dumps(
+        {"rank": 1, "summands": [{"degree": [2], "order": 0}]}))
+    status, report = run(command="build-semidirect", carrier_file=str(path), window=4)
+    assert status == 1
+    assert report["results"] == [{
+        "name": "admissibility", "verdict": "reject", "instances": 1, "millis": 0,
+        "counterexample": {"reason": "self-braiding: differ at d(2,0)*d(2,0): "
+                                     "d(2,0)*d(2,0) != -d(2,0)*d(2,0)"}}]
+
+
 def test_build_semidirect_rejects_torsion_carrier(tmp_path):
     path = tmp_path / "carrier.json"
     path.write_text(json.dumps(

@@ -125,6 +125,21 @@ def test_even_degree_generator_raises_not_admissible():
         build_differential_hopf(D, gamma)
 
 
+def test_a_caught_rejection_renders_no_vector(monkeypatch):
+    # the reason is written out only when asked for, not when raised
+    rendered = []
+    real = Vec.__repr__
+    monkeypatch.setattr(Vec, "__repr__", lambda v: rendered.append(v) or real(v))
+    gamma = sign_coelement(minus_one())
+    D = graded_to_comodule(GradedModule.of({0: 1}, name="d"), gamma.ring)
+    with pytest.raises(NotAdmissible) as caught:
+        build_differential_hopf(D, gamma)
+    assert rendered == []
+    assert str(caught.value) == ("self-braiding: differ at d(0,0)*d(0,0): "
+                                 "d(0,0)*d(0,0) != -d(0,0)*d(0,0)")
+    assert rendered
+
+
 def test_rank_two_free_summand_in_one_degree_fails_the_window_guard():
     # swap is not the identity on a rank-2 component, so the self-braiding
     # cannot be -1; the window check must catch it.

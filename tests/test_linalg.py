@@ -631,12 +631,9 @@ def test_a_planted_defect_is_reported_as_a_plain_loop_reports_it(ring_name, whic
     maps[which] = LinMap(leaf.dom, leaf.cod, fn, name=leaf.name)
     mutant = Bimonoid(ring.carrier, **maps)
     sides = _captured(lambda: check_bialgebra_laws(mutant, plain_swap(), K))
-    compiled = 0
     for law, (f, g) in sides.items():
-        compiled += len(f.dom.enumerate(K)) > linalg._COMPILE_CUTOFF
         # (label, lhs, rhs) of the first counterexample, and the labels checked
         assert equal_on_window(f, g, K, law) == reference_check(f, g, K, law), law
-    assert compiled
 
 
 def test_a_composite_deeper_than_the_loop_limit_is_evaluated_by_apply(monkeypatch):
@@ -649,7 +646,6 @@ def test_a_composite_deeper_than_the_loop_limit_is_evaluated_by_apply(monkeypatc
     m = compose_maps(P.delta, tensor_maps(m, identity_map(P.carrier)))
     reference = memoised(m)
     size = len(P.carrier.enumerate(40))
-    assert size > linalg._COMPILE_CUTOFF
     applied = spy_apply(monkeypatch)
     assert equal_on_window(m, reference, 40) == CheckResult("", True, size)
     assert m in applied
@@ -727,7 +723,6 @@ def test_a_part_of_two_factors_is_cut_into_them():
     # label it reports from them
     swap = swap_map(A, two)
     flip = LinMap(D, swap.cod, lambda l: Vec.basis(pair(*factors(l)[1:], factors(l)[0])))
-    assert len(want) > linalg._COMPILE_CUTOFF
     assert equal_on_window(swap, flip, 40) == CheckResult("", True, len(want))
     bad = want[100]
     wrong = LinMap(D, swap.cod, lambda l: ZERO if l == bad else flip.apply(l))
@@ -735,21 +730,41 @@ def test_a_part_of_two_factors_is_cut_into_them():
     assert got == reference_check(swap, wrong, 40, "") and got.counterexample.label == bad
 
 
-def test_a_window_under_the_cutoff_compiles_nothing(monkeypatch):
-    compiled = []
+def test_every_window_is_checked_by_a_kernel(monkeypatch):
+    kernels = []
     kernel = linalg._kernel
     monkeypatch.setattr(linalg, "_kernel",
-                        lambda f, g, parts: compiled.append((f, g)) or kernel(f, g, parts))
-    P = RINGS["P"]
-    idh = identity_map(P.carrier)
-    lhs = compose_maps(tensor_maps(P.mu, idh), P.mu)
-    rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
-    assert len(lhs.dom.enumerate(0)) <= linalg._COMPILE_CUTOFF
-    assert equal_on_window(lhs, rhs, 0)
-    assert compiled == []
-    assert len(lhs.dom.enumerate(1)) > linalg._COMPILE_CUTOFF
-    assert equal_on_window(lhs, rhs, 1)
-    assert compiled == [(lhs, rhs)]
+                        lambda f, g, parts: kernels.append(parts) or kernel(f, g, parts))
+
+    def planted(m, bad):
+        "m as a leaf of its own whose image of ``bad`` is doubled."
+        return LinMap(m.dom, m.cod, lambda l: 2 * m.apply(l) if l == bad else m.apply(l))
+    Z = laurent_hopf(1)
+    A = Z.carrier
+    # one label: Z at window 0 holds x^0 alone
+    assert A.enumerate(0) == [x(0)]
+    twice = compose_maps(Z.antipode, Z.antipode)
+    laws_by_domain = [((A,), [(twice, identity_map(A)), (twice, planted(identity_map(A), x(0)))])]
+    # the unit domain: no parts, and the one label UNIT
+    unit = compose_maps(Z.eta, Z.delta)
+    laws_by_domain.append(((), [(unit, tensor_maps(Z.eta, Z.eta)), (unit, planted(unit, UNIT))]))
+    # 22 parts, more than one kernel may nest loops: one loop over the listed window
+    b = finite_space("b", [atom("b", 0), atom("b", 1)])
+    spaces = [b] + [finite_space("u", [atom("u")])] * 20 + [b]
+    swap = perm_map(spaces, (21,) + tuple(range(1, 21)) + (0,))
+    D = swap.dom
+    assert len(D.parts) == 22 > linalg._MAX_LOOPS and swap.cod is D
+    flip = LinMap(D, D, lambda l: Vec.basis((l[0], l[22]) + l[2:22] + (l[1],)))
+    wrong = planted(flip, D.enumerate(0)[1])
+    laws_by_domain.append(((D,), [(swap, flip), (swap, wrong)]))
+    for parts, laws_here in laws_by_domain:
+        verdicts = []
+        for f, g in laws_here:
+            kernels.clear()
+            got = equal_on_window(f, g, 0)
+            assert got == reference_check(f, g, 0, "") and kernels == [parts]
+            verdicts.append(got.equal)
+        assert verdicts == [True, False], parts
 
 
 def test_a_law_frees_its_leaves_when_the_check_returns():
@@ -765,7 +780,6 @@ def test_a_law_frees_its_leaves_when_the_check_returns():
     idh = identity_map(A)
     lhs = compose_maps(P.delta, compose_maps(tensor_maps(leaf, idh), P.mu))
     rhs = compose_maps(P.delta, compose_maps(tensor_maps(idh, leaf), P.mu))
-    assert len(A.enumerate(40)) > linalg._COMPILE_CUTOFF
     enabled = gc.isenabled()
     gc.disable()  # only reference counts may free it: no cycle may hold it
     try:
@@ -809,7 +823,6 @@ def test_a_lookup_is_made_once_per_value_of_the_factors_it_reads():
     lhs = compose_maps(tensor_maps(mu, idh), P.mu)
     rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
     n = len(A.enumerate(1))
-    assert n ** 3 > linalg._COMPILE_CUTOFF
     # mu' reads the first two factors: once per pair, not once per label
     assert lookups(mu, lhs, rhs, 1) == (CheckResult("", True, n ** 3), n ** 2)
 
@@ -840,7 +853,6 @@ def test_one_lookup_serves_both_sides():
     lhs = compose_maps(tensor_maps(delta, idh), after)
     rhs = compose_maps(tensor_maps(delta, idh), memoised(after))
     n = len(A.enumerate(4))
-    assert n ** 2 > linalg._COMPILE_CUTOFF
     # delta' on the first factor, on both sides: once per first factor
     assert lookups(delta, lhs, rhs, 4) == (CheckResult("", True, n ** 2), n)
 
@@ -850,15 +862,49 @@ def test_a_law_of_one_shape_is_compiled_once_for_every_ring(monkeypatch):
     monkeypatch.setattr(linalg, "compile",
                         lambda source, *args: sources.append(source) or compile(source, *args),
                         raising=False)
-    linalg._compiled.cache_clear()
+    made = []
+
+    class Compiler(linalg._Compiler):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+    monkeypatch.setattr(linalg, "_Compiler", Compiler)
+    linalg._kernels.clear()
     for s in (-1, 1):
         P = pareigis_ring(s)
         idh = identity_map(P.carrier)
         lhs = compose_maps(tensor_maps(P.mu, idh), P.mu)
         rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
-        assert len(lhs.dom.enumerate(1)) > linalg._COMPILE_CUTOFF
-        assert equal_on_window(lhs, rhs, 1)
-    assert len(sources) == 1
+        # a repeated check, and one on another window, compile nothing
+        for K in (1, 1, 2):
+            assert equal_on_window(lhs, rhs, K)
+    assert len(sources) == len(made) == 1
+
+
+def test_laws_whose_leaves_repeat_differently_do_not_share_a_kernel():
+    P = RINGS["P"]
+    A = P.carrier
+    idh = identity_map(A)
+    window = A.enumerate(1)
+    tail = pair(window[-1], window[-1])
+
+    def copy(memo=True, bad=None):
+        "P's mu as a leaf of its own, with or without a memo, broken at ``bad``."
+        def fn(label):
+            return P.mu.apply(label) + Vec.basis(window[0]) if label == bad else P.mu.apply(label)
+        m = LinMap(P.mu.dom, P.mu.cod, fn, name="mu")
+        if not memo:
+            m._cache = None
+        return m
+    mu, bare = copy(), copy(memo=False)
+    # one shape of tree each time; the first law of each pair caches a
+    # kernel whose one lookup serves both sides, the second must not use it
+    for lhs, rhs in [(mu, mu), (mu, copy(bad=tail)),
+                     (bare, bare), (bare, copy(memo=False, bad=tail))]:
+        f, g = tensor_maps(lhs, idh), tensor_maps(rhs, idh)
+        got = equal_on_window(f, g, 1)
+        assert got == reference_check(f, g, 1, "")
+        assert got.equal == (lhs is rhs)
 
 
 def test_a_check_keeps_its_wall_time_out_of_its_verdict():
