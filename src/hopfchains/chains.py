@@ -19,8 +19,8 @@ from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Comodule
 from .linalg import (
-    UNIT, CheckResult, Counterexample, LinMap, Vec, atom, equal_on_window,
-    finite_space, left, pair, right, split_label, tensor_space,
+    UNIT, CheckResult, Counterexample, LinMap, Vec, _interned, atom,
+    equal_on_window, finite_space, left, pair, right, split_label, tensor_space,
 )
 
 
@@ -130,6 +130,31 @@ def mat_eq(a, b):
     return a == b
 
 
+def _product(a, b):
+    """a.b for two stored blocks, each a matrix or None for an absent (zero)
+    one; a product with an absent factor is None, decided without building it."""
+    if a is None or b is None:
+        return None
+    return a.dot(b)
+
+
+def _agree(a, b):
+    "a == b for two blocks, each a matrix or None for zero."
+    if a is None:
+        return b is None or is_zero(b)
+    if b is None:
+        return is_zero(a)
+    return mat_eq(a, b)
+
+
+def _check_shapes(name, blocks, want):
+    "Every block name_n has the shape want(n), or IllegalChain names both."
+    for n, b in blocks.items():
+        if b.shape != want(n):
+            raise IllegalChain("%s_%d has shape %s, expected %s"
+                               % (name, n, b.shape, want(n)))
+
+
 def _nonzero(blocks):
     "The blocks as matrices, dropping those that are zero."
     return {k: m for k, m in ((k, mat(b)) for k, b in blocks.items()) if not is_zero(m)}
@@ -155,14 +180,9 @@ class ChainComplex:
         self._check()
 
     def _check(self):
+        _check_shapes("d", self.diffs, lambda n: (self.rank(n - 1), self.rank(n)))
         for n, d in self.diffs.items():
-            want = (self.rank(n - 1), self.rank(n))
-            if d.shape != want:
-                raise IllegalChain("d_%d has shape %s, expected %s"
-                                   % (n, d.shape, want))
-        for n in list(self.diffs):
-            dd = self.d(n - 1).dot(self.d(n))
-            if not is_zero(dd):
+            if not _agree(_product(self.diffs.get(n - 1), d), None):
                 raise IllegalChain("d.d != 0 at degree %d" % n)
 
     def rank(self, n):
@@ -213,10 +233,9 @@ class ChainComplex:
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
-        if self.ranks != other.ranks:
+        if self.ranks != other.ranks or self.diffs.keys() != other.diffs.keys():
             return False
-        return all(mat_eq(self.d(n), other.d(n))
-                   for n in set(self.diffs) | set(other.diffs))
+        return all(mat_eq(d, other.diffs[n]) for n, d in self.diffs.items())
 
     def __repr__(self):
         return "ChainComplex(%s: %s)" % (self.name, self.ranks)
@@ -232,12 +251,17 @@ def disk(n, name="d"):
 
 
 class ChainMap:
-    """Degree-wise matrices commuting with the differentials."""
+    """Degree-wise matrices commuting with the differentials.
+
+    Every nonzero block f_n must have shape (tgt.rank(n), src.rank(n)),
+    with or without ``check``; ``check`` asks for d.f = f.d as well.
+    """
 
     def __init__(self, src, tgt, blocks, check=True):
         self.src = src
         self.tgt = tgt
         self.blocks = _nonzero(blocks)
+        _check_shapes("f", self.blocks, lambda n: (tgt.rank(n), src.rank(n)))
         if check and not self.is_chain_map():
             raise IllegalChain("blocks do not commute with the differentials")
 
@@ -248,25 +272,28 @@ class ChainMap:
         return b
 
     def is_chain_map(self):
-        for n in set(self.src.degrees()) | set(self.tgt.degrees()):
-            lhs = self.block(n - 1).dot(self.src.d(n))
-            rhs = self.tgt.d(n).dot(self.block(n))
-            if not mat_eq(lhs, rhs):
+        f, dx, dy = self.blocks.get, self.src.diffs.get, self.tgt.diffs.get
+        for n in set(self.src.ranks) | set(self.tgt.ranks):
+            if not _agree(_product(f(n - 1), dx(n)), _product(dy(n), f(n))):
                 return False
         return True
 
     def then(self, other):
         if other.src is not self.tgt and other.src.ranks != self.tgt.ranks:
             raise IllegalChain("composition shape mismatch")
-        blocks = {n: other.block(n).dot(self.block(n))
-                  for n in self.src.degrees()}
+        blocks = {}
+        for n, b in self.blocks.items():
+            c = _product(other.blocks.get(n), b)
+            if c is not None:
+                blocks[n] = c
         return ChainMap(self.src, other.tgt, blocks, check=False)
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
             return NotImplemented
-        degs = set(self.blocks) | set(other.blocks)
-        return all(mat_eq(self.block(n), other.block(n)) for n in degs)
+        if self.blocks.keys() != other.blocks.keys():
+            return False
+        return all(mat_eq(b, other.blocks[n]) for n, b in self.blocks.items())
 
     def __repr__(self):
         return "ChainMap(%s -> %s)" % (self.src.name, self.tgt.name)
@@ -312,15 +339,17 @@ def tensor_chains(A, B, name=None):
         d = zeros(len(rows), len(index[n]))
         row_of = lookup[n - 1]
         for col, (i, p, q) in enumerate(index[n]):
-            da = A.d(i)
-            for p2 in range(A.rank(i - 1)):
-                if da[p2, p]:
-                    d[row_of[(i - 1, p2, q)], col] += da[p2, p]
-            db = B.d(n - i)
-            sign = -1 if i % 2 else 1
-            for q2 in range(B.rank(n - i - 1)):
-                if db[q2, q]:
-                    d[row_of[(i, p, q2)], col] += sign * db[q2, q]
+            da = A.diffs.get(i)
+            if da is not None:
+                for p2, row in enumerate(da.rows):
+                    if row[p]:
+                        d[row_of[(i - 1, p2, q)], col] += row[p]
+            db = B.diffs.get(n - i)
+            if db is not None:
+                sign = -1 if i % 2 else 1
+                for q2, row in enumerate(db.rows):
+                    if row[q]:
+                        d[row_of[(i, p, q2)], col] += sign * row[q]
         diffs[n] = d
     return ChainComplex(ranks, diffs, name=name)
 
@@ -373,14 +402,16 @@ def internal_hom(B, C, name=None):
         row_of = {t: k for k, t in enumerate(rows)}
         sign = -1 if n % 2 else 1
         for col, (j, p, q) in enumerate(index[n]):
-            dc = C.d(j + n)
-            for p2 in range(C.rank(j + n - 1)):
-                if dc[p2, p]:
-                    d[row_of[(j, p2, q)], col] += dc[p2, p]
-            db = B.d(j + 1)
-            for q2 in range(B.rank(j + 1)):
-                if db[q, q2]:
-                    d[row_of[(j + 1, p, q2)], col] += -sign * db[q, q2]
+            dc = C.diffs.get(j + n)
+            if dc is not None:
+                for p2, row in enumerate(dc.rows):
+                    if row[p]:
+                        d[row_of[(j, p2, q)], col] += row[p]
+            db = B.diffs.get(j + 1)
+            if db is not None:
+                for q2, c in enumerate(db.rows[q]):
+                    if c:
+                        d[row_of[(j + 1, p, q2)], col] += -sign * c
         diffs[n] = d
     return ChainComplex(ranks, diffs, name=name)
 
@@ -393,29 +424,38 @@ def curry_adjunction(A, B, C):
     """
     AB = tensor_chains(A, B)
     H = internal_hom(B, C)
+    # the bases of (A (x) B)_n and [B, C]_i, listed and placed once per degree
+    tensor_ix = {n: _tensor_index(A, B, n) for n in AB.degrees()}
+    tensor_pos = {n: {t: k for k, t in enumerate(ix)} for n, ix in tensor_ix.items()}
+    hom_ix = {i: _hom_index(B, C, i) for i in A.degrees()}
+    hom_pos = {i: {t: k for k, t in enumerate(ix)} for i, ix in hom_ix.items()}
 
     def curry(phi):
         blocks = {}
         for i in A.degrees():
-            rows = _hom_index(B, C, i)
+            rows = hom_ix[i]
             m = zeros(len(rows), A.rank(i))
             for r, (j, p, q) in enumerate(rows):
                 n = i + j
-                cols = {t: k for k, t in enumerate(_tensor_index(A, B, n))}
-                for pa in range(A.rank(i)):
-                    m[r, pa] = phi.block(n)[p, cols[(i, pa, q)]]
+                b = phi.blocks.get(n)
+                if b is None:
+                    continue
+                row, cols = b.rows[p], tensor_pos[n]
+                m.rows[r] = [row[cols[(i, pa, q)]] for pa in range(A.rank(i))]
             blocks[i] = m
         return ChainMap(A, H, blocks)
 
     def uncurry(psi):
         blocks = {}
-        for n in AB.degrees():
-            cols = _tensor_index(A, B, n)
+        for n, cols in tensor_ix.items():
             m = zeros(C.rank(n), len(cols))
             for cix, (i, p, q) in enumerate(cols):
-                rows = {t: k for k, t in enumerate(_hom_index(B, C, i))}
+                b = psi.blocks.get(i)
+                if b is None:
+                    continue
+                rows = hom_pos[i]
                 for pc in range(C.rank(n)):
-                    m[pc, cix] = psi.block(i)[rows[(n - i, pc, q)], p]
+                    m[pc, cix] = b[rows[(n - i, pc, q)], p]
             blocks[n] = m
         return ChainMap(AB, C, blocks)
 
@@ -434,28 +474,29 @@ def evaluation_map(B, C):
 
 
 class GradedMap:
-    "A degree-wise matrix family between rank-1 graded modules."
+    """A degree-wise matrix family between rank-1 graded modules; an
+    absent block is zero, and every block g_n has shape
+    (tgt.dim_at(n), src.dim_at(n))."""
 
     def __init__(self, src, tgt, blocks):
         self.src = src
         self.tgt = tgt
         self.blocks = {n: mat(b) for n, b in blocks.items()}
-
-    def block(self, n):
-        b = self.blocks.get(n)
-        if b is None:
-            return zeros(self.tgt.dim_at(n), self.src.dim_at(n))
-        return b
+        _check_shapes("g", self.blocks, lambda n: (tgt.dim_at(n), src.dim_at(n)))
 
     def then(self, other):
-        degs = {n for n, _ in self.src.components}
-        return GradedMap(self.src, other.tgt,
-                         {n[0]: other.block(n[0]).dot(self.block(n[0]))
-                          for n in degs})
+        blocks = {}
+        for (n,), _ in self.src.components:
+            c = _product(other.blocks.get(n), self.blocks.get(n))
+            if c is not None:
+                blocks[n] = c
+        return GradedMap(self.src, other.tgt, blocks)
 
     def __eq__(self, other):
-        degs = set(self.blocks) | set(other.blocks)
-        return all(mat_eq(self.block(n), other.block(n)) for n in degs)
+        if not isinstance(other, GradedMap):
+            return NotImplemented
+        return all(_agree(self.blocks.get(n), other.blocks.get(n))
+                   for n in set(self.blocks) | set(other.blocks))
 
 
 def underlying_graded(X):
@@ -469,9 +510,11 @@ def underlying_graded_map(f):
                      dict(f.blocks))
 
 
-def _shift_pair_complex(M, shift, name):
+def _shift_pair_complex(M, shift):
     """Complex with degree-n component M_{k+1} + M_k for k = n - shift,
-    and the square-zero block differential [[0, 1], [0, 0]]."""
+    and the square-zero block differential [[0, 1], [0, 0]]: L(M) for
+    shift 0 and R(M) for shift 1."""
+    name = ("L(%s)" if shift == 0 else "R(%s)") % M.name
     ranks = {}
     degs = [d[0] for d in M.degrees()]
     for n in {d + shift for d in degs} | {d + shift - 1 for d in degs}:
@@ -493,37 +536,45 @@ def _shift_pair_complex(M, shift, name):
 
 
 def left_adjoint_complex(M):
-    "L(M)_n = M_{n+1} + M_n with the identity block differential."
-    return _shift_pair_complex(M, 0, name="L(%s)" % M.name)
+    """L(M)_n = M_{n+1} + M_n with the identity block differential.
+
+    There is one live L(M) per graded module M, as there is one live
+    space per structure: it is built, and its d.d = 0 checked, only when
+    none is alive.
+    """
+    return _interned(_shift_pair_complex, M, 0)
 
 
 def right_adjoint_complex(M):
-    "R(M)_n = M_n + M_{n-1} with the identity block differential."
-    return _shift_pair_complex(M, 1, name="R(%s)" % M.name)
+    "R(M)_n = M_n + M_{n-1} with the identity block differential; one live R(M) per M."
+    return _interned(_shift_pair_complex, M, 1)
+
+
+def _pair_map(g, shift):
+    "The chain map L(g) (shift 0) or R(g) (shift 1): g_{k+1} + g_k at degree n = k + shift."
+    P1 = _interned(_shift_pair_complex, g.src, shift)
+    P2 = _interned(_shift_pair_complex, g.tgt, shift)
+    blocks = {}
+    for n in P1.degrees():
+        k = n - shift
+        top, bot = g.blocks.get(k + 1), g.blocks.get(k)
+        if top is None and bot is None:
+            continue
+        m = zeros(P2.rank(n), P1.rank(n))
+        if top is not None:
+            _place(m, top, 0, 0)
+        if bot is not None:
+            _place(m, bot, g.tgt.dim_at(k + 1), g.src.dim_at(k + 1))
+        blocks[n] = m
+    return ChainMap(P1, P2, blocks, check=False)
 
 
 def left_adjoint_map(g):
-    L1, L2 = left_adjoint_complex(g.src), left_adjoint_complex(g.tgt)
-    blocks = {}
-    for n in L1.degrees():
-        top, bot = g.block(n + 1), g.block(n)
-        m = zeros(L2.rank(n), L1.rank(n))
-        _place(m, top, 0, 0)
-        _place(m, bot, *top.shape)
-        blocks[n] = m
-    return ChainMap(L1, L2, blocks, check=False)
+    return _pair_map(g, 0)
 
 
 def right_adjoint_map(g):
-    R1, R2 = right_adjoint_complex(g.src), right_adjoint_complex(g.tgt)
-    blocks = {}
-    for n in R1.degrees():
-        top, bot = g.block(n), g.block(n - 1)
-        m = zeros(R2.rank(n), R1.rank(n))
-        _place(m, top, 0, 0)
-        _place(m, bot, *top.shape)
-        blocks[n] = m
-    return ChainMap(R1, R2, blocks, check=False)
+    return _pair_map(g, 1)
 
 
 def unit_ur(X):
@@ -533,7 +584,9 @@ def unit_ur(X):
     for n in X.degrees():
         m = zeros(X.rank(n) + X.rank(n - 1), X.rank(n))
         _place(m, eye(X.rank(n)), 0, 0)
-        _place(m, X.d(n), X.rank(n), 0)
+        d = X.diffs.get(n)
+        if d is not None:
+            _place(m, d, X.rank(n), 0)
         blocks[n] = m
     return ChainMap(X, RU, blocks)
 
@@ -568,7 +621,9 @@ def counit_lu(X):
     blocks = {}
     for n in X.degrees():
         m = zeros(X.rank(n), X.rank(n + 1) + X.rank(n))
-        _place(m, X.d(n + 1), 0, 0)
+        d = X.diffs.get(n + 1)
+        if d is not None:
+            _place(m, d, 0, 0)
         _place(m, eye(X.rank(n)), 0, X.rank(n + 1))
         blocks[n] = m
     return ChainMap(LU, X, blocks)
@@ -579,15 +634,16 @@ def triangle_identities_hold(X):
     and its underlying graded module."""
     M = underlying_graded(X)
     idm = GradedMap(M, M, {n[0]: eye(d) for n, d in M.components})
+    # held for the whole check, so that every unit and counit below
+    # finds the one live R(M) and L(M)
+    RM, LM = right_adjoint_complex(M), left_adjoint_complex(M)
 
     eta = unit_ur(X)
     ok_ur1 = underlying_graded_map(eta).then(counit_ur(M)) == idm
-    RM = right_adjoint_complex(M)
     lhs = unit_ur(RM).then(right_adjoint_map(counit_ur(M)))
     ok_ur2 = lhs == identity_chain_map(RM)
 
     ok_lu1 = unit_lu(M).then(underlying_graded_map(counit_lu(X))) == idm
-    LM = left_adjoint_complex(M)
     lhs = left_adjoint_map(unit_lu(M)).then(counit_lu(LM))
     ok_lu2 = lhs == identity_chain_map(LM)
     return ok_ur1 and ok_ur2 and ok_lu1 and ok_lu2
@@ -612,18 +668,23 @@ def graded_tensor_map(f, g):
     blocks = {}
     for (n,), _ in src.components:
         m = zeros(tgt.dim_at(n), src.dim_at(n))
+        top, row = {}, 0   # the first row of f.tgt_i (x) g.tgt_{n-i}
+        for (i,), dm in f.tgt.components:
+            top[i] = row
+            row += dm * g.tgt.dim_at(n - i)
         col = 0
         for (i,), dm in f.src.components:
-            for p in range(dm):
-                for q in range(g.src.dim_at(n - i)):
-                    row = 0
-                    for (i2,), dm2 in f.tgt.components:
-                        for p2 in range(dm2):
-                            for q2 in range(g.tgt.dim_at(n - i2)):
-                                if i2 == i:
-                                    m[row, col] = f.block(i)[p2, p] * g.block(n - i)[q2, q]
-                                row += 1
-                    col += 1
+            width = g.src.dim_at(n - i)
+            fb, gb = f.blocks.get(i), g.blocks.get(n - i)
+            if fb is not None and gb is not None and i in top:
+                height = g.tgt.dim_at(n - i)
+                for p in range(dm):
+                    for q in range(width):
+                        for p2, frow in enumerate(fb.rows):
+                            for q2, grow in enumerate(gb.rows):
+                                m[top[i] + p2 * height + q2, col + p * width + q] = \
+                                    frow[p] * grow[q]
+            col += dm * width
         blocks[n] = m
     return GradedMap(src, tgt, blocks)
 
@@ -641,7 +702,8 @@ def comonad_comparison(X, maps=()):
     """
     M = underlying_graded(X)
     ID = two_term_carrier()
-    ur = underlying_graded(right_adjoint_complex(M))
+    RM = right_adjoint_complex(M)   # held, so right_adjoint_map finds it below
+    ur = underlying_graded(RM)
     tens = graded_tensor(ID, M)
     for n in set(d[0] for d in ur.components) | set(d[0] for d in tens.components):
         if ur.dim_at(n) != tens.dim_at(n):
@@ -713,10 +775,11 @@ class Bicomplex:
             want = (self.rank((n + dn, m + dm)), self.rank((n, m)))
             if d.shape != want:
                 raise IllegalChain("d' at %s has shape %s, want %s" % ((n, m), d.shape, want))
+        d1, d2 = self.d1.get, self.d2.get
         for (n, m) in self.cells():
-            if not is_zero(self.vertical((n - 1, m)).dot(self.vertical((n, m)))):
+            if not _agree(_product(d1((n - 1, m)), d1((n, m))), None):
                 raise IllegalChain("d.d != 0 at %s" % ((n, m),))
-            if not is_zero(self.second((n + dn, m + dm)).dot(self.second((n, m)))):
+            if not _agree(_product(d2((n + dn, m + dm)), d2((n, m))), None):
                 raise IllegalChain("d'.d' != 0 at %s" % ((n, m),))
 
     def basis(self):
@@ -771,12 +834,14 @@ def second_differential(B, kappa, s):
         raise IllegalChain("second differential has bidegree %s, expected %s"
                            % (B.d2_bidegree, expected))
     dn, dm = expected
+    d1, d2 = B.d1.get, B.d2.get
     violations = []
     for (n, m) in B.cells():
-        after_d = B.second((n - 1, m)).dot(B.vertical((n, m)))
-        after_d2 = B.vertical((n + dn, m - 1)).dot(B.second((n, m)))
-        want = after_d2 if kappa == -1 else -after_d2
-        if not mat_eq(after_d, want):
+        after_d = _product(d2((n - 1, m)), d1((n, m)))
+        after_d2 = _product(d1((n + dn, m - 1)), d2((n, m)))
+        if kappa != -1 and after_d2 is not None:
+            after_d2 = -after_d2
+        if not _agree(after_d, after_d2):
             violations.append((n, m))
     if violations:
         return SecondDifferentialResult(False, violations, None, None)
@@ -788,11 +853,11 @@ def second_differential(B, kappa, s):
     def coact_fn(label):
         n, m, i = label[2]
         out = Vec.basis(pair(right(UNIT), label))
-        d2 = B.second((n, m))
-        for j in range(B.rank((n + dn, m - 1))):
-            if d2[j, i]:
+        d2 = B.d2.get((n, m))
+        for j, row in enumerate(d2.rows if d2 is not None else ()):
+            if row[i]:
                 tgt = atom(B.name, n + dn, m - 1, j)
-                out = out + d2[j, i] * Vec.basis(pair(left(dlabel), tgt))
+                out = out + row[i] * Vec.basis(pair(left(dlabel), tgt))
         return out
 
     coaction = LinMap(carrier, tensor_space(H.carrier, carrier), coact_fn,
@@ -803,11 +868,11 @@ def second_differential(B, kappa, s):
     # Koszul-signed differential on H (x) X (the H part has zero d).
     def dx_fn(label):
         n, m, i = label[2]
-        d1 = B.vertical((n, m))
+        d1 = B.d1.get((n, m))
         out = Vec.zero()
-        for j in range(B.rank((n - 1, m))):
-            if d1[j, i]:
-                out = out + d1[j, i] * Vec.basis(atom(B.name, n - 1, m, j))
+        for j, row in enumerate(d1.rows if d1 is not None else ()):
+            if row[i]:
+                out = out + row[i] * Vec.basis(atom(B.name, n - 1, m, j))
         return out
 
     dx = LinMap(carrier, carrier, dx_fn, name="d")

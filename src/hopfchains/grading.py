@@ -150,15 +150,15 @@ class GradedModule:
                 raise ValueError("degree %s has wrong rank" % (deg,))
         return cls(rank, tuple(comps), name)
 
+    def __post_init__(self):
+        # dim_at's table; not a field, so it is left out of ==, hash and repr
+        object.__setattr__(self, "_dims", dict(self.components))
+
     def degrees(self):
         return [deg for deg, _ in self.components]
 
     def dim_at(self, deg):
-        deg = (deg,) if isinstance(deg, int) else tuple(deg)
-        for d, dim in self.components:
-            if d == deg:
-                return dim
-        return 0
+        return self._dims.get((deg,) if isinstance(deg, int) else tuple(deg), 0)
 
     def basis_at(self, deg):
         deg = (deg,) if isinstance(deg, int) else tuple(deg)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 
-from .chains import ChainComplex, ChainMap, IllegalChain, is_zero, zeros
+from .chains import ChainComplex, ChainMap, IllegalChain, _agree, _product, zeros
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Bimonoid, Comodule, IllegalComodule, Report
@@ -276,8 +276,8 @@ def chain_to_comodule(X, s, ring=None):
     is exactly d.d = 0.
     """
     ring = ring or pareigis_ring(s)
-    for n in list(X.diffs):
-        if not is_zero(X.d(n - 1).dot(X.d(n))):
+    for n, d in X.diffs.items():
+        if not _agree(_product(X.diffs.get(n - 1), d), None):
             raise IllegalChain("d.d != 0 at degree %d" % n)
     carrier = X.space()
     coaction = LinMap(carrier, tensor_space(ring.carrier, carrier), _coaction(X, s),
@@ -291,10 +291,10 @@ def _coaction(X, s):
         n, i = label[2]
         m = s * n
         out = Vec.basis(pair(monomial(0, m), label))
-        d = X.d(n)
-        for j in range(X.rank(n - 1)):
-            if d[j, i]:
-                out = out + d[j, i] * Vec.basis(
+        d = X.diffs.get(n)
+        for j, row in enumerate(d.rows if d is not None else ()):
+            if row[i]:
+                out = out + row[i] * Vec.basis(
                     pair(monomial(1, m - s), atom(X.name, n - 1, j)))
         return out
     return coact_fn

@@ -1,8 +1,10 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 import hopfchains
 from hopfchains import chains
 from hopfchains.chains import (
-    Bicomplex, ChainComplex, IllegalChain, chain_symmetry, comonad_comparison,
-    curry_adjunction, disk, evaluation_map, eye, identity_chain_map, internal_hom,
-    left_adjoint_complex, mat, mat_eq, random_bicomplex, random_chain_map,
-    random_complex, random_unimodular, right_adjoint_complex,
-    second_differential, sphere, tensor_chains, triangle_identities_hold,
-    underlying_graded, is_zero, zeros,
+    Bicomplex, ChainComplex, ChainMap, GradedMap, IllegalChain, chain_symmetry,
+    comonad_comparison, curry_adjunction, disk, evaluation_map, eye,
+    identity_chain_map, internal_hom, left_adjoint_complex, left_adjoint_map,
+    mat, mat_eq, random_bicomplex, random_chain_map, random_complex,
+    random_unimodular, right_adjoint_complex, second_differential, sphere,
+    tensor_chains, triangle_identities_hold, underlying_graded,
+    underlying_graded_map, unit_lu, is_zero, zeros,
 )
+from hopfchains.grading import GradedModule
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,7 +147,6 @@ def test_curry_uncurry_round_trip_on_samples():
 
 
 def test_adjoints_of_a_point():
-    from hopfchains.grading import GradedModule
     C = GradedModule.of({0: 1}, name="c")
     L = left_adjoint_complex(C)
     assert L.ranks == {0: 1, -1: 1}
@@ -301,6 +304,268 @@ def test_curry_uncurry_with_independent_target():
         psi = curry(phi)
         assert psi.is_chain_map()
         assert uncurry(psi) == phi
+
+
+def test_a_chain_map_block_of_the_wrong_shape_names_its_degree():
+    X = ChainComplex({0: 2, 1: 1}, {}, name="x")
+    for check in (True, False):
+        with pytest.raises(IllegalChain, match=r"f_0 has shape \(1, 3\), expected \(2, 2\)"):
+            ChainMap(X, X, {0: [[1, 0, 0]], 1: [[1]]}, check=check)
+        # a block where the complexes are zero is never multiplied, so only
+        # the shape check can see it
+        with pytest.raises(IllegalChain, match=r"f_5 has shape \(1, 1\), expected \(0, 0\)"):
+            ChainMap(X, X, {5: [[1]]}, check=check)
+    # zero blocks are dropped before the check, whatever their shape
+    assert ChainMap(X, X, {0: [[0, 0, 0]], 1: [[1]]}).blocks.keys() == {1}
+
+
+def test_a_graded_map_block_of_the_wrong_shape_names_its_degree():
+    M = GradedModule.of({0: 1, 1: 1}, name="m")
+    with pytest.raises(IllegalChain, match=r"g_0 has shape \(1, 3\), expected \(1, 1\)"):
+        GradedMap(M, M, {0: [[1, 2, 3]]})
+    # a zero block is a block too: L(g) places it by the modules' ranks
+    with pytest.raises(IllegalChain, match=r"g_1 has shape \(0, 0\), expected \(1, 1\)"):
+        GradedMap(M, M, {1: []})
+
+
+def test_graded_maps_compare_unequal_to_other_objects():
+    g = underlying_graded_map(identity_chain_map(two_step()))
+    assert (g == 3) is False and g != 3
+    assert g == underlying_graded_map(identity_chain_map(two_step()))
+
+
+# ---------------------------------------------------------------------------
+# one live adjoint complex per graded module
+
+
+def _counting_shift_pair_complexes(monkeypatch):
+    built = []
+    real = chains._shift_pair_complex
+
+    def spy(M, shift):
+        built.append((M, shift))
+        return real(M, shift)
+
+    monkeypatch.setattr(chains, "_shift_pair_complex", spy)
+    return built
+
+
+def test_triangle_identities_build_each_adjoint_complex_once(monkeypatch):
+    built = _counting_shift_pair_complexes(monkeypatch)
+    rng = random.Random(21)
+    for _ in range(10):
+        X = random_complex(rng, name="x")
+        del built[:]
+        assert triangle_identities_hold(X)
+        # R(M), L(M), R(U R M), L(U L M)
+        assert len(built) <= 4 and len(set(built)) == len(built)
+
+
+def test_the_comonad_comparison_builds_one_adjoint_complex(monkeypatch):
+    built = _counting_shift_pair_complexes(monkeypatch)
+    rng = random.Random(14)
+    for _ in range(10):
+        X = random_complex(rng, name="x")
+        fs = [random_chain_map(rng, X) for _ in range(2)]
+        del built[:]
+        assert comonad_comparison(X, fs).equal
+        assert len(built) == 1
+
+
+def test_an_adjoint_complex_is_shared_while_alive_and_freed_after():
+    M = underlying_graded(random_complex(random.Random(9), name="w"))
+    L = left_adjoint_complex(M)
+    assert left_adjoint_complex(M) is L
+    assert right_adjoint_complex(M) is right_adjoint_complex(M)
+    assert right_adjoint_complex(M) is not L
+    # an equal module, built anew, finds the same complex
+    assert left_adjoint_complex(underlying_graded(random_complex(random.Random(9), name="w"))) is L
+    dead = weakref.ref(L)
+    f = left_adjoint_map(unit_lu(M))   # a user of L(M) as its source
+    del L
+    assert f.src is dead()
+    del f
+    assert dead() is None
+
+
+# ---------------------------------------------------------------------------
+# zero blocks decided without building them, against a dense reference
+# (every absent block filled with zeros and multiplied)
+
+
+def _dense(blocks, key, rows, cols):
+    b = blocks.get(key)
+    return mat(b) if b is not None else zeros(rows, cols)
+
+
+def _dense_complex_error(ranks, diffs):
+    "The constructor's verdict on d.d = 0, from dense products."
+    rank = ranks.get
+    stored = {n: mat(d) for n, d in diffs.items() if not is_zero(mat(d))}
+    for n, d in stored.items():
+        dd = _dense(stored, n - 1, rank(n - 2, 0), rank(n - 1, 0)).dot(d)
+        if not is_zero(dd):
+            return "d.d != 0 at degree %d" % n
+    return None
+
+
+def _dense_is_chain_map(f):
+    for n in set(f.src.degrees()) | set(f.tgt.degrees()):
+        if not mat_eq(f.block(n - 1).dot(f.src.d(n)), f.tgt.d(n).dot(f.block(n))):
+            return False
+    return True
+
+
+def _dense_bicomplex_error(ranks, d1, d2, bidegree):
+    dn, dm = bidegree
+    rank = ranks.get
+    for (n, m) in sorted(c for c, r in ranks.items() if r):
+        dd = _dense(d1, (n - 1, m), rank((n - 2, m), 0), rank((n - 1, m), 0)).dot(
+            _dense(d1, (n, m), rank((n - 1, m), 0), rank((n, m), 0)))
+        if not is_zero(dd):
+            return "d.d != 0 at %s" % ((n, m),)
+        below = (n + dn, m + dm)
+        dd = _dense(d2, below, rank((below[0] + dn, below[1] + dm), 0), rank(below, 0)).dot(
+            _dense(d2, (n, m), rank(below, 0), rank((n, m), 0)))
+        if not is_zero(dd):
+            return "d'.d' != 0 at %s" % ((n, m),)
+    return None
+
+
+def _dense_violations(B, kappa, s):
+    dn = 0 if kappa == -1 else -s
+    out = []
+    for (n, m) in B.cells():
+        after_d = B.second((n - 1, m)).dot(B.vertical((n, m)))
+        after_d2 = B.vertical((n + dn, m - 1)).dot(B.second((n, m)))
+        if not mat_eq(after_d, after_d2 if kappa == -1 else -after_d2):
+            out.append((n, m))
+    return tuple(out)
+
+
+def _block(draw, rows, cols, entries=st.integers(-1, 1)):
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@st.composite
+def _raw_complexes(draw):
+    "Ranks on degrees 0..4 and, at random degrees, random differentials."
+    ranks = {n: draw(st.integers(0, 2)) for n in range(5)}
+    diffs = {}
+    for n in draw(st.permutations(range(5))):
+        if draw(st.booleans()):
+            diffs[n] = _block(draw, ranks.get(n - 1, 0), ranks[n])
+    return ranks, diffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_complexes())
+def test_the_square_check_of_a_complex_matches_the_dense_reference(raw):
+    ranks, diffs = raw
+    want = _dense_complex_error(ranks, diffs)
+    if want is None:
+        ChainComplex(ranks, diffs)
+    else:
+        with pytest.raises(IllegalChain, match=re.escape(want) + "$"):
+            ChainComplex(ranks, diffs)
+
+
+def test_a_nonzero_square_next_to_an_absent_differential_is_refused():
+    # d_1 is absent, d_3 d_2 != 0 on the far side of it
+    ranks = {0: 1, 1: 1, 2: 1, 3: 1}
+    with pytest.raises(IllegalChain, match=r"d.d != 0 at degree 3$"):
+        ChainComplex(ranks, {2: [[1]], 3: [[1]]})
+    ChainComplex(ranks, {1: [[1]], 3: [[1]]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans(), st.data())
+def test_the_chain_map_check_matches_the_dense_reference(seed, plant, data):
+    rng = random.Random(seed)
+    X = random_complex(rng, name="x", max_window=4, max_rank=3)
+    Y = X if rng.random() < 0.5 else random_complex(rng, name="y", max_window=4, max_rank=3)
+    f = random_chain_map(rng, X, Y)
+    blocks = {n: [list(r) for r in b] for n, b in f.blocks.items()}
+    if plant:
+        # one entry changed: mostly no chain map any more
+        degs = [n for n in X.degrees() if Y.rank(n)]
+        if degs:
+            n = data.draw(st.sampled_from(degs))
+            b = blocks.setdefault(n, [[0] * X.rank(n) for _ in range(Y.rank(n))])
+            i = data.draw(st.integers(0, Y.rank(n) - 1))
+            j = data.draw(st.integers(0, X.rank(n) - 1))
+            b[i][j] += data.draw(st.sampled_from((-1, 1)))
+    g = ChainMap(X, Y, blocks, check=False)
+    want = _dense_is_chain_map(g)
+    assert g.is_chain_map() == want
+    if want:
+        ChainMap(X, Y, blocks)
+    else:
+        with pytest.raises(IllegalChain):
+            ChainMap(X, Y, blocks)
+
+
+@st.composite
+def _squares(draw):
+    """A violating_square-style bicomplex: a top cell t, its d1 image l, its
+    d2 image r and the bottom cell under both, with random (maybe zero)
+    blocks, optionally beside a random legal bicomplex."""
+    kappa, s = draw(st.sampled_from((-1, 1))), draw(st.sampled_from((-1, 1)))
+    dn = 0 if kappa == -1 else -s
+    top = (1 - dn, 1) if dn < 0 else (1, 1)
+    lft, rgt = (top[0] - 1, top[1]), (top[0] + dn, top[1] - 1)
+    bottom = (top[0] - 1 + dn, top[1] - 1)
+    r = {c: draw(st.integers(1, 2)) for c in (top, lft, rgt, bottom)}
+    entries = st.integers(-2, 2)
+    d1 = {top: _block(draw, r[lft], r[top], entries),
+          rgt: _block(draw, r[bottom], r[rgt], entries)}
+    d2 = {top: _block(draw, r[rgt], r[top], entries),
+          lft: _block(draw, r[bottom], r[lft], entries)}
+    if draw(st.booleans()):
+        # the square moved far from a seeded legal bicomplex beside it
+        B = random_bicomplex(random.Random(draw(st.integers(0, 10 ** 6))), kappa, s)
+        shift = lambda c: (c[0] + 20, c[1] + 20)
+        r = {shift(c): k for c, k in r.items()}
+        d1 = {shift(c): b for c, b in d1.items()}
+        d2 = {shift(c): b for c, b in d2.items()}
+        r.update(B.ranks)
+        d1.update(B.d1)
+        d2.update(B.d2)
+    return kappa, s, r, d1, d2, (dn, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_squares())
+def test_the_square_law_matches_the_dense_reference(square):
+    kappa, s, ranks, d1, d2, bidegree = square
+    assert _dense_bicomplex_error(ranks, d1, d2, bidegree) is None
+    B = Bicomplex(ranks, d1, d2, bidegree)
+    res = second_differential(B, kappa, s)
+    assert res.violations == _dense_violations(B, kappa, s)
+    assert res.accepted == (not res.violations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from((-1, 1)), st.sampled_from((-1, 1)), st.data())
+def test_the_bicomplex_square_checks_match_the_dense_reference(seed, kappa, s, data):
+    B = random_bicomplex(random.Random(seed), kappa, s)
+    d1 = {c: [list(r) for r in b] for c, b in B.d1.items()}
+    d2 = {c: [list(r) for r in b] for c, b in B.d2.items()}
+    # one entry of one differential changed: d.d or d'.d' may no longer vanish
+    pool = [(d, c) for d in (d1, d2) for c in sorted(d)]
+    if pool:
+        d, c = data.draw(st.sampled_from(pool))
+        i = data.draw(st.integers(0, len(d[c]) - 1))
+        j = data.draw(st.integers(0, len(d[c][0]) - 1))
+        d[c][i][j] += data.draw(st.sampled_from((-1, 1)))
+    want = _dense_bicomplex_error(B.ranks, d1, d2, B.d2_bidegree)
+    if want is not None:
+        with pytest.raises(IllegalChain, match=re.escape(want) + "$"):
+            Bicomplex(B.ranks, d1, d2, B.d2_bidegree)
+        return
+    C = Bicomplex(B.ranks, d1, d2, B.d2_bidegree)
+    assert second_differential(C, kappa, s).violations == _dense_violations(C, kappa, s)
 
 
 # ---------------------------------------------------------------------------

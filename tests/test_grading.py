@@ -183,3 +183,14 @@ def test_there_is_one_laurent_ring_per_rank():
         assert sign_coelement(Bicharacter(2, kappas)).ring is laurent_hopf(2)
     for M in (GradedModule.of({(1, 0): 2}), GradedModule.of({3: 1})):
         assert graded_to_comodule(M).ring is laurent_hopf(M.rank)
+
+
+def test_dim_at_looks_a_degree_up_however_it_is_spelled():
+    M = GradedModule.of({(1, 0): 2, (-1, 2): 1}, rank=2, name="m")
+    assert M.dim_at((1, 0)) == 2 and M.dim_at([-1, 2]) == 1 and M.dim_at((0, 0)) == 0
+    N = GradedModule.of({3: 4}, name="n")
+    assert N.dim_at(3) == N.dim_at((3,)) == 4 and N.dim_at(2) == 0
+    # the lookup table is no field: equality, hashing and repr ignore it
+    same = GradedModule(2, (((-1, 2), 1), ((1, 0), 2)), "m")
+    assert same == M and hash(same) == hash(M)
+    assert repr(M) == "GradedModule(rank=2, components=(((-1, 2), 1), ((1, 0), 2)), name='m')"

@@ -180,6 +180,29 @@ def test_non_homogeneous_basis_is_rejected():
         comodule_to_chain(com)
 
 
+def test_a_differential_term_outside_the_normal_forms_breaks_the_round_trip():
+    # b1 in degree 1, b0 in degree 0 over P+; the differential term of b1
+    # carries psi xi^0's payload (1, 0) under another family's label, so
+    # the grading and degree checks pass and only the coaction comparison
+    # can refuse it
+    ring = pareigis_ring(1)
+    b1, b0 = atom("k", 1), atom("k", 0)
+    carrier = finite_space("k", [b1, b0])
+    assert pm(1, 0) != atom("other", 1, 0)
+
+    def beta(label):
+        if label == b1:
+            return Vec.basis(pair(pm(0, 1), b1)) + Vec.basis(pair(atom("other", 1, 0), b0))
+        return Vec.basis(pair(pm(0, 0), b0))
+
+    from hopfchains.laws import Comodule
+    com = Comodule(ring, carrier,
+                   LinMap(carrier, tensor_space(ring.carrier, carrier), beta,
+                          name="beta"), check_window=None)
+    with pytest.raises(IllegalComodule, match="round trip does not reproduce the coaction"):
+        comodule_to_chain(com)
+
+
 @pytest.mark.parametrize("s", [-1, 1])
 def test_chain_maps_transport_to_comodule_morphisms(s):
     rng = random.Random(7)
