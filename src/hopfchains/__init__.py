@@ -25,9 +25,8 @@ from .grading import (
     graded_to_comodule, laurent_hopf, sigma_space, sign_coelement,
 )
 from .diffhopf import (
-    CarrierVerdict, GradedCarrier, NotAdmissible, RankMismatch,
-    brute_force_carrier_check, build_differential_hopf,
-    check_differential_carrier, cyclic_tensor,
+    GradedCarrier, NotAdmissible, RankMismatch, brute_force_carrier_check,
+    build_differential_hopf, check_differential_carrier, cyclic_tensor,
 )
 from .semidirect import (
     ComoduleBimonoid, SemidirectRing, WComodule, comparison_f,

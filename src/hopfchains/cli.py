@@ -1,6 +1,7 @@
 """Command-line front end: build rings, run law suites, emit reports.
 
-Every command produces a report of named verdict rows.  Exit status is 0
+Every command appends its verdict rows (``CheckResult``s) to one
+``Report``; a suite's rows are named ``suite/law``.  Exit status is 0
 when every verdict is equal/accept, 1 on any failure, 2 on a config
 error.  With a fixed config and seed the JSON report is byte-identical
 across runs (timings are reported in text format only; the JSON keeps a
@@ -14,7 +15,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import __version__
 from .chains import random_bicomplex, random_complex, second_differential
@@ -23,14 +24,16 @@ from .diffhopf import (
     build_differential_hopf, check_differential_carrier,
 )
 from .grading import Bicharacter, GradedModule, graded_to_comodule, laurent_hopf, sign_coelement
-from .laws import VALIDATION_WINDOW, check_bialgebra_laws, check_coelement, plain_swap
+from .laws import (
+    VALIDATION_WINDOW, Report, check_bialgebra_laws, check_coelement, plain_swap,
+    tensor_comodule, verify,
+)
 from .pareigis import (
     chain_to_comodule, chain_to_wcomodule, comodule_to_chain,
     differential_comodule_bimonoid, identify_semidirect, ring_by_name,
 )
 from .semidirect import comparison_f, comparison_f_inverse, tensor_wcomodule
-from .laws import tensor_comodule, verify
-from .linalg import equal_on_window
+from .linalg import CheckResult, counterexample_json, equal_on_window
 
 COMMANDS = ("check-axioms", "build-semidirect", "verify-pareigis",
             "roundtrip", "carrier-check", "bicomplex-check")
@@ -100,59 +103,26 @@ def _largest_law_window(cfg):
     return 0
 
 
-class Rows:
-    """Accumulates named verdict rows with per-row wall time.
-
-    A law's row takes the wall time its own check recorded
-    (``CheckResult.seconds``), not its suite's.
-    """
-
-    def __init__(self):
-        self.rows = []
-
-    def add(self, name, verdict, instances, counterexample=None, millis=0):
-        self.rows.append({"name": name, "verdict": verdict,
-                          "instances": instances,
-                          "counterexample": counterexample,
-                          "millis": millis})
-
-    def add_check(self, prefix, result):
-        cx = result.counterexample.to_json() if result.counterexample else None
-        self.add("%s/%s" % (prefix, result.law), result.verdict,
-                 result.instances, cx, int(result.seconds * 1000))
-
-    def extend_report(self, prefix, report):
-        for r in report:
-            self.add_check(prefix, r)
-
-    def ok(self):
-        return all(r["verdict"] in ("equal", "accept") for r in self.rows)
-
-    def sorted(self):
-        return sorted(self.rows, key=lambda r: r["name"])
+def _under(prefix, report):
+    "A suite's rows, each named prefix/law and keeping its own seconds."
+    return [replace(r, law="%s/%s" % (prefix, r.law)) for r in report]
 
 
-def _timed(fn):
-    t0 = time.monotonic()
-    out = fn()
-    return out, int((time.monotonic() - t0) * 1000)
-
-
-def cmd_check_axioms(cfg, rows):
+def cmd_check_axioms(cfg, report):
     if cfg.ring == "laurent":
         ring = laurent_hopf(1)
-        rows.extend_report("laws", check_bialgebra_laws(ring, plain_swap(), cfg.window))
+        report.extend(_under("laws", check_bialgebra_laws(ring, plain_swap(), cfg.window)))
         for kappa in (1, -1):
             coel = sign_coelement(Bicharacter(1, (kappa,)), ring)
-            rows.extend_report("coelement[kappa=%+d]" % kappa,
-                               check_coelement(coel, cfg.window))
+            report.extend(_under("coelement[kappa=%+d]" % kappa,
+                                 check_coelement(coel, cfg.window)))
     else:
         try:
             ring = ring_by_name(cfg.ring)
         except KeyError:
             raise ConfigError("unknown ring %r (try pareigis, pareigis-plus, laurent)"
                               % cfg.ring)
-        rows.extend_report("laws", check_bialgebra_laws(ring, plain_swap(), cfg.window))
+        report.extend(_under("laws", check_bialgebra_laws(ring, plain_swap(), cfg.window)))
 
 
 def _carrier_from_file(path):
@@ -164,7 +134,7 @@ def _carrier_from_file(path):
         raise ConfigError("cannot read carrier file %s: %s" % (path, err))
 
 
-def cmd_build_semidirect(cfg, rows):
+def cmd_build_semidirect(cfg, report):
     if cfg.carrier_file:
         carrier = _carrier_from_file(cfg.carrier_file)
         if carrier.rank != 1:
@@ -179,27 +149,27 @@ def cmd_build_semidirect(cfg, rows):
     else:
         dmod = GradedModule.of({cfg.s: 1}, rank=1, name="d")
     gamma = sign_coelement(Bicharacter(1, (-1,)))
-    t0 = time.monotonic()
+    started = time.perf_counter()
     try:
         hb = build_differential_hopf(graded_to_comodule(dmod, gamma.ring), gamma,
                                      window=cfg.window)
     except NotAdmissible as err:
-        rows.add("admissibility", "reject", 1, {"reason": str(err)},
-                 int((time.monotonic() - t0) * 1000))
+        report.append(CheckResult("admissibility", "reject", 1, {"reason": str(err)},
+                                  time.perf_counter() - started))
         return
-    rows.add("admissibility", "accept", 1, None,
-             int((time.monotonic() - t0) * 1000))
-    rows.extend_report("semidirect", verify(hb.product(window=None), cfg.window))
+    report.append(CheckResult("admissibility", "accept", 1, None,
+                              time.perf_counter() - started))
+    report.extend(_under("semidirect", verify(hb.product(window=None), cfg.window)))
 
 
-def cmd_verify_pareigis(cfg, rows):
-    rows.extend_report("identify[s=%+d]" % cfg.s, identify_semidirect(cfg.s, K=cfg.window))
+def cmd_verify_pareigis(cfg, report):
+    report.extend(_under("identify[s=%+d]" % cfg.s, identify_semidirect(cfg.s, K=cfg.window)))
 
 
-def cmd_roundtrip(cfg, rows):
+def cmd_roundtrip(cfg, report):
     rng = random.Random(cfg.seed)
     for s in (-1, 1):
-        t0 = time.monotonic()
+        started = time.perf_counter()
         bad = None
         for trial in range(cfg.trials):
             X = random_complex(rng, name="rt%d" % trial)
@@ -208,16 +178,16 @@ def cmd_roundtrip(cfg, rows):
             if back != X:
                 bad = {"trial": trial, "ranks": {str(n): r for n, r in X.ranks.items()}}
                 break
-        rows.add("chain-comodule[s=%+d]" % s,
-                 "equal" if bad is None else "differ",
-                 cfg.trials, bad, int((time.monotonic() - t0) * 1000))
+        report.append(CheckResult("chain-comodule[s=%+d]" % s,
+                                  "equal" if bad is None else "differ",
+                                  cfg.trials, bad, time.perf_counter() - started))
 
     hb = differential_comodule_bimonoid(cfg.s)
-    t0 = time.monotonic()
-    bad = None
-    mono_bad = None
+    bad = mono_bad = None
     n_mono = 0
+    inverse_s = mono_s = 0.0   # each row's own time: the two checks interleave
     for trial in range(cfg.trials):
+        started = time.perf_counter()
         X = random_complex(rng, name="fw%d" % trial, max_window=4, max_rank=3)
         B = chain_to_wcomodule(X, cfg.s, hb)
         FB = comparison_f(B, window=0)
@@ -227,46 +197,46 @@ def cmd_roundtrip(cfg, rows):
                     or back.chi.apply(b) != B.chi.apply(b)):
                 bad = {"trial": trial}
                 break
+        inverse_s += time.perf_counter() - started
         if bad:
             break
         if trial % 5 == 0:
+            started = time.perf_counter()
             Y = random_complex(rng, name="mw%d" % trial, max_window=3, max_rank=2)
             C = chain_to_wcomodule(Y, cfg.s, hb)
             lhs = comparison_f(tensor_wcomodule(B, C, window=0), window=0)
             rhs = tensor_comodule(FB, comparison_f(C, window=0), check_window=None)
             n_mono += 1
             verdict = equal_on_window(lhs.coaction, rhs.coaction, 0, law="monoidal")
+            mono_s += time.perf_counter() - started
             if not verdict.equal:
                 mono_bad = {"trial": trial}
                 break
-    ms = int((time.monotonic() - t0) * 1000)
-    rows.add("comparison-inverse", "equal" if bad is None else "differ",
-             cfg.trials, bad, ms)
-    rows.add("comparison-monoidal", "equal" if mono_bad is None else "differ",
-             n_mono, mono_bad, ms)
+    report.append(CheckResult("comparison-inverse", "equal" if bad is None else "differ",
+                              cfg.trials, bad, inverse_s))
+    report.append(CheckResult("comparison-monoidal",
+                              "equal" if mono_bad is None else "differ",
+                              n_mono, mono_bad, mono_s))
 
 
-def cmd_carrier_check(cfg, rows):
+def cmd_carrier_check(cfg, report):
     if not cfg.carrier_file:
         raise ConfigError("carrier-check needs --carrier-file")
     carrier = _carrier_from_file(cfg.carrier_file)
     bich = Bicharacter(carrier.rank, (-1,) * carrier.rank)
-    (verdict, oracle), ms = _timed(lambda: (
-        check_differential_carrier(carrier, bich),
-        brute_force_carrier_check(carrier, bich)))
-    cx = None
-    if not verdict.accepted:
-        cx = {"diagnostics": list(verdict.diagnostics)}
-    rows.add("carrier-decision", "accept" if verdict.accepted else "reject",
-             len(carrier.summands) or 1, cx, ms)
-    rows.add("carrier-oracle-agreement",
-             "equal" if oracle == verdict.accepted else "differ", 1, None, ms)
+    decision = check_differential_carrier(carrier, bich)
+    report.append(decision)
+    started = time.perf_counter()
+    oracle = brute_force_carrier_check(carrier, bich)
+    report.append(CheckResult("carrier-oracle-agreement",
+                              "equal" if oracle == decision.equal else "differ", 1, None,
+                              time.perf_counter() - started))
 
 
-def cmd_bicomplex_check(cfg, rows):
+def cmd_bicomplex_check(cfg, report):
     rng = random.Random(cfg.seed)
     for kappa in (-1, 1):
-        t0 = time.monotonic()
+        started = time.perf_counter()
         bad = None
         cells = 0
         for trial in range(cfg.trials):
@@ -276,9 +246,9 @@ def cmd_bicomplex_check(cfg, rows):
             if not (res.accepted and res.chain_compat and res.chain_compat.equal):
                 bad = {"trial": trial, "violations": [list(v) for v in res.violations]}
                 break
-        rows.add("bicomplex[kappa=%+d]" % kappa,
-                 "accept" if bad is None else "reject",
-                 cells, bad, int((time.monotonic() - t0) * 1000))
+        report.append(CheckResult("bicomplex[kappa=%+d]" % kappa,
+                                  "accept" if bad is None else "reject",
+                                  cells, bad, time.perf_counter() - started))
 
 
 RUNNERS = {
@@ -294,16 +264,16 @@ RUNNERS = {
 def run_command(cfg):
     "Execute a validated config; returns (exit_status, report dict)."
     cfg.validate()
-    rows = Rows()
+    rows = Report()
     RUNNERS[cfg.command](cfg, rows)
     echo = asdict(cfg)
     del echo["output"]  # destination, not input: keep reports reproducible
-    report = {
-        "version": __version__,
-        "config": echo,
-        "results": rows.sorted(),
-    }
-    return (0 if rows.ok() else 1), report
+    results = [{"name": r.law, "verdict": r.verdict, "instances": r.instances,
+                "counterexample": counterexample_json(r.counterexample),
+                "millis": int(r.seconds * 1000)}
+               for r in sorted(rows, key=lambda r: r.law)]
+    report = {"version": __version__, "config": echo, "results": results}
+    return (0 if rows.ok else 1), report
 
 
 def render_json(report):

@@ -13,11 +13,12 @@ with order 0 standing for Z and order 1 for the zero module.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, comodule_braiding
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Vec, direct_sum_maps, equal_on_window,
+    UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, direct_sum_maps, equal_on_window,
     identity_map, left, pair, right, scale_map, split_label, sum_space,
     tensor_space,
 )
@@ -123,15 +124,6 @@ class GradedCarrier:
         return cls.of(summands, rank=doc["rank"])
 
 
-@dataclass(frozen=True)
-class CarrierVerdict:
-    accepted: bool
-    diagnostics: tuple
-
-    def __bool__(self):
-        return self.accepted
-
-
 def _vanishes(order, n):
     "Does multiplication by ``order`` kill Z/n (n = 0 meaning Z)?"
     return order == 0 if n == 0 else order % n == 0
@@ -144,10 +136,15 @@ def check_differential_carrier(D, bich):
     order n at degree g the plain swap is the identity, so the braiding
     sign gamma(g, g) must act as -1 there, i.e. 1 + gamma(g, g) must
     vanish mod n (exactly, for n = 0).
+
+    The verdict is the ``carrier-decision`` row, ``accept`` or
+    ``reject``, over the summands (at least one instance); a rejection's
+    counterexample is ``{"diagnostics": [...]}``, one line per failure.
     """
     if D.rank != bich.rank:
         raise RankMismatch("carrier rank %d vs bicharacter rank %d"
                            % (D.rank, bich.rank))
+    started = time.perf_counter()
     diagnostics = []
     summands = D.summands
     for i, (gi, ni) in enumerate(summands):
@@ -166,7 +163,10 @@ def check_differential_carrier(D, bich):
             diagnostics.append(
                 "swap sign %+d at degree %s: braiding cannot be -1 on %s"
                 % (sign, g, name))
-    return CarrierVerdict(not diagnostics, tuple(diagnostics))
+    return CheckResult("carrier-decision", "reject" if diagnostics else "accept",
+                       len(summands) or 1,
+                       {"diagnostics": diagnostics} if diagnostics else None,
+                       time.perf_counter() - started)
 
 
 def brute_force_carrier_check(D, bich):

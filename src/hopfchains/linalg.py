@@ -1002,23 +1002,31 @@ class Counterexample:
         return "at %s: %r != %r" % (show_label(self.label), self.lhs, self.rhs)
 
 
+def counterexample_json(cx):
+    "A row's counterexample in JSON: a ``Counterexample`` or a plain JSON value."
+    return cx.to_json() if isinstance(cx, Counterexample) else cx
+
+
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one window-exact comparison (tolerance is zero).
+    """One verdict row: a law checked window-exactly (tolerance is zero),
+    or a decision.
 
-    ``seconds`` is the wall time ``equal_on_window`` took; it is left out
-    of equality, ``repr`` and ``to_json``, so verdicts and reports do not
-    depend on timing.
+    ``verdict`` is the row's word: ``equal``/``differ`` for a law and
+    ``accept``/``reject`` for a decision.  ``counterexample`` is a
+    ``Counterexample`` or a plain JSON value.  ``seconds`` is the wall
+    time of the row's own check; it is left out of equality, ``repr``
+    and ``to_json``, so verdicts and reports do not depend on timing.
     """
     law: str
-    equal: bool
+    verdict: str
     instances: int
-    counterexample: Counterexample | None = None
+    counterexample: object = None
     seconds: float = field(default=0.0, compare=False, repr=False)
 
     @property
-    def verdict(self):
-        return "equal" if self.equal else "differ"
+    def equal(self):
+        return self.verdict in ("equal", "accept")
 
     def __bool__(self):
         return self.equal
@@ -1027,13 +1035,13 @@ class CheckResult:
         doc = {"law": self.law, "verdict": self.verdict,
                "instances_checked": self.instances}
         if self.counterexample is not None:
-            doc["counterexample"] = self.counterexample.to_json()
+            doc["counterexample"] = counterexample_json(self.counterexample)
         return doc
 
     def __repr__(self):
         if self.equal:
-            return "%s: equal (%d labels)" % (self.law, self.instances)
-        return "%s: differ %r" % (self.law, self.counterexample)
+            return "%s: %s (%d labels)" % (self.law, self.verdict, self.instances)
+        return "%s: %s %r" % (self.law, self.verdict, self.counterexample)
 
 
 def equal_on_window(f, g, K, law=""):
@@ -1056,6 +1064,6 @@ def equal_on_window(f, g, K, law=""):
         parts = (f.dom,)
     checked, label, lhs, rhs = _kernel(f, g, parts)(*[p.enumerate(K) for p in parts])
     if lhs is None:
-        return CheckResult(law, True, checked, None, time.perf_counter() - started)
-    return CheckResult(law, False, checked, Counterexample(label, _vec(lhs), _vec(rhs)),
+        return CheckResult(law, "equal", checked, None, time.perf_counter() - started)
+    return CheckResult(law, "differ", checked, Counterexample(label, _vec(lhs), _vec(rhs)),
                        time.perf_counter() - started)

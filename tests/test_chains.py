@@ -22,6 +22,7 @@ from hopfchains.chains import (
     underlying_graded_map, unit_lu, is_zero, zeros,
 )
 from hopfchains.grading import GradedModule
+from hopfchains.linalg import UNIT, Counterexample, Vec, atom
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,6 +186,36 @@ def test_comonad_comparison_is_natural():
         X = random_complex(rng, name="x")
         fs = [random_chain_map(rng, X) for _ in range(2)]
         assert comonad_comparison(X, fs).equal
+
+
+def test_a_comonad_comparison_of_unequal_dimensions_names_the_first_degree(monkeypatch):
+    # a (I+D) (x) M that is one dimension too large in degrees -2 and -1
+    monkeypatch.setattr(chains, "graded_tensor",
+                        lambda A, B: GradedModule.of({-2: 2, -1: 2, 3: 1, 4: 1}, rank=1))
+    got = comonad_comparison(ChainComplex({-2: 1, 3: 1}, {}, name="x"))
+    assert got.verdict == "differ" and got.instances == 1
+    assert got.counterexample == Counterexample(atom("degree", (-2,)), Vec.basis(UNIT),
+                                                Vec.basis(UNIT, 2))
+
+
+def test_a_comonad_comparison_of_unequal_maps_names_the_map_and_first_degree(monkeypatch):
+    real = chains.graded_tensor_map
+    calls = []
+
+    def second_one_off(f, g):
+        # the second map's (I+D) (x) f gains 1 at the corner of degrees 1 and -1
+        out = real(f, g)
+        calls.append(out)
+        if len(calls) == 2:
+            for n in (1, -1):
+                out.blocks[n].rows[0][0] += 1
+        return out
+    monkeypatch.setattr(chains, "graded_tensor_map", second_one_off)
+    X = ChainComplex({-1: 1, 0: 1}, {}, name="x")
+    got = comonad_comparison(X, [identity_chain_map(X)] * 3)
+    assert got.verdict == "differ" and got.instances == 3
+    assert got.counterexample == {"map": 1, "degree": -1}
+    assert repr(got) == "comonad-comparison: differ {'map': 1, 'degree': -1}"
 
 
 def test_random_unimodular_inverse():

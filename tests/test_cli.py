@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hopfchains import cli
 from hopfchains.cli import (
-    RunConfig, Rows, build_parser, main, render_json, render_text, run_command,
+    RunConfig, build_parser, main, render_json, render_text, run_command,
 )
-from hopfchains.linalg import CheckResult
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,15 +148,52 @@ def test_json_report_schema():
 
 
 def test_a_law_row_shows_the_time_of_its_own_check():
-    rows = Rows()
-    rows.extend_report("laws", [CheckResult("slow", True, 9, seconds=0.25),
-                                CheckResult("fast", True, 9, seconds=0.003)])
-    assert [r["millis"] for r in rows.rows] == [250, 3]
     status, report = run(command="check-axioms", ring="laurent", window=6)
     millis = {r["name"]: r["millis"] for r in report["results"]}
     # one label against 13^3: each law's row is timed alone, not as its suite
     assert millis["laws/delta-eta"] < millis["laws/associativity"], render_text(report)
     assert {r["millis"] for r in json.loads(render_json(report))["results"]} == {0}
+
+
+class StubClock:
+    """A perf_counter that moves only when a stubbed step advances it (by
+    binary fractions of a second, so that sums of steps are exact)."""
+
+    def __init__(self, monkeypatch):
+        self.now = 0.0
+        monkeypatch.setattr(time, "perf_counter", lambda: self.now)
+
+    def advancing(self, seconds, fn):
+        def step(*args, **kw):
+            self.now += seconds
+            return fn(*args, **kw)
+        return step
+
+
+def test_each_roundtrip_row_shows_the_time_of_its_own_checks(monkeypatch):
+    clock = StubClock(monkeypatch)
+    monkeypatch.setattr(cli, "comparison_f_inverse",
+                        clock.advancing(1.0, cli.comparison_f_inverse))
+    monkeypatch.setattr(cli, "tensor_wcomodule", clock.advancing(10.0, cli.tensor_wcomodule))
+    monkeypatch.setattr(cli, "comodule_to_chain", clock.advancing(0.25, cli.comodule_to_chain))
+    status, report = run(command="roundtrip", trials=6, seed=3)
+    assert status == 0
+    # six inverse trials, and a monoidal trial for trials 0 and 5
+    assert {r["name"]: r["millis"] for r in report["results"]} == {
+        "chain-comodule[s=+1]": 1500, "chain-comodule[s=-1]": 1500,
+        "comparison-inverse": 6000, "comparison-monoidal": 20000}
+
+
+def test_each_carrier_row_shows_the_time_of_its_own_check(monkeypatch):
+    clock = StubClock(monkeypatch)
+    monkeypatch.setattr(cli, "brute_force_carrier_check",
+                        clock.advancing(2.0, cli.brute_force_carrier_check))
+    status, report = run(command="carrier-check",
+                         carrier_file=str(DATA / "carriers" / "odd.json"))
+    assert status == 0
+    assert {r["name"]: r["millis"] for r in report["results"]} == {
+        "carrier-decision": 0, "carrier-oracle-agreement": 2000}
+    assert json.loads(render_json(report))["results"][1]["millis"] == 0
 
 
 def test_parser_accepts_the_documented_flags():
@@ -188,6 +228,28 @@ GOLDEN = {
 def test_reports_match_the_stored_golden_reports(tmp_path, golden):
     out = tmp_path / golden
     assert main(GOLDEN[golden] + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+# reports that read a carrier file under tests/data/carriers, with their exit
+# status; the report echoes the carrier path, so each runs from tests/data
+CARRIER_GOLDEN = {
+    "carrier-check-odd.json": (0, ["--command", "carrier-check",
+                                   "--carrier-file", "carriers/odd.json"]),
+    "carrier-check-mixed.json": (1, ["--command", "carrier-check",
+                                     "--carrier-file", "carriers/mixed.json"]),
+    "build-semidirect-even-w2.json": (1, ["--command", "build-semidirect",
+                                          "--carrier-file", "carriers/even.json",
+                                          "--window", "2"]),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CARRIER_GOLDEN))
+def test_carrier_reports_match_the_stored_golden_reports(tmp_path, monkeypatch, golden):
+    status, argv = CARRIER_GOLDEN[golden]
+    monkeypatch.chdir(DATA)
+    out = tmp_path / golden
+    assert main(argv + ["--output", str(out)]) == status
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
@@ -232,12 +294,92 @@ def test_carrier_file_of_the_wrong_shape_says_what_is_missing(tmp_path, capsys, 
 
 
 def test_the_console_script_job_checks_every_golden_report():
-    # each "golden <file> <argv>" line of the workflow runs the installed
-    # console script and compares its report with tests/data/<file>
+    # each "golden <file> <status> <argv>" line of the workflow runs the
+    # installed console script, expects the exit status and compares its
+    # report with tests/data/<file>
     workflow = Path(__file__).parent.parent / ".github" / "workflows" / "tier1.yml"
     checked = {}
     for line in workflow.read_text().splitlines():
         words = line.split()
         if words[:1] == ["golden"]:
-            checked[words[1]] = words[2:]
-    assert checked == GOLDEN
+            checked[words[1]] = (int(words[2]), words[3:])
+    want = {name: (0, argv) for name, argv in GOLDEN.items()}
+    want.update(CARRIER_GOLDEN)
+    assert checked == want
+
+
+def _summand(rank):
+    return st.fixed_dictionaries({
+        "degree": st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+        "order": st.sampled_from((0, 0, 0, 1, 2, 3, 4))})
+
+
+# carrier documents: mostly well formed (free or torsion, rank 1 or 2), else
+# empty, with degrees of the wrong rank, of the wrong shape or not JSON
+CARRIER_TEXTS = st.sampled_from([
+    st.sampled_from((1, 2)).flatmap(lambda rank: st.fixed_dictionaries({
+        "rank": st.just(rank),
+        "summands": st.lists(_summand(rank), min_size=1, max_size=2)})).map(json.dumps),
+] * 3 + [
+    st.fixed_dictionaries({"rank": st.just(1),
+                           "summands": st.lists(_summand(2), min_size=1, max_size=1)}
+                          ).map(json.dumps),
+    st.sampled_from([{"rank": 1, "summands": []},
+                     [], {}, {"rank": 1}, {"summands": []}, "carrier", 3, None,
+                     {"rank": 1, "summands": {}}, {"rank": "1", "summands": []},
+                     {"rank": 1, "summands": [{"degree": 1, "order": 0}]},
+                     {"rank": 1, "summands": [{"degree": [1], "order": "0"}]}]
+                    ).map(json.dumps),
+    st.just("{not json"),
+]).flatmap(lambda texts: texts)
+
+
+@st.composite
+def argvs(draw):
+    """A small argv (every command, window <= 2, trials <= 2, --s, --format),
+    now and then with a value that is a config error, and the text of the
+    carrier file a carrier command reads."""
+    command = draw(st.sampled_from(cli.COMMANDS + ("carrier-check", "build-semidirect")))
+    argv = ["--command", command,
+            "--window", str(draw(st.sampled_from((1, 2, 1, 2, 1, 2, 0, -1)))),
+            "--trials", str(draw(st.sampled_from((1, 2, 1, 2, 1, 2, 0)))),
+            "--s=%d" % draw(st.sampled_from((-1, 1))),
+            "--format", draw(st.sampled_from(("json", "text"))),
+            "--seed", str(draw(st.integers(0, 3)))]
+    ring = draw(st.sampled_from((None, "pareigis", "pareigis-plus", "laurent", "nope")))
+    if ring:
+        argv += ["--ring", ring]
+    carrier = None
+    if command in ("carrier-check", "build-semidirect"):
+        carrier = draw(CARRIER_TEXTS)
+    return argv, carrier
+
+
+def _verdicts(text, fmt):
+    "The verdict words of a report printed in ``fmt``."
+    if fmt == "json":
+        return [row["verdict"] for row in json.loads(text)["results"]]
+    header, *lines = text.splitlines()
+    assert header.startswith("hopfchains ")
+    return [line.split()[1] for line in lines if not line.startswith("    ")]
+
+
+@settings(deadline=None, max_examples=100)
+@given(argvs())
+def test_main_on_small_argv_and_carrier_files_exits_with_a_report_or_a_config_error(
+        tmp_path_factory, case):
+    argv, carrier = case
+    if carrier is not None:
+        path = tmp_path_factory.mktemp("carrier") / "carrier.json"
+        path.write_text(carrier)
+        argv = argv + ["--carrier-file", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if status == 2:
+        assert err.getvalue().startswith("config error") and out.getvalue() == ""
+        return
+    verdicts = _verdicts(out.getvalue(), argv[argv.index("--format") + 1])
+    assert verdicts and set(verdicts) <= {"equal", "differ", "accept", "reject"}
+    assert status == (0 if set(verdicts) <= {"equal", "accept"} else 1)

@@ -43,7 +43,7 @@ def test_free_generator_in_odd_degree_is_admissible():
 def test_free_generator_in_even_degree_is_rejected():
     verdict = check_differential_carrier(carrier(((0,), 0)), minus_one())
     assert not verdict
-    assert "sign +1" in verdict.diagnostics[0]
+    assert "sign +1" in verdict.counterexample["diagnostics"][0]
 
 
 def test_coprime_torsion_across_degrees_is_admissible():
@@ -55,7 +55,7 @@ def test_coprime_torsion_across_degrees_is_admissible():
 def test_shared_prime_across_degrees_is_rejected():
     verdict = check_differential_carrier(carrier(((1,), 2), ((2,), 2)), minus_one())
     assert not verdict
-    assert "tensor to Z/2" in verdict.diagnostics[0]
+    assert "tensor to Z/2" in verdict.counterexample["diagnostics"][0]
 
 
 def test_rank_mismatch_is_an_error():

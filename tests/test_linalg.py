@@ -588,7 +588,7 @@ def _captured(run):
 
     def capture(f, g, K, law=""):
         sides[law] = (f, g)
-        return CheckResult(law, True, 0)
+        return CheckResult(law, "equal", 0)
     with mock.patch.object(laws, "equal_on_window", capture):
         run()
     return sides
@@ -611,8 +611,8 @@ def reference_check(f, g, K, law):
         checked += 1
         lhs, rhs = f.apply(label), g.apply(label)
         if lhs != rhs:
-            return CheckResult(law, False, checked, linalg.Counterexample(label, lhs, rhs))
-    return CheckResult(law, True, checked)
+            return CheckResult(law, "differ", checked, linalg.Counterexample(label, lhs, rhs))
+    return CheckResult(law, "equal", checked)
 
 
 @settings(deadline=None, max_examples=25)
@@ -647,7 +647,7 @@ def test_a_composite_deeper_than_the_loop_limit_is_evaluated_by_apply(monkeypatc
     reference = memoised(m)
     size = len(P.carrier.enumerate(40))
     applied = spy_apply(monkeypatch)
-    assert equal_on_window(m, reference, 40) == CheckResult("", True, size)
+    assert equal_on_window(m, reference, 40) == CheckResult("", "equal", size)
     assert m in applied
 
 
@@ -678,7 +678,7 @@ def test_the_loop_budget_counts_the_domain_loops(monkeypatch, leaves):
     rhs = (identity_map(lhs.dom) if leaves % 2 == 0 else
            tensor_maps(tensor_maps(tensor_maps(Z.antipode, ida), ida), ida))
     applied = spy_apply(monkeypatch)
-    assert equal_on_window(lhs, rhs, 1) == CheckResult("", True, 9 ** 4)
+    assert equal_on_window(lhs, rhs, 1) == CheckResult("", "equal", 9 ** 4)
     assert (lhs in applied) == (leaves > 16)
 
 
@@ -686,7 +686,7 @@ def test_a_unit_domain_checks_its_one_label():
     for ring in RINGS.values():
         unit_law = (compose_maps(ring.eta, ring.delta), tensor_maps(ring.eta, ring.eta))
         assert ring.eta.dom.parts == ()
-        assert equal_on_window(*unit_law, 5) == CheckResult("", True, 1)
+        assert equal_on_window(*unit_law, 5) == CheckResult("", "equal", 1)
         got = equal_on_window(ring.eta, scale_map(ring.eta, 2), 5)
         assert not got.equal and got.instances == 1 and got.counterexample.label == UNIT
 
@@ -723,7 +723,7 @@ def test_a_part_of_two_factors_is_cut_into_them():
     # label it reports from them
     swap = swap_map(A, two)
     flip = LinMap(D, swap.cod, lambda l: Vec.basis(pair(*factors(l)[1:], factors(l)[0])))
-    assert equal_on_window(swap, flip, 40) == CheckResult("", True, len(want))
+    assert equal_on_window(swap, flip, 40) == CheckResult("", "equal", len(want))
     bad = want[100]
     wrong = LinMap(D, swap.cod, lambda l: ZERO if l == bad else flip.apply(l))
     got = equal_on_window(swap, wrong, 40)
@@ -824,7 +824,7 @@ def test_a_lookup_is_made_once_per_value_of_the_factors_it_reads():
     rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
     n = len(A.enumerate(1))
     # mu' reads the first two factors: once per pair, not once per label
-    assert lookups(mu, lhs, rhs, 1) == (CheckResult("", True, n ** 3), n ** 2)
+    assert lookups(mu, lhs, rhs, 1) == (CheckResult("", "equal", n ** 3), n ** 2)
 
 
 def test_a_hoisted_leaf_broken_at_a_tail_label_is_reported_as_a_plain_loop_reports_it():
@@ -854,7 +854,7 @@ def test_one_lookup_serves_both_sides():
     rhs = compose_maps(tensor_maps(delta, idh), memoised(after))
     n = len(A.enumerate(4))
     # delta' on the first factor, on both sides: once per first factor
-    assert lookups(delta, lhs, rhs, 4) == (CheckResult("", True, n ** 2), n)
+    assert lookups(delta, lhs, rhs, 4) == (CheckResult("", "equal", n ** 2), n)
 
 
 def test_a_law_of_one_shape_is_compiled_once_for_every_ring(monkeypatch):
@@ -911,6 +911,6 @@ def test_a_check_keeps_its_wall_time_out_of_its_verdict():
     P = RINGS["P"]
     got = equal_on_window(P.mu, P.mu, 4)
     assert got.seconds > 0
-    assert got == CheckResult("", True, got.instances)
-    assert repr(got) == repr(CheckResult("", True, got.instances))
+    assert got == CheckResult("", "equal", got.instances)
+    assert repr(got) == repr(CheckResult("", "equal", got.instances))
     assert "seconds" not in got.to_json()
