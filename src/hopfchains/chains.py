@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .diffhopf import build_differential_hopf
+from .diffhopf import _is_int, _json_type, build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Comodule
 from .linalg import (
@@ -126,10 +126,6 @@ def is_zero(a):
     return not any(any(r) for r in a.rows)
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def _product(a, b):
     """a.b for two stored blocks, each a matrix or None for an absent (zero)
     one; a product with an absent factor is None, decided without building it."""
@@ -144,7 +140,7 @@ def _agree(a, b):
         return b is None or is_zero(b)
     if b is None:
         return is_zero(a)
-    return mat_eq(a, b)
+    return a == b
 
 
 def _check_shapes(name, blocks, want):
@@ -164,6 +160,22 @@ def _place(m, block, top, left):
     "Write block into m with its top-left entry at (top, left)."
     for i, r in enumerate(block.rows, top):
         m.rows[i][left:left + block.ncols] = r
+
+
+def _by_degree(doc, key):
+    "doc[key], an object keyed by degree, with integer keys; else a ValueError."
+    if key not in doc:
+        raise ValueError('the complex has no "%s" key' % key)
+    table = doc[key]
+    if not isinstance(table, dict):
+        raise ValueError('"%s" is an object keyed by degree, not %s' % (key, _json_type(table)))
+    out = {}
+    for n, value in table.items():
+        try:
+            out[int(n)] = value
+        except ValueError:
+            raise ValueError('"%s" has the key %r, not an integer degree' % (key, n)) from None
+    return out
 
 
 class ChainComplex:
@@ -197,17 +209,6 @@ class ChainComplex:
     def degrees(self):
         return sorted(self.ranks)
 
-    @property
-    def lo(self):
-        return min(self.ranks) if self.ranks else 0
-
-    @property
-    def hi(self):
-        return max(self.ranks) if self.ranks else 0
-
-    def total_rank(self):
-        return sum(self.ranks.values())
-
     def basis(self):
         "Labels for the underlying based space, degree-major."
         return [atom(self.name, n, i)
@@ -226,8 +227,33 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, doc, name="c"):
-        ranks = {int(n): r for n, r in doc["ranks"].items()}
-        diffs = {int(n): mat(rows) for n, rows in doc["differentials"].items()}
+        """Read ``{"ranks": {"n": r, ...}, "differentials": {"n": rows, ...}}``,
+        the form ``to_json`` writes (its ``window`` is not read).
+
+        A document of another shape raises a ``ValueError`` naming the
+        key, the degree or the expected shape; blocks of the wrong shape
+        and d.d != 0 stay ``IllegalChain``.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError('a complex is a JSON object with "ranks" and "differentials", '
+                             'not %s' % _json_type(doc))
+        ranks = _by_degree(doc, "ranks")
+        for n, r in ranks.items():
+            if not _is_int(r) or r < 0:
+                raise ValueError("the rank at degree %d is %r, not an integer >= 0" % (n, r))
+        diffs = {}
+        for n, rows in _by_degree(doc, "differentials").items():
+            if not isinstance(rows, list):
+                raise ValueError("the differential at degree %d is a list of rows, not %s"
+                                 % (n, _json_type(rows)))
+            for i, row in enumerate(rows):
+                if not isinstance(row, list):
+                    raise ValueError("row %d of the differential at degree %d is a list, "
+                                     "not %s" % (i, n, _json_type(row)))
+            try:
+                diffs[n] = mat(rows)
+            except ValueError as err:
+                raise ValueError("the differential at degree %d: %s" % (n, err)) from None
         return cls(ranks, diffs, name=name)
 
     def __eq__(self, other):
@@ -235,7 +261,7 @@ class ChainComplex:
             return NotImplemented
         if self.ranks != other.ranks or self.diffs.keys() != other.diffs.keys():
             return False
-        return all(mat_eq(d, other.diffs[n]) for n, d in self.diffs.items())
+        return all(d == other.diffs[n] for n, d in self.diffs.items())
 
     def __repr__(self):
         return "ChainComplex(%s: %s)" % (self.name, self.ranks)
@@ -293,7 +319,7 @@ class ChainMap:
             return NotImplemented
         if self.blocks.keys() != other.blocks.keys():
             return False
-        return all(mat_eq(b, other.blocks[n]) for n, b in self.blocks.items())
+        return all(b == other.blocks[n] for n, b in self.blocks.items())
 
     def __repr__(self):
         return "ChainMap(%s -> %s)" % (self.src.name, self.tgt.name)
@@ -307,112 +333,111 @@ def identity_chain_map(X):
 # tensor, symmetry, hom, currying
 
 
-def _tensor_index(A, B, n):
-    "(i, p, q) triples indexing (A (x) B)_n, i ascending."
-    out = []
-    for i in A.degrees():
-        rb = B.rank(n - i)
-        for p in range(A.rank(i)):
-            for q in range(rb):
-                out.append((i, p, q))
-    return out
+def _offsets(ra, rb, sign=1):
+    """The basis layout of A (x) B from the ranks of A and B.
+
+    Returns the rank of each degree and the first index of A_i (x) B_j in
+    degree i + j, keyed (i, j).  Blocks come by ascending i; within one,
+    a_p (x) b_q is row p * rank(B_j) + q.  ``sign=-1`` puts the block
+    (i, j) in degree j - i instead, as ``_hom_offsets`` does.
+    """
+    ranks, offset = {}, {}
+    for i in sorted(ra):
+        for j, r in rb.items():
+            n = sign * i + j
+            offset[i, j] = ranks.get(n, 0)
+            ranks[n] = offset[i, j] + ra[i] * r
+    return ranks, offset
+
+
+def _hom_offsets(rb, rc):
+    """The basis layout of [B, C]: the rank of each degree and the first
+    index of Hom(B_j, C_k) in degree k - j, keyed (j, k).  Blocks come by
+    ascending j; within one, the map sending b_q to c_p is row
+    p * rank(B_j) + q (a matrix read row by row)."""
+    return _offsets(rb, rc, -1)
+
+
+def _kron(a, b):
+    "The Kronecker product a (x) b: row p * b.rows + q is row p of a times row q of b."
+    return _Matrix([[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows],
+                   a.ncols * b.ncols)
+
+
+def _differentials(ranks):
+    "A zero d_n for every degree n whose target degree n - 1 is nonzero."
+    return {n: zeros(ranks[n - 1], r) for n, r in ranks.items() if n - 1 in ranks}
 
 
 def tensor_chains(A, B, name=None):
     """Componentwise tensor with the Koszul-signed differential.
 
-    d(a (x) b) = da (x) b + (-1)^i a (x) db for a of degree i.
+    d(a (x) b) = da (x) b + (-1)^i a (x) db for a of degree i.  The basis
+    of degree n lists A_i (x) B_{n-i} by ascending i, each as a_p (x) b_q
+    in (p, q) order (``_offsets``):
+
+    >>> A = ChainComplex({1: 1, 0: 1}, {1: [[2]]}, name="a")
+    >>> B = ChainComplex({1: 1, 0: 2}, {1: [[1], [0]]}, name="b")
+    >>> T = tensor_chains(A, B)
+    >>> sorted(T.ranks.items())   # degree 1: a0 (x) b1, a1 (x) b0, a1 (x) b0'
+    [(0, 2), (1, 3), (2, 1)]
+    >>> T.d(2).rows               # a1 (x) b1 |-> 2 a0 (x) b1 - a1 (x) b0
+    [[2], [-1], [0]]
+    >>> T.d(1).rows
+    [[1, 2, 0], [0, 0, 2]]
     """
     name = name or "(%s(x)%s)" % (A.name, B.name)
-    ranks = {}
-    for i in A.degrees():
-        for j in B.degrees():
-            n = i + j
-            ranks[n] = ranks.get(n, 0) + A.rank(i) * B.rank(j)
-    index = {n: _tensor_index(A, B, n) for n in ranks}
-    lookup = {n: {t: k for k, t in enumerate(ix)} for n, ix in index.items()}
-    diffs = {}
-    for n in ranks:
-        rows = index.get(n - 1, [])
-        if not rows:
-            continue
-        d = zeros(len(rows), len(index[n]))
-        row_of = lookup[n - 1]
-        for col, (i, p, q) in enumerate(index[n]):
-            da = A.diffs.get(i)
-            if da is not None:
-                for p2, row in enumerate(da.rows):
-                    if row[p]:
-                        d[row_of[(i - 1, p2, q)], col] += row[p]
-            db = B.diffs.get(n - i)
-            if db is not None:
-                sign = -1 if i % 2 else 1
-                for q2, row in enumerate(db.rows):
-                    if row[q]:
-                        d[row_of[(i, p, q2)], col] += sign * row[q]
-        diffs[n] = d
+    ranks, offset = _offsets(A.ranks, B.ranks)
+    diffs = _differentials(ranks)
+    for (i, j), col in offset.items():
+        da, db = A.diffs.get(i), B.diffs.get(j)
+        if da is not None:
+            _place(diffs[i + j], _kron(da, eye(B.ranks[j])), offset[i - 1, j], col)
+        if db is not None:
+            sign = -1 if i % 2 else 1
+            _place(diffs[i + j], sign * _kron(eye(A.ranks[i]), db), offset[i, j - 1], col)
     return ChainComplex(ranks, diffs, name=name)
 
 
 def chain_symmetry(A, B):
-    "The signed swap a (x) b |-> (-1)^(ij) b (x) a, a chain map."
+    """The signed swap a (x) b |-> (-1)^(ij) b (x) a, a chain map.
+
+    On A_i (x) B_j it is the commutation matrix, the sum over q of
+    e_q (x) 1 (x) e_q^T with e_q the q-th unit vector of B_j: row block q
+    of its image is 1 (x) e_q^T.
+    """
     AB = tensor_chains(A, B)
     BA = tensor_chains(B, A)
-    blocks = {}
-    for n in AB.degrees():
-        src_ix = _tensor_index(A, B, n)
-        tgt_pos = {t: k for k, t in enumerate(_tensor_index(B, A, n))}
-        b = zeros(len(tgt_pos), len(src_ix))
-        for col, (i, p, q) in enumerate(src_ix):
-            j = n - i
-            sign = -1 if (i * j) % 2 else 1
-            b[tgt_pos[(j, q, p)], col] = sign
-        blocks[n] = b
+    _, src = _offsets(A.ranks, B.ranks)
+    _, tgt = _offsets(B.ranks, A.ranks)
+    blocks = {n: zeros(BA.rank(n), r) for n, r in AB.ranks.items()}
+    for (i, j), col in src.items():
+        ra, units = A.ranks[i], eye(B.ranks[j]).rows
+        sign = -1 if (i * j) % 2 else 1
+        for q, unit in enumerate(units):
+            _place(blocks[i + j], sign * _kron(eye(ra), _Matrix([unit], len(unit))),
+                   tgt[j, i] + q * ra, col)
     return ChainMap(AB, BA, blocks)
-
-
-def _hom_index(B, C, n):
-    "(j, p, q) triples indexing [B, C]_n: the map sending q in B_j to p in C_{j+n}."
-    out = []
-    for j in B.degrees():
-        rc = C.rank(j + n)
-        for p in range(rc):
-            for q in range(B.rank(j)):
-                out.append((j, p, q))
-    return out
 
 
 def internal_hom(B, C, name=None):
     """[B, C]_n = prod_j Hom(B_j, C_{j+n}) with differential
-    (df)_j b = d(f_j b) - (-1)^n f_{j-1}(db)."""
+    (df)_j b = d(f_j b) - (-1)^n f_{j-1}(db).
+
+    On the row-major basis of ``_hom_offsets``, f |-> dc f is dc (x) 1
+    and f |-> f db is 1 (x) db^T.
+    """
     name = name or "[%s,%s]" % (B.name, C.name)
-    ranks = {}
-    degs = range(C.lo - B.hi, C.hi - B.lo + 1)
-    for n in degs:
-        r = sum(B.rank(j) * C.rank(j + n) for j in B.degrees())
-        if r:
-            ranks[n] = r
-    index = {n: _hom_index(B, C, n) for n in ranks}
-    diffs = {}
-    for n in ranks:
-        rows = index.get(n - 1, [])
-        if not rows:
-            continue
-        d = zeros(len(rows), len(index[n]))
-        row_of = {t: k for k, t in enumerate(rows)}
-        sign = -1 if n % 2 else 1
-        for col, (j, p, q) in enumerate(index[n]):
-            dc = C.diffs.get(j + n)
-            if dc is not None:
-                for p2, row in enumerate(dc.rows):
-                    if row[p]:
-                        d[row_of[(j, p2, q)], col] += row[p]
-            db = B.diffs.get(j + 1)
-            if db is not None:
-                for q2, c in enumerate(db.rows[q]):
-                    if c:
-                        d[row_of[(j + 1, p, q2)], col] += -sign * c
-        diffs[n] = d
+    ranks, offset = _hom_offsets(B.ranks, C.ranks)
+    diffs = _differentials(ranks)
+    for (j, k), col in offset.items():
+        dc, db = C.diffs.get(k), B.diffs.get(j + 1)
+        if dc is not None:
+            _place(diffs[k - j], _kron(dc, eye(B.ranks[j])), offset[j, k - 1], col)
+        if db is not None:
+            sign = 1 if (k - j) % 2 else -1
+            dbt = _Matrix([list(c) for c in zip(*db.rows)], len(db.rows))
+            _place(diffs[k - j], sign * _kron(eye(C.ranks[k]), dbt), offset[j + 1, k], col)
     return ChainComplex(ranks, diffs, name=name)
 
 
@@ -420,44 +445,42 @@ def curry_adjunction(A, B, C):
     """The closed-structure bijection between maps A (x) B -> C and A -> [B, C].
 
     Returns (curry, uncurry); both directions produce genuine chain maps
-    and are mutually inverse.
+    and are mutually inverse.  Both reshape a block between the layouts
+    of ``_offsets`` and ``_hom_offsets``: entry (c_p, a (x) b_q) of a map
+    on A_i (x) B_j is entry (Hom row p * rank(B_j) + q, a) of its curry.
     """
     AB = tensor_chains(A, B)
     H = internal_hom(B, C)
-    # the bases of (A (x) B)_n and [B, C]_i, listed and placed once per degree
-    tensor_ix = {n: _tensor_index(A, B, n) for n in AB.degrees()}
-    tensor_pos = {n: {t: k for k, t in enumerate(ix)} for n, ix in tensor_ix.items()}
-    hom_ix = {i: _hom_index(B, C, i) for i in A.degrees()}
-    hom_pos = {i: {t: k for k, t in enumerate(ix)} for i, ix in hom_ix.items()}
+    _, tensor = _offsets(A.ranks, B.ranks)
+    _, hom = _hom_offsets(B.ranks, C.ranks)
+    # the (i, j) blocks that meet C: A_i (x) B_j -> C_{i+j}
+    pieces = [(i, j, tensor[i, j], hom[j, i + j]) for i, j in tensor if (j, i + j) in hom]
 
     def curry(phi):
-        blocks = {}
-        for i in A.degrees():
-            rows = hom_ix[i]
-            m = zeros(len(rows), A.rank(i))
-            for r, (j, p, q) in enumerate(rows):
-                n = i + j
-                b = phi.blocks.get(n)
-                if b is None:
-                    continue
-                row, cols = b.rows[p], tensor_pos[n]
-                m.rows[r] = [row[cols[(i, pa, q)]] for pa in range(A.rank(i))]
-            blocks[i] = m
-        return ChainMap(A, H, blocks)
+        out = {i: zeros(H.rank(i), r) for i, r in A.ranks.items()}
+        for i, j, left, top in pieces:
+            b = phi.blocks.get(i + j)
+            if b is None:
+                continue
+            rb, width = B.ranks[j], A.ranks[i] * B.ranks[j]
+            m = out[i].rows
+            for p, row in enumerate(b.rows):
+                for q in range(rb):
+                    m[top + p * rb + q] = row[left + q:left + width:rb]
+        return ChainMap(A, H, out)
 
     def uncurry(psi):
-        blocks = {}
-        for n, cols in tensor_ix.items():
-            m = zeros(C.rank(n), len(cols))
-            for cix, (i, p, q) in enumerate(cols):
-                b = psi.blocks.get(i)
-                if b is None:
-                    continue
-                rows = hom_pos[i]
-                for pc in range(C.rank(n)):
-                    m[pc, cix] = b[rows[(n - i, pc, q)], p]
-            blocks[n] = m
-        return ChainMap(AB, C, blocks)
+        out = {n: zeros(C.rank(n), r) for n, r in AB.ranks.items()}
+        for i, j, left, top in pieces:
+            b = psi.blocks.get(i)
+            if b is None:
+                continue
+            rb, width = B.ranks[j], A.ranks[i] * B.ranks[j]
+            m = out[i + j].rows
+            for p in range(C.ranks[i + j]):
+                rows = b.rows[top + p * rb:top + (p + 1) * rb]
+                m[p][left:left + width] = [x for col in zip(*rows) for x in col]
+        return ChainMap(AB, C, out)
 
     return curry, uncurry
 
@@ -653,39 +676,28 @@ def triangle_identities_hold(X):
 # the comonad comparison U.R = (I + D) (x) -
 
 
+def _ranks(M):
+    "A rank-1 graded module's dimensions by integer degree."
+    return {i: d for (i,), d in M.components}
+
+
 def graded_tensor(M, N):
-    "Tensor of rank-1 graded modules, basis ordered (i, p, q) with i ascending."
-    comps = {}
-    for (i,), dm in M.components:
-        for (j,), dn in N.components:
-            comps[i + j] = comps.get(i + j, 0) + dm * dn
-    return GradedModule.of(comps, rank=1, name="(%s(x)%s)" % (M.name, N.name))
+    "Tensor of rank-1 graded modules, basis laid out as in ``tensor_chains``."
+    ranks, _ = _offsets(_ranks(M), _ranks(N))
+    return GradedModule.of(ranks, rank=1, name="(%s(x)%s)" % (M.name, N.name))
 
 
 def graded_tensor_map(f, g):
+    "f (x) g, whose block on M_i (x) N_j is the Kronecker product f_i (x) g_j."
     src = graded_tensor(f.src, g.src)
     tgt = graded_tensor(f.tgt, g.tgt)
-    blocks = {}
-    for (n,), _ in src.components:
-        m = zeros(tgt.dim_at(n), src.dim_at(n))
-        top, row = {}, 0   # the first row of f.tgt_i (x) g.tgt_{n-i}
-        for (i,), dm in f.tgt.components:
-            top[i] = row
-            row += dm * g.tgt.dim_at(n - i)
-        col = 0
-        for (i,), dm in f.src.components:
-            width = g.src.dim_at(n - i)
-            fb, gb = f.blocks.get(i), g.blocks.get(n - i)
-            if fb is not None and gb is not None and i in top:
-                height = g.tgt.dim_at(n - i)
-                for p in range(dm):
-                    for q in range(width):
-                        for p2, frow in enumerate(fb.rows):
-                            for q2, grow in enumerate(gb.rows):
-                                m[top[i] + p2 * height + q2, col + p * width + q] = \
-                                    frow[p] * grow[q]
-            col += dm * width
-        blocks[n] = m
+    _, cols = _offsets(_ranks(f.src), _ranks(g.src))
+    _, rows = _offsets(_ranks(f.tgt), _ranks(g.tgt))
+    blocks = {n: zeros(tgt.dim_at(n), d) for (n,), d in src.components}
+    for (i, j), col in cols.items():
+        fb, gb = f.blocks.get(i), g.blocks.get(j)
+        if fb is not None and gb is not None and (i, j) in rows:
+            _place(blocks[i + j], _kron(fb, gb), rows[i, j], col)
     return GradedMap(src, tgt, blocks)
 
 
@@ -1026,26 +1038,6 @@ def random_bicomplex(rng, kappa, s, name="b"):
             if r:
                 ranks[cell_of(u, m)] = r
 
-    def kron_left(pmat, qdim):
-        rows, cols = pmat.shape
-        out = zeros(rows * qdim, cols * qdim)
-        for i in range(rows):
-            for j in range(cols):
-                if pmat[i, j]:
-                    for q in range(qdim):
-                        out[i * qdim + q, j * qdim + q] = pmat[i, j]
-        return out
-
-    def kron_right(pdim, qmat):
-        rows, cols = qmat.shape
-        out = zeros(pdim * rows, pdim * cols)
-        for p in range(pdim):
-            for i in range(rows):
-                for j in range(cols):
-                    if qmat[i, j]:
-                        out[p * rows + i, p * cols + j] = qmat[i, j]
-        return out
-
     d1, d2 = {}, {}
     for u in P.degrees():
         for m in Q.degrees():
@@ -1054,9 +1046,9 @@ def random_bicomplex(rng, kappa, s, name="b"):
                 continue
             if P.rank(u - 1):
                 sign = -1 if (kappa == 1 and m % 2) else 1
-                d1[cell] = sign * kron_left(P.d(u), Q.rank(m))
+                d1[cell] = sign * _kron(P.d(u), eye(Q.rank(m)))
             if Q.rank(m - 1):
-                d2[cell] = kron_right(P.rank(u), Q.d(m))
+                d2[cell] = _kron(eye(P.rank(u)), Q.d(m))
     B = Bicomplex(ranks, d1, d2, (dn, -1), name=name)
 
     us = {cell: random_unimodular(rng, B.rank(cell)) for cell in B.cells()}

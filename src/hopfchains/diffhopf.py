@@ -42,6 +42,11 @@ def cyclic_tensor(a, b):
     return math.gcd(a, b)
 
 
+def _cyclic_name(n):
+    "Z/n by its order, with 0 meaning Z."
+    return "Z" if n == 0 else "Z/%d" % n
+
+
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -154,15 +159,14 @@ def check_differential_carrier(D, bich):
                 where = ("degrees %s,%s" % (gi, gj) if gi != gj
                          else "degree %s" % (gi,))
                 diagnostics.append(
-                    "summands of orders %d and %d at %s tensor to Z/%d != 0"
-                    % (ni, nj, where, t))
+                    "summands of orders %d and %d at %s tensor to %s != 0"
+                    % (ni, nj, where, _cyclic_name(t)))
     for g, n in summands:
         sign = bich.pairing(g, g)
         if not _vanishes(1 + sign, n):
-            name = "Z" if n == 0 else "Z/%d" % n
             diagnostics.append(
                 "swap sign %+d at degree %s: braiding cannot be -1 on %s"
-                % (sign, g, name))
+                % (sign, g, _cyclic_name(n)))
     return CheckResult("carrier-decision", "reject" if diagnostics else "accept",
                        len(summands) or 1,
                        {"diagnostics": diagnostics} if diagnostics else None,

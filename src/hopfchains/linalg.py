@@ -133,14 +133,28 @@ def label_to_json(label):
 
 
 def label_from_json(data):
+    """The label that ``label_to_json`` encodes as ``data``; data that is
+    no such encoding is a ValueError."""
+    try:
+        label = _label_from_json(data)
+        hash(label)
+        ok = label_to_json(label) == data
+    except (IndexError, KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise ValueError("%r does not encode a label" % (data,))
+    return label
+
+
+def _label_from_json(data):
     tag = data[0]
     if tag == "1":
         return UNIT
     if tag == "a":
         return (_ATOM, data[1], tuple(data[2]))
     if tag in (_LEFT, _RIGHT):
-        return (tag, label_from_json(data[1]))
-    return (_TENSOR,) + tuple(label_from_json(f) for f in data[1:])
+        return (tag, _label_from_json(data[1]))
+    return (_TENSOR,) + tuple(_label_from_json(f) for f in data[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -1040,7 +1054,9 @@ class CheckResult:
 
     def __repr__(self):
         if self.equal:
-            return "%s: %s (%d labels)" % (self.law, self.verdict, self.instances)
+            # a law counts window labels, a decision its instances
+            unit = "labels" if self.verdict == "equal" else "instances"
+            return "%s: %s (%d %s)" % (self.law, self.verdict, self.instances, unit)
         return "%s: %s %r" % (self.law, self.verdict, self.counterexample)
 
 

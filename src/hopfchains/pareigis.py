@@ -39,6 +39,14 @@ def monomial(a, k):
     return atom(_FAMILY, a, k)
 
 
+def _is_monomial(label):
+    "Is the label a normal form psi^a xi^k, with a = 0 or 1 and k an integer?"
+    if not (isinstance(label, tuple) and label[:2] == ("a", _FAMILY) and len(label[2]) == 2):
+        return False
+    a, k = label[2]
+    return type(a) is int and type(k) is int and a in (0, 1)
+
+
 def word_of(label):
     "Tokens of a normal form, psi first."
     a, k = label[2]
@@ -379,7 +387,7 @@ def comodule_to_chain(B, name=None):
     return X
 
 
-def chain_map_to_linmap(f, s, src_comodule, tgt_comodule):
+def chain_map_to_linmap(f, src_comodule, tgt_comodule):
     "Transport a chain map to a map of the underlying based spaces."
     def fn(label):
         n, i = label[2]
@@ -474,24 +482,66 @@ def comodule_to_json(B):
 
 
 def comodule_from_json(doc):
-    "Inverse of comodule_to_json; every coefficient must be a JSON integer."
+    """Inverse of comodule_to_json; every coefficient must be a JSON integer.
+
+    A document of another shape raises a ``ValueError`` naming the key,
+    the label or the expected shape; a coaction that breaks a comodule
+    law raises ``IllegalComodule``.
+    """
     import json
 
+    from .diffhopf import _is_int, _json_type
     from .linalg import finite_space, label_from_json
 
-    ring = ring_by_name(doc["ring"])
+    if not isinstance(doc, dict):
+        raise ValueError('a comodule is a JSON object with "ring", "basis" and "coaction", '
+                         'not %s' % _json_type(doc))
+    for key, kind in (("ring", str), ("basis", list), ("coaction", dict)):
+        if key not in doc:
+            raise ValueError('the comodule has no "%s" key' % key)
+        if not isinstance(doc[key], kind):
+            raise ValueError('"%s" is %s, not %s'
+                             % (key, _json_type(kind()), _json_type(doc[key])))
+    try:
+        ring = ring_by_name(doc["ring"])
+    except KeyError:
+        raise ValueError("unknown ring %r (try pareigis, pareigis-plus)" % doc["ring"]) from None
     basis = [label_from_json(b) for b in doc["basis"]]
+    if len(set(basis)) != len(basis):
+        raise ValueError("the basis lists a label twice")
     carrier = finite_space("comodule", basis)
     table = {}
     for key, terms in doc["coaction"].items():
-        b = label_from_json(json.loads(key))
+        try:
+            b = label_from_json(json.loads(key))
+        except ValueError:
+            raise ValueError("the coaction key %r does not encode a label" % key) from None
+        if not carrier.contains(b):
+            raise ValueError("the coaction key %s is not a basis label" % key)
+        if not isinstance(terms, list):
+            raise ValueError("the coaction under basis key %s is a list, not %s"
+                             % (key, _json_type(terms)))
         out = Vec.zero()
-        for c, r, x in terms:
-            if isinstance(c, bool) or not isinstance(c, int):
+        for term in terms:
+            if not (isinstance(term, list) and len(term) == 3):
+                raise ValueError("a term under basis key %s is a [coefficient, ring label, "
+                                 "basis label] triple, not %r" % (key, term))
+            c, rdata, xdata = term
+            if not _is_int(c):
                 raise ValueError("coefficient %r under basis key %s is not an integer"
                                  % (c, key))
-            out = out + c * Vec.basis(pair(label_from_json(r), label_from_json(x)))
+            r, x = label_from_json(rdata), label_from_json(xdata)
+            if not _is_monomial(r):
+                raise ValueError("ring label %s under basis key %s is not psi^a xi^k"
+                                 % (json.dumps(rdata), key))
+            if not carrier.contains(x):
+                raise ValueError("label %s under basis key %s is not a basis label"
+                                 % (json.dumps(xdata), key))
+            out = out + c * Vec.basis(pair(r, x))
         table[b] = out
+    for b, data in zip(basis, doc["basis"]):
+        if b not in table:
+            raise ValueError("basis label %s has no coaction entry" % json.dumps(data))
     coaction = LinMap(carrier, tensor_space(ring.carrier, carrier),
                       lambda l: table[l], name="beta")
     return Comodule(ring, carrier, coaction, check_window=0)

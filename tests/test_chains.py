@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -15,8 +16,8 @@ from hopfchains import chains
 from hopfchains.chains import (
     Bicomplex, ChainComplex, ChainMap, GradedMap, IllegalChain, chain_symmetry,
     comonad_comparison, curry_adjunction, disk, evaluation_map, eye,
-    identity_chain_map, internal_hom, left_adjoint_complex, left_adjoint_map,
-    mat, mat_eq, random_bicomplex, random_chain_map, random_complex,
+    graded_tensor, graded_tensor_map, identity_chain_map, internal_hom, left_adjoint_complex, left_adjoint_map,
+    mat, random_bicomplex, random_chain_map, random_complex, random_graded_map,
     random_unimodular, right_adjoint_complex, second_differential, sphere,
     tensor_chains, triangle_identities_hold, underlying_graded,
     underlying_graded_map, unit_lu, is_zero, zeros,
@@ -86,7 +87,7 @@ def test_tensor_is_associative_after_flattening():
     right_first = tensor_chains(A, tensor_chains(B, C))
     assert left_first.ranks == right_first.ranks
     for n in left_first.degrees():
-        assert mat_eq(left_first.d(n), right_first.d(n))
+        assert left_first.d(n) == right_first.d(n)
 
 
 def test_hom_out_of_the_unit_is_the_target():
@@ -107,9 +108,12 @@ def test_identity_element_of_hom_is_a_cycle():
     # the chain-map condition for f equals df = 0 in [B, B]_0
     B = two_step()
     H = internal_hom(B, B)
-    from hopfchains.chains import _hom_index
-    idx = _hom_index(B, B, 0)
-    column = [1 if p == q else 0 for (j, p, q) in idx]
+    from hopfchains.chains import _hom_offsets
+    _, offset = _hom_offsets(B.ranks, B.ranks)
+    column = [0] * H.rank(0)
+    for j, r in B.ranks.items():
+        for p in range(r):
+            column[offset[j, j] + p * r + p] = 1
     d = H.d(0)
     image = d.dot(mat([[c] for c in column]))
     assert is_zero(image)
@@ -442,7 +446,7 @@ def _dense_complex_error(ranks, diffs):
 
 def _dense_is_chain_map(f):
     for n in set(f.src.degrees()) | set(f.tgt.degrees()):
-        if not mat_eq(f.block(n - 1).dot(f.src.d(n)), f.tgt.d(n).dot(f.block(n))):
+        if f.block(n - 1).dot(f.src.d(n)) != f.tgt.d(n).dot(f.block(n)):
             return False
     return True
 
@@ -469,7 +473,7 @@ def _dense_violations(B, kappa, s):
     for (n, m) in B.cells():
         after_d = B.second((n - 1, m)).dot(B.vertical((n, m)))
         after_d2 = B.vertical((n + dn, m - 1)).dot(B.second((n, m)))
-        if not mat_eq(after_d, after_d2 if kappa == -1 else -after_d2):
+        if after_d != (after_d2 if kappa == -1 else -after_d2):
             out.append((n, m))
     return tuple(out)
 
@@ -600,6 +604,232 @@ def test_the_bicomplex_square_checks_match_the_dense_reference(seed, kappa, s, d
 
 
 # ---------------------------------------------------------------------------
+# the tensor and hom layouts, against the per-entry constructions they
+# replaced (each basis listed as (degree, p, q) triples and placed by a
+# position dict)
+
+
+def _ref_tensor_index(A, B, n):
+    "(i, p, q) triples indexing (A (x) B)_n, i ascending."
+    out = []
+    for i in A.degrees():
+        rb = B.rank(n - i)
+        for p in range(A.rank(i)):
+            for q in range(rb):
+                out.append((i, p, q))
+    return out
+
+
+def _ref_hom_index(B, C, n):
+    "(j, p, q) triples indexing [B, C]_n: the map sending q in B_j to p in C_{j+n}."
+    out = []
+    for j in B.degrees():
+        rc = C.rank(j + n)
+        for p in range(rc):
+            for q in range(B.rank(j)):
+                out.append((j, p, q))
+    return out
+
+
+def _ref_tensor_chains(A, B):
+    ranks = {}
+    for i in A.degrees():
+        for j in B.degrees():
+            n = i + j
+            ranks[n] = ranks.get(n, 0) + A.rank(i) * B.rank(j)
+    index = {n: _ref_tensor_index(A, B, n) for n in ranks}
+    lookup = {n: {t: k for k, t in enumerate(ix)} for n, ix in index.items()}
+    diffs = {}
+    for n in ranks:
+        rows = index.get(n - 1, [])
+        if not rows:
+            continue
+        d = zeros(len(rows), len(index[n]))
+        row_of = lookup[n - 1]
+        for col, (i, p, q) in enumerate(index[n]):
+            da = A.diffs.get(i)
+            if da is not None:
+                for p2, row in enumerate(da.rows):
+                    if row[p]:
+                        d[row_of[(i - 1, p2, q)], col] += row[p]
+            db = B.diffs.get(n - i)
+            if db is not None:
+                sign = -1 if i % 2 else 1
+                for q2, row in enumerate(db.rows):
+                    if row[q]:
+                        d[row_of[(i, p, q2)], col] += sign * row[q]
+        diffs[n] = d
+    return ChainComplex(ranks, diffs, name="(%s(x)%s)" % (A.name, B.name))
+
+
+def _ref_chain_symmetry(A, B):
+    blocks = {}
+    for n in _ref_tensor_chains(A, B).degrees():
+        src_ix = _ref_tensor_index(A, B, n)
+        tgt_pos = {t: k for k, t in enumerate(_ref_tensor_index(B, A, n))}
+        b = zeros(len(tgt_pos), len(src_ix))
+        for col, (i, p, q) in enumerate(src_ix):
+            j = n - i
+            b[tgt_pos[(j, q, p)], col] = -1 if (i * j) % 2 else 1
+        blocks[n] = b
+    return blocks
+
+
+def _ref_internal_hom(B, C):
+    ranks = {}
+    lo = min(C.ranks, default=0) - max(B.ranks, default=0)
+    hi = max(C.ranks, default=0) - min(B.ranks, default=0)
+    for n in range(lo, hi + 1):
+        r = sum(B.rank(j) * C.rank(j + n) for j in B.degrees())
+        if r:
+            ranks[n] = r
+    index = {n: _ref_hom_index(B, C, n) for n in ranks}
+    diffs = {}
+    for n in ranks:
+        rows = index.get(n - 1, [])
+        if not rows:
+            continue
+        d = zeros(len(rows), len(index[n]))
+        row_of = {t: k for k, t in enumerate(rows)}
+        sign = -1 if n % 2 else 1
+        for col, (j, p, q) in enumerate(index[n]):
+            dc = C.diffs.get(j + n)
+            if dc is not None:
+                for p2, row in enumerate(dc.rows):
+                    if row[p]:
+                        d[row_of[(j, p2, q)], col] += row[p]
+            db = B.diffs.get(j + 1)
+            if db is not None:
+                for q2, c in enumerate(db.rows[q]):
+                    if c:
+                        d[row_of[(j + 1, p, q2)], col] += -sign * c
+        diffs[n] = d
+    return ChainComplex(ranks, diffs, name="[%s,%s]" % (B.name, C.name))
+
+
+def _ref_curry_adjunction(A, B, C):
+    "Curry and uncurry as functions from blocks to blocks."
+    AB = _ref_tensor_chains(A, B)
+    tensor_ix = {n: _ref_tensor_index(A, B, n) for n in AB.degrees()}
+    tensor_pos = {n: {t: k for k, t in enumerate(ix)} for n, ix in tensor_ix.items()}
+    hom_ix = {i: _ref_hom_index(B, C, i) for i in A.degrees()}
+    hom_pos = {i: {t: k for k, t in enumerate(ix)} for i, ix in hom_ix.items()}
+
+    def curry(phi):
+        blocks = {}
+        for i in A.degrees():
+            rows = hom_ix[i]
+            m = zeros(len(rows), A.rank(i))
+            for r, (j, p, q) in enumerate(rows):
+                n = i + j
+                b = phi.blocks.get(n)
+                if b is None:
+                    continue
+                row, cols = b.rows[p], tensor_pos[n]
+                m.rows[r] = [row[cols[(i, pa, q)]] for pa in range(A.rank(i))]
+            blocks[i] = m
+        return blocks
+
+    def uncurry(psi):
+        blocks = {}
+        for n, cols in tensor_ix.items():
+            m = zeros(C.rank(n), len(cols))
+            for cix, (i, p, q) in enumerate(cols):
+                b = psi.blocks.get(i)
+                if b is None:
+                    continue
+                rows = hom_pos[i]
+                for pc in range(C.rank(n)):
+                    m[pc, cix] = b[rows[(n - i, pc, q)], p]
+            blocks[n] = m
+        return blocks
+
+    return curry, uncurry
+
+
+def _ref_graded_tensor_map(f, g):
+    comps = {}
+    for (i,), dm in f.src.components:
+        for (j,), dn in g.src.components:
+            comps[i + j] = comps.get(i + j, 0) + dm * dn
+    blocks = {}
+    for n in comps:
+        m = zeros(sum(dm * g.tgt.dim_at(n - i) for (i,), dm in f.tgt.components), comps[n])
+        top, row = {}, 0   # the first row of f.tgt_i (x) g.tgt_{n-i}
+        for (i,), dm in f.tgt.components:
+            top[i] = row
+            row += dm * g.tgt.dim_at(n - i)
+        col = 0
+        for (i,), dm in f.src.components:
+            width = g.src.dim_at(n - i)
+            fb, gb = f.blocks.get(i), g.blocks.get(n - i)
+            if fb is not None and gb is not None and i in top:
+                height = g.tgt.dim_at(n - i)
+                for p in range(dm):
+                    for q in range(width):
+                        for p2, frow in enumerate(fb.rows):
+                            for q2, grow in enumerate(gb.rows):
+                                m[top[i] + p2 * height + q2, col + p * width + q] = \
+                                    frow[p] * grow[q]
+            col += dm * width
+        blocks[n] = m
+    return blocks
+
+
+def _same_blocks(got, want):
+    "Two block dicts agree entry for entry, an absent block counting as zero."
+    for n in set(got) | set(want):
+        g, w = got.get(n), want.get(n)
+        assert (g if g is not None else zeros(*w.shape)) == \
+            (w if w is not None else zeros(*g.shape)), n
+
+
+def _same_complex(got, want):
+    assert got.ranks == want.ranks and got.name == want.name
+    _same_blocks(got.diffs, want.diffs)
+
+
+@st.composite
+def _small_complexes(draw, name):
+    "An empty complex, one free module in one degree, or a seeded random complex."
+    kind = draw(st.sampled_from(("empty", "one-degree", "random", "random")))
+    if kind == "empty":
+        return ChainComplex({}, {}, name=name)
+    if kind == "one-degree":
+        return sphere(draw(st.integers(-2, 2)), draw(st.integers(1, 3)), name=name)
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return random_complex(rng, name=name, max_window=4, max_rank=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_complexes("a"), _small_complexes("b"), _small_complexes("c"),
+       st.integers(0, 10 ** 6))
+def test_tensor_and_hom_blocks_match_the_per_entry_reference(A, B, C, seed):
+    rng = random.Random(seed)
+    AB = tensor_chains(A, B)
+    _same_complex(AB, _ref_tensor_chains(A, B))
+    H = internal_hom(B, C)
+    _same_complex(H, _ref_internal_hom(B, C))
+    _same_blocks(chain_symmetry(A, B).blocks, _ref_chain_symmetry(A, B))
+
+    curry, uncurry = curry_adjunction(A, B, C)
+    ref_curry, ref_uncurry = _ref_curry_adjunction(A, B, C)
+    phi = random_chain_map(rng, AB, C)
+    _same_blocks(curry(phi).blocks, ref_curry(phi))
+    psi = random_chain_map(rng, A, H)
+    _same_blocks(uncurry(psi).blocks, ref_uncurry(psi))
+
+    M, N = underlying_graded(A), underlying_graded(B)
+    f = GradedMap(M, underlying_graded(C), random_graded_map(rng, A, C))
+    g = GradedMap(N, underlying_graded(A), random_graded_map(rng, B, A))
+    got = graded_tensor_map(f, g)
+    assert got.src == graded_tensor(M, N)
+    assert got.tgt == graded_tensor(underlying_graded(C), underlying_graded(A))
+    assert got.blocks.keys() == {n for (n,), _ in got.src.components}
+    _same_blocks(got.blocks, _ref_graded_tensor_map(f, g))
+
+
+# ---------------------------------------------------------------------------
 # exact matrix input
 
 
@@ -617,6 +847,98 @@ def test_boolean_entry_is_rejected_with_its_position():
 def test_ragged_rows_are_an_illegal_chain():
     with pytest.raises(IllegalChain):
         ChainComplex({1: 1, 0: 1}, {1: [[1], [2, 3]]})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], r"a complex is a JSON object .*, not a list"),
+    ({"differentials": {}}, r'no "ranks" key'),
+    ({"ranks": {}}, r'no "differentials" key'),
+    ({"ranks": [1], "differentials": {}}, r'"ranks" is an object keyed by degree, not a list'),
+    ({"ranks": {"x": 1}, "differentials": {}}, r"\"ranks\" has the key 'x'"),
+    ({"ranks": {"1": "x"}, "differentials": {}}, r"rank at degree 1 is 'x'"),
+    ({"ranks": {"1": -1}, "differentials": {}}, r"rank at degree 1 is -1"),
+    ({"ranks": {"1": 1, "0": 1}, "differentials": {"1": 2}},
+     r"differential at degree 1 is a list of rows, not a number"),
+    ({"ranks": {"1": 1, "0": 1}, "differentials": {"1": [2]}},
+     r"row 0 of the differential at degree 1 is a list, not a number"),
+    ({"ranks": {"1": 1, "0": 1}, "differentials": {"1": [[2.5]]}},
+     r"differential at degree 1: entry \(0, 0\) is 2.5"),
+])
+def test_a_malformed_complex_document_names_what_is_wrong(doc, message):
+    with pytest.raises(ValueError, match=message):
+        ChainComplex.from_json(doc)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _paths(doc, here=()):
+    "Every place in a JSON document, the root first."
+    yield here
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, here + (k,))
+
+
+@st.composite
+def _malformed(draw, doc):
+    "A well-formed document with one to three places replaced, dropped or renamed."
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_JSON)
+            continue
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        kind = draw(st.sampled_from(("replace", "drop", "rename")))
+        if kind == "replace":
+            parent[path[-1]] = draw(_JSON)
+        elif kind == "drop":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=3))] = parent.pop(path[-1])
+    return doc
+
+
+def _complex_document(seed):
+    rng = random.Random(seed)
+    return random_complex(rng, name="x", max_window=3, max_rank=2).to_json()
+
+
+@functools.lru_cache(maxsize=None)
+def _comodule_document(seed):
+    from hopfchains.pareigis import chain_to_comodule, comodule_to_json
+    rng = random.Random(seed)
+    X = random_complex(rng, name="x", max_window=3, max_rank=2)
+    return comodule_to_json(chain_to_comodule(X, rng.choice((-1, 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 20).flatmap(lambda seed: _malformed(_complex_document(seed))))
+def test_a_malformed_complex_document_raises_only_a_named_error(doc):
+    from hopfchains.laws import IllegalComodule
+    try:
+        ChainComplex.from_json(doc)
+    except (ValueError, IllegalChain, IllegalComodule) as err:
+        assert str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda seed: _malformed(_comodule_document(seed))))
+def test_a_malformed_comodule_document_raises_only_a_named_error(doc):
+    from hopfchains.laws import IllegalComodule
+    from hopfchains.pareigis import comodule_from_json
+    try:
+        comodule_from_json(doc)
+    except (ValueError, IllegalChain, IllegalComodule) as err:
+        assert str(err)
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +984,9 @@ def test_matrix_arithmetic_matches_the_reference(abc, c):
     assert _listed(-A) == [[-x for x in u] for u in a]
     assert _listed(c * A) == [[c * x for x in u] for u in a]
     assert (A + A2).shape == (-A).shape == (c * A).shape == A.shape
-    assert mat_eq(A, A2) == (a == a2)
-    assert mat_eq(A, zeros(len(a), q)) == is_zero(A)
-    assert not mat_eq(A, zeros(len(a), q + 1))
+    assert (A == A2) == (a == a2)
+    assert (A == zeros(len(a), q)) == is_zero(A)
+    assert A != zeros(len(a), q + 1)
 
 
 def test_empty_products_keep_their_shapes():

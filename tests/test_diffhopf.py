@@ -11,7 +11,7 @@ from hopfchains.grading import (
     Bicharacter, GradedModule, graded_to_comodule, sign_coelement,
 )
 from hopfchains.laws import check_bialgebra_laws
-from hopfchains.linalg import UNIT, Vec, left, pair, right
+from hopfchains.linalg import UNIT, CheckResult, Vec, left, pair, right
 
 
 def carrier(*summands):
@@ -56,6 +56,27 @@ def test_shared_prime_across_degrees_is_rejected():
     verdict = check_differential_carrier(carrier(((1,), 2), ((2,), 2)), minus_one())
     assert not verdict
     assert "tensor to Z/2" in verdict.counterexample["diagnostics"][0]
+
+
+def test_two_free_summands_tensor_to_z_not_z_mod_zero():
+    # order 0 is Z in both kinds of diagnostic
+    verdict = check_differential_carrier(carrier(((1,), 0), ((3,), 0)), minus_one())
+    assert verdict.counterexample["diagnostics"] == [
+        "summands of orders 0 and 0 at degrees (1,),(3,) tensor to Z != 0"]
+    verdict = check_differential_carrier(carrier(((0,), 0), ((2,), 0)), minus_one())
+    assert verdict.counterexample["diagnostics"] == [
+        "summands of orders 0 and 0 at degrees (0,),(2,) tensor to Z != 0",
+        "swap sign +1 at degree (0,): braiding cannot be -1 on Z",
+        "swap sign +1 at degree (2,): braiding cannot be -1 on Z"]
+
+
+def test_a_decision_row_counts_instances_and_a_law_row_labels():
+    accepted = check_differential_carrier(carrier(((1,), 0)), minus_one())
+    assert repr(accepted) == "carrier-decision: accept (1 instances)"
+    assert repr(CheckResult("mu", "equal", 9)) == "mu: equal (9 labels)"
+    rejected = check_differential_carrier(carrier(((0,), 0)), minus_one())
+    assert repr(rejected) == ("carrier-decision: reject {'diagnostics': "
+                              "['swap sign +1 at degree (0,): braiding cannot be -1 on Z']}")
 
 
 def test_rank_mismatch_is_an_error():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -211,8 +212,8 @@ def test_chain_maps_transport_to_comodule_morphisms(s):
         f = random_chain_map(rng, X)
         g = random_chain_map(rng, X)
         cx = chain_to_comodule(X, s)
-        lf = chain_map_to_linmap(f, s, cx, cx)
-        lg = chain_map_to_linmap(g, s, cx, cx)
+        lf = chain_map_to_linmap(f, cx, cx)
+        lg = chain_map_to_linmap(g, cx, cx)
         assert check_comodule_morphism(lf, cx, cx, 0)
         # composition is preserved and transport is invertible
         assert linmap_to_chain_map(lf >> lg, X, X) == f.then(g)
@@ -254,6 +255,48 @@ def test_comodule_json_rejects_non_integer_coefficients(coeff):
     doc["coaction"][key][0][0] = coeff
     with pytest.raises(ValueError, match="basis key %s" % re.escape(key)):
         comodule_from_json(doc)
+
+
+def _malform_comodule(doc, how):
+    "A copy of a comodule document broken in one named way."
+    doc = json.loads(json.dumps(doc))
+    key = next(iter(doc["coaction"]))
+    if how == "unknown ring":
+        doc["ring"] = "sweedler"
+    elif how == "missing entry":
+        del doc["coaction"][key]
+    elif how == "key not json":
+        doc["coaction"]["{"] = doc["coaction"].pop(key)
+    elif how == "bad label":
+        doc["basis"][0] = ["a"]
+    elif how == "pair not triple":
+        doc["coaction"][key][0] = [1, ["1"]]
+    elif how == "ring label":
+        doc["coaction"][key][0][1] = ["a", "pareigis", [2, 0]]
+    elif how == "stray label":
+        doc["coaction"][key][0][2] = ["a", "nowhere", [0]]
+    elif how == "basis a number":
+        doc["basis"] = 3
+    return doc
+
+
+@pytest.mark.parametrize("how, message", [
+    ("unknown ring", r"unknown ring 'sweedler'"),
+    ("missing entry", r"basis label .* has no coaction entry"),
+    ("key not json", r"the coaction key '\{' does not encode a label"),
+    ("bad label", r"\['a'\] does not encode a label"),
+    ("pair not triple", r"is a \[coefficient, ring label, basis label\] triple"),
+    ("ring label", r"ring label .* is not psi\^a xi\^k"),
+    ("stray label", r'label \["a", "nowhere", \[0\]\] under basis key .* is not a basis label'),
+    ("basis a number", r'"basis" is a list, not a number'),
+])
+def test_a_malformed_comodule_document_names_what_is_wrong(how, message):
+    from hopfchains.pareigis import comodule_from_json, comodule_to_json
+
+    X = ChainComplex({0: 1, -1: 1}, {0: [[1]]}, name="j")
+    doc = comodule_to_json(chain_to_comodule(X, -1))
+    with pytest.raises(ValueError, match=message):
+        comodule_from_json(_malform_comodule(doc, how))
 
 
 def test_identify_semidirect_builds_i_plus_d_once_per_sign(monkeypatch):
