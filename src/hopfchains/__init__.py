@@ -15,7 +15,7 @@ from .linalg import (
     right, sum_space, tensor_maps, tensor_space,
 )
 from .laws import (
-    Bimonoid, Braiding, Coelement, Comodule, IllegalComodule, LawViolation,
+    Bimonoid, Coelement, Comodule, IllegalComodule, LawViolation,
     Report, check_bialgebra_laws, check_coelement, check_comodule_morphism,
     check_distributive_law, comodule_braiding, distributive_law_tau,
     plain_swap, coelement_braiding, tensor_comodule, verify,

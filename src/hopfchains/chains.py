@@ -907,13 +907,13 @@ def second_differential(B, kappa, s):
 # seeded random generators (disks and spheres conjugated by unimodular maps)
 
 
-def random_unimodular(rng, k, ops=None):
+def random_unimodular(rng, k):
     "A unimodular integer matrix and its exact inverse."
     U, Uinv = eye(k), eye(k)
     if k == 0:
         return U, Uinv
     steps = []
-    for _ in range(ops if ops is not None else k + 2):
+    for _ in range(k + 2):
         kind = rng.choice(("add", "swap", "neg"))
         i, j = rng.randrange(k), rng.randrange(k)
         c = rng.choice((-2, -1, 1, 2))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, comodule_braiding
 from .linalg import (
-    UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, direct_sum_maps, equal_on_window,
+    UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, equal_on_window,
     identity_map, left, pair, right, scale_map, split_label, sum_space,
     tensor_space,
 )
@@ -236,13 +236,14 @@ def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW):
     def epsilon_fn(label):
         return Vec.zero() if label[0] == "L" else Vec.basis(UNIT)
 
+    def antipode_fn(label):
+        return Vec.basis(label, -1 if label[0] == "L" else 1)
+
     mu = LinMap(HH, H, mu_fn, name="mu")
     eta = LinMap(UNIT_SPACE, H, lambda l: Vec.basis(right(UNIT)), name="eta")
     delta = LinMap(H, HH, delta_fn, name="delta")
     epsilon = LinMap(H, UNIT_SPACE, epsilon_fn, name="epsilon")
-    antipode = direct_sum_maps(scale_map(identity_map(Ds), -1),
-                               identity_map(UNIT_SPACE))
-    antipode = LinMap(H, H, antipode.fn, name="antipode")
+    antipode = LinMap(H, H, antipode_fn, name="antipode")
     hopf = Bimonoid(H, mu, eta, delta, epsilon, antipode)
 
     def coact_fn(label):

@@ -17,6 +17,7 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 
+from .diffhopf import _is_int, _json_type
 from .laws import Bimonoid, Coelement, Comodule, IllegalComodule
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, atom, finite_space, pair,
@@ -177,8 +178,30 @@ class GradedModule:
 
     @classmethod
     def from_json(cls, doc, name="m"):
-        return cls.of({tuple(c["degree"]): c["rank"] for c in doc["components"]},
-                      rank=doc["rank"], name=name)
+        """Read ``{"rank": r, "components": [{"degree": [...], "rank": n}, ...]}``,
+        the form ``to_json`` writes.
+
+        A document of any other shape raises a ``ValueError`` naming the
+        missing key or the expected shape.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError('a graded module is a JSON object with "rank" and '
+                             '"components", not %s' % _json_type(doc))
+        for key in ("rank", "components"):
+            if key not in doc:
+                raise ValueError('the graded module has no "%s" key' % key)
+        rank, comps = doc["rank"], doc["components"]
+        if not _is_int(rank) or rank < 1:
+            raise ValueError('"rank" is an integer >= 1, not %r' % (rank,))
+        if not isinstance(comps, list):
+            raise ValueError('"components" is a list of objects, not %s' % _json_type(comps))
+        for c in comps:
+            if not (isinstance(c, dict) and isinstance(c.get("degree"), list)
+                    and all(_is_int(g) for g in c["degree"])
+                    and _is_int(c.get("rank")) and c["rank"] >= 0):
+                raise ValueError('a component is an object with a "degree" list of '
+                                 'integers and a "rank" integer >= 0, not %r' % (c,))
+        return cls.of({tuple(c["degree"]): c["rank"] for c in comps}, rank=rank, name=name)
 
 
 def sigma_space(M):

@@ -64,19 +64,9 @@ class Bimonoid:
         return "Bimonoid(%s)" % self.carrier.name
 
 
-class Braiding:
-    "Provider of X (x) Y -> Y (x) X maps, keyed on spaces."
-
-    def __init__(self, provider, name):
-        self.provider = provider
-        self.name = name
-
-    def of(self, X, Y):
-        return self.provider(X, Y)
-
-
 def plain_swap():
-    return Braiding(swap_map, "swap")
+    "The braiding of plain abelian groups: ``(X, Y)`` to the unsigned swap."
+    return swap_map
 
 
 class Coelement:
@@ -245,17 +235,17 @@ def comodule_braiding(X, Y, coelement):
 
 
 def coelement_braiding(coelement, comodules):
-    "A Braiding looking comodules up by their carriers."
+    "The braiding ``(X, Y) -> map`` that looks comodules up by their carriers."
     table = {c.carrier: c for c in comodules}
 
-    def provider(X, Y):
+    def braid(X, Y):
         try:
             cx, cy = table[X], table[Y]
         except KeyError as err:
             raise SpaceMismatch("no comodule registered for %s" % err)
         return comodule_braiding(cx, cy, coelement)
 
-    return Braiding(provider, "braid[%s]" % coelement.name)
+    return braid
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +255,9 @@ def coelement_braiding(coelement, comodules):
 def check_bialgebra_laws(B, braid, K):
     """The full (co)monoid, compatibility, interchange and antipode suite.
 
-    Each law is compared window-exactly against its other side; the
-    report records the first counterexample per law.
+    ``braid(X, Y)`` is the braiding map ``X (x) Y -> Y (x) X`` the
+    interchange law uses.  Each law is compared window-exactly against
+    its other side; the report records the first counterexample per law.
     """
     H = B.carrier
     idh = identity_map(H)
@@ -287,7 +278,7 @@ def check_bialgebra_laws(B, braid, K):
     law("epsilon-mu", mu >> eps, tensor_maps(eps, eps))
     law("delta-eta", eta >> delta, tensor_maps(eta, eta))
 
-    sigma = braid.of(H, H)
+    sigma = braid(H, H)
     middle = tensor_maps(tensor_maps(idh, sigma), idh)
     law("interchange",
         tensor_maps(delta, delta) >> middle >> tensor_maps(mu, mu),

@@ -295,7 +295,7 @@ class Space:
     """
 
     __slots__ = ("name", "arity", "contains", "_window", "basis", "_parts",
-                 "left", "right", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, name, arity, contains, window=None, basis=None):
         self.name = name
@@ -304,8 +304,6 @@ class Space:
         self._window = window
         self.basis = None if basis is None else list(basis)
         self._parts = None
-        self.left = None
-        self.right = None
 
     @property
     def parts(self):
@@ -417,10 +415,7 @@ def _sum_space(X, Y, name):
     def window(K):
         return [left(l) for l in X.enumerate(K)] + [right(l) for l in Y.enumerate(K)]
 
-    space = Space(name, 1, contains, window=window)
-    space.left = X
-    space.right = Y
-    return space
+    return Space(name, 1, contains, window=window)
 
 
 def split_label(X, Y, label):
@@ -442,22 +437,23 @@ class LinMap:
       coaction, a braiding), memoises its value per label; the map is
       pure, so this is observationally transparent;
     * a composite, built by ``compose_maps`` and ``tensor_maps``, holds
-      no memo and streams each label through its stages, so its memory
-      does not grow with the window; ``memoised`` makes a leaf of a
-      composite kept as structure, such as a coaction;
+      no memo and its ``apply`` is the plain definition: f's image put
+      through g, or the tensor of the images of a label's two parts, so
+      its memory does not grow with the window; ``memoised`` makes a
+      leaf of a composite kept as structure, such as a coaction;
     * a wire (``identity_map``, ``swap_map``, ``perm_map``) sends each
       basis label to one basis label with coefficient 1: it permutes the
-      label's tensor factors.  It holds no memo, and a composite built
-      from it applies its relabelling inside the neighbouring stage
-      instead of as a stage of its own.
+      label's tensor factors.  It holds no memo, and two wires composed
+      or tensored make one wire.
 
     A composite and a wire keep their stage tree in ``_stages``
-    (``("compose", f, g)``, ``("tensor", f, g)`` or ``("wire", picks, rewrite)``;
-    ``None`` on a leaf).  ``equal_on_window`` checks every window with
-    one law kernel (see ``_kernel``) made from both sides' trees: one
-    nested loop per factor of the domain, with each leaf application an
-    inline lookup in the leaf's memo and ``apply`` called only on a
-    miss.  A lookup is made once per value of the factors it reads, in
+    (``("compose", f, g)``, ``("tensor", f, g)`` or ``("wire", picks)``;
+    ``None`` on a leaf).  Only the law kernel optimises a tree: it works
+    out wires, cuts and joins while compiling.  ``equal_on_window``
+    checks every window with one law kernel (see ``_kernel``) made from
+    both sides' trees: one nested loop per factor of the domain, with
+    each leaf application an inline lookup in the leaf's memo and
+    ``apply`` called only on a miss.  A lookup is made once per value of the factors it reads, in
     the loop of the last of them, and once for both sides.  The kernel
     is made once per law shape in a process and shared by every law of
     that shape, with the leaves bound per check.  A side whose leaves
@@ -536,28 +532,18 @@ def _vec(entries):
     return v
 
 
-def _unchanged(label):
-    return label
-
-
 @functools.lru_cache(maxsize=None)
 def _wiring(picks):
     """The stage tree and label function every wire with these ``picks`` shares.
 
-    Output factor i of the wire is input factor picks[i].  The tree
-    ``("wire", picks, rewrite)`` also carries the label rewrite, which
-    the neighbours of a wire apply in its place.  Only a label of two or
-    more factors can be permuted, and such a label is always
+    Output factor i of the wire is input factor picks[i].  Only a label
+    of two or more factors can be permuted, and such a label is always
     ``("t", f1, ...)``.
     """
     if picks == tuple(range(len(picks))):
-        rewrite = _unchanged
-    else:
-        pick = operator.itemgetter(*[1 + p for p in picks])
-
-        def rewrite(label):
-            return (_TENSOR,) + pick(label)
-    return ("wire", picks, rewrite), lambda l: _vec({rewrite(l): 1})
+        return ("wire", picks), Vec.basis
+    pick = operator.itemgetter(*[1 + p for p in picks])
+    return ("wire", picks), lambda l: _vec({(_TENSOR,) + pick(l): 1})
 
 
 @functools.lru_cache(maxsize=None)
@@ -603,117 +589,45 @@ def memoised(f):
     return LinMap(f.dom, f.cod, f.apply, name=f.name)
 
 
+def _wires(f, g):
+    "Are both maps wires?"
+    return (f._stages is not None and f._stages[0] == "wire"
+            and g._stages is not None and g._stages[0] == "wire")
+
+
 def compose_maps(f, g):
     """f then g; f's codomain must be g's domain.
 
-    A wire is applied inside its neighbour: after f it relabels the keys
-    of f's image, before g it relabels g's argument.
+    A label goes through f and its image through g.  Two wires make one
+    wire; the law kernel works out every other wire while compiling.
     """
     if f.cod is not g.dom:
         raise SpaceMismatch("compose: codomain %s of %r is not the domain %s of %r"
                             % (f.cod.name, f, g.dom.name, g))
     name = "(%s;%s)" % (f.name, g.name)
-    sf, sg = f._stages, g._stages
-    rf = sf[2] if sf is not None and sf[0] == "wire" else None
-    rg = sg[2] if sg is not None and sg[0] == "wire" else None
-    if rf is not None and rg is not None:
-        return _wire(f.dom, g.cod, tuple(sf[1][i] for i in sg[1]), name)
-    if rg is _unchanged:
-        fn = f.apply
-    elif rg is not None:
-        fa = f.apply
-
-        def fn(label):
-            return _vec({rg(k): c for k, c in fa(label).entries.items()})
-    elif rf is _unchanged:
-        fn = g.apply
-    elif rf is not None:
-        ga = g.apply
-
-        def fn(label):
-            return ga(rf(label))
-    else:
-        fa = f.apply
-
-        def fn(label):
-            return g(fa(label))
-    return _streamed(f.dom, g.cod, fn, name, ("compose", f, g))
-
-
-@functools.lru_cache(maxsize=None)
-def _cut(a, b):
-    """Split a label of an (a + b)-factor tensor after its first a factors.
-
-    Fixed when a tensor stage is built: a label of two or more factors
-    is always ``("t", f1, ...)``, so the cut is a slice.
-    """
-    if a == 0:
-        return lambda l: (UNIT, l)
-    if b == 0:
-        return lambda l: (l, UNIT)
-    if a == 1 and b == 1:
-        return operator.itemgetter(1, 2)
-    if a == 1:
-        return lambda l: (l[1], (_TENSOR,) + l[2:])
-    if b == 1:
-        return lambda l: (l[:a + 1], l[a + 1])
-    return lambda l: (l[:a + 1], (_TENSOR,) + l[a + 1:])
-
-
-@functools.lru_cache(maxsize=None)
-def _glue(a, b):
-    "Join an a-factor label and a b-factor label; inverse to ``_cut(a, b)``."
-    if a == 0:
-        return lambda x, y: y
-    if b == 0:
-        return lambda x, y: x
-    if a == 1 and b == 1:
-        return lambda x, y: (_TENSOR, x, y)
-    if a == 1:
-        return lambda x, y: (_TENSOR, x) + y[1:]
-    if b == 1:
-        return lambda x, y: x + (y,)
-    return lambda x, y: x + y[1:]
+    if _wires(f, g):
+        return _wire(f.dom, g.cod, tuple(f._stages[1][i] for i in g._stages[1]), name)
+    fa = f.apply
+    return _streamed(f.dom, g.cod, lambda label: g(fa(label)), name, ("compose", f, g))
 
 
 def tensor_maps(f, g):
-    """f (x) g; a label is cut and its images joined at fixed arities.
+    """f (x) g: a label is split into its f and g parts, and their images tensored.
 
-    A wire on either side relabels its factor in place, so the product
-    applies only the other side.
+    Two wires make one wire; the law kernel works out every other wire
+    and every cut and join while compiling.
     """
-    dom = tensor_space(f.dom, g.dom)
+    X, Y = f.dom, g.dom
+    dom = tensor_space(X, Y)
     cod = tensor_space(f.cod, g.cod)
     name = "(%s@%s)" % (f.name, g.name)
-    sf, sg = f._stages, g._stages
-    rf = sf[2] if sf is not None and sf[0] == "wire" else None
-    rg = sg[2] if sg is not None and sg[0] == "wire" else None
-    if rf is not None and rg is not None:
-        a = f.dom.arity
-        return _wire(dom, cod, sf[1] + tuple(a + j for j in sg[1]), name)
-    cut = _cut(f.dom.arity, g.dom.arity)
-    glue = _glue(f.cod.arity, g.cod.arity)
-    if rf is not None:
-        ga = g.apply
+    if _wires(f, g):
+        return _wire(dom, cod, f._stages[1] + tuple(X.arity + j for j in g._stages[1]), name)
+    fa, ga = f.apply, g.apply
 
-        def fn(label):
-            x, y = cut(label)
-            x = rf(x)
-            return _vec({glue(x, k): c for k, c in ga(y).entries.items()})
-    elif rg is not None:
-        fa = f.apply
-
-        def fn(label):
-            x, y = cut(label)
-            y = rg(y)
-            return _vec({glue(k, y): c for k, c in fa(x).entries.items()})
-    else:
-        fa, ga = f.apply, g.apply
-
-        def fn(label):
-            x, y = cut(label)
-            xs, ys = fa(x).entries.items(), ga(y).entries.items()
-            return _vec({glue(k1, k2): c1 * c2 for k1, c1 in xs for k2, c2 in ys})
+    def fn(label):
+        x, y = split_label(X, Y, label)
+        return fa(x).tensor(ga(y))
     return _streamed(dom, cod, fn, name, ("tensor", f, g))
 
 

@@ -213,12 +213,16 @@ GOLDEN = {
                                      "--window", "6"],
     "check-axioms-pareigis-w8.json": ["--command", "check-axioms", "--ring", "pareigis",
                                       "--window", "8"],
+    "check-axioms-pareigis-plus-w8.json": ["--command", "check-axioms", "--ring",
+                                           "pareigis-plus", "--window", "8"],
     "build-semidirect-s+1-w4.json": ["--command", "build-semidirect", "--s", "1",
                                      "--window", "4"],
     "build-semidirect-s-1-w4.json": ["--command", "build-semidirect", "--s", "-1",
                                      "--window", "4"],
     "roundtrip-t100-seed42.json": ["--command", "roundtrip", "--trials", "100",
                                    "--seed", "42"],
+    "verify-pareigis-s+1-w6.json": ["--command", "verify-pareigis", "--s", "1",
+                                    "--window", "6"],
     "verify-pareigis-s-1-w6.json": ["--command", "verify-pareigis", "--s=-1",
                                     "--window", "6"],
 }

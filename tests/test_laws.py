@@ -307,6 +307,6 @@ def test_coelement_braiding_tells_namesake_carriers_apart():
     want = comodule_braiding(X1, X1, gamma).apply(pair(d, d))
     assert want == -Vec.basis(pair(d, d))
     braid = coelement_braiding(gamma, [X1, X2])
-    assert braid.of(X1.carrier, X1.carrier).apply(pair(d, d)) == want
+    assert braid(X1.carrier, X1.carrier).apply(pair(d, d)) == want
     w = atom("w")
-    assert braid.of(X2.carrier, X2.carrier).apply(pair(w, w)) == Vec.basis(pair(w, w))
+    assert braid(X2.carrier, X2.carrier).apply(pair(w, w)) == Vec.basis(pair(w, w))

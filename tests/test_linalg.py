@@ -348,7 +348,7 @@ def test_window_enumeration_is_monotone(name):
 
 
 # ---------------------------------------------------------------------------
-# wires: identity, swap and permutations fused into their neighbours
+# wires: identity, swap and permutations, in composites and merged into one wire
 
 
 def unfused(wire):

@@ -226,6 +226,16 @@ def test_word_of_inverts_normal_forms():
             assert normalize_word(word_of(pm(a, k))) == Vec.basis(pm(a, k))
 
 
+@pytest.mark.parametrize("s", [-1, 1])
+def test_closed_form_product_agrees_with_rewriting_words(s):
+    # normalize_word is the independent oracle: it rewrites the word of
+    # x followed by the word of y, with no formula for the sign
+    ring = pareigis_ring(s)
+    window = ring.carrier.enumerate(6)
+    for x, y in itertools.product(window, window):
+        assert ring.mu.apply(pair(x, y)) == normalize_word(word_of(x) + word_of(y)), (x, y)
+
+
 def test_comodule_json_round_trip():
     import json
 
