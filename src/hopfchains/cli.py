@@ -15,7 +15,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
 from .chains import random_bicomplex, random_complex, second_differential
@@ -113,7 +113,7 @@ def cmd_check_axioms(cfg, report):
         ring = laurent_hopf(1)
         report.extend(_under("laws", check_bialgebra_laws(ring, plain_swap(), cfg.window)))
         for kappa in (1, -1):
-            coel = sign_coelement(Bicharacter(1, (kappa,)), ring)
+            coel = sign_coelement(Bicharacter(1, (kappa,)))
             report.extend(_under("coelement[kappa=%+d]" % kappa,
                                  check_coelement(coel, cfg.window)))
     else:
@@ -296,33 +296,29 @@ def render_text(report):
 
 
 def build_parser():
+    "The parser of ``RunConfig``'s fields, each defaulting to the field's default."
     parser = argparse.ArgumentParser(
         prog="hopfchains",
         description="Exact verification suites for the grading/differential "
                     "Hopf rings, their semidirect product, and the chain "
                     "complex equivalence.")
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--ring", default="pareigis",
-                        help="ring name for check-axioms "
-                             "(pareigis, pareigis-plus, laurent)")
-    parser.add_argument("--carrier-file", default=None,
-                        help="JSON graded-carrier description")
-    parser.add_argument("--window", type=int, default=6)
-    parser.add_argument("--trials", type=int, default=25)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--s", type=int, default=-1, choices=(-1, 1),
-                        help="degree of the differential")
-    parser.add_argument("--format", default="json", choices=("json", "text"))
-    parser.add_argument("--output", default=None, help="path or stdout if omitted")
+    parser.add_argument("--ring", help="ring name for check-axioms "
+                                       "(pareigis, pareigis-plus, laurent)")
+    parser.add_argument("--carrier-file", help="JSON graded-carrier description")
+    parser.add_argument("--window", type=int)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--s", type=int, choices=(-1, 1), help="degree of the differential")
+    parser.add_argument("--format", choices=("json", "text"))
+    parser.add_argument("--output", help="path or stdout if omitted")
+    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig)
+                           if f.name != "command"})
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, ring=args.ring,
-                    carrier_file=args.carrier_file, window=args.window,
-                    trials=args.trials, seed=args.seed, s=args.s,
-                    format=args.format, output=args.output)
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         status, report = run_command(cfg)
     except ConfigError as err:

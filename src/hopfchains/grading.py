@@ -115,14 +115,12 @@ class Bicharacter:
         return -1 if parity % 2 else 1
 
 
-def sign_coelement(bich, ring=None):
-    "The coelement gamma(x^g, x^h) = prod kappa_c^(g_c h_c)."
-    ring = ring or laurent_hopf(bich.rank)
-
+def sign_coelement(bich):
+    "The coelement gamma(x^g, x^h) = prod kappa_c^(g_c h_c) on ``laurent_hopf(bich.rank)``."
     def gamma(a, b):
         return bich.pairing(degree_of(a), degree_of(b))
 
-    return Coelement(ring, gamma, name="gamma%s" % (bich.kappas,))
+    return Coelement(laurent_hopf(bich.rank), gamma, name="gamma%s" % (bich.kappas,))
 
 
 # ---------------------------------------------------------------------------

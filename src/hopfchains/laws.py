@@ -165,9 +165,8 @@ class Comodule(Verified):
 
 def trivial_comodule(ring, carrier):
     "Coaction x |-> eta (x) x."
-    def fn(label):
-        return Vec({pair(k, label): c for k, c in ring.eta.apply(UNIT).items()})
-    coact = LinMap(carrier, tensor_space(ring.carrier, carrier), fn, name="trivial")
+    coact = ring.eta @ identity_map(carrier)
+    coact.name = "trivial"
     return Comodule(ring, carrier, coact, check_window=None)
 
 
@@ -181,19 +180,11 @@ def tensor_comodule(X, Y, check_window=None):
         raise SpaceMismatch("tensor of comodules over different rings")
     A = X.ring
     carrier = tensor_space(X.carrier, Y.carrier)
-
-    def fn(label):
-        lx, ly = split_label(X.carrier, Y.carrier, label)
-        out = Vec.zero()
-        for ax_x0, cx in X.coaction.apply(lx).items():
-            ax, x0 = split_label(A.carrier, X.carrier, ax_x0)
-            for ay_y0, cy in Y.coaction.apply(ly).items():
-                ay, y0 = split_label(A.carrier, Y.carrier, ay_y0)
-                prod = A.mu.apply(pair(ax, ay))
-                out = out + (cx * cy) * prod.tensor(Vec.basis(pair(x0, y0)))
-        return out
-
-    coact = LinMap(carrier, tensor_space(A.carrier, carrier), fn, name="alpha(x)")
+    # x_(-1), x_(0), y_(-1), y_(0)  ->  x_(-1), y_(-1), x_(0), y_(0)
+    coact = (X.coaction @ Y.coaction
+             >> perm_map([A.carrier, X.carrier, A.carrier, Y.carrier], (0, 2, 1, 3))
+             >> A.mu @ identity_map(carrier))
+    coact.name = "alpha(x)"
     return Comodule(A, carrier, coact, check_window=check_window)
 
 
@@ -327,17 +318,12 @@ def check_coelement(c, K):
 def distributive_law_tau(X):
     """tau_X : X (x) A -> A (x) X, coact on x then multiply past a."""
     A = X.ring
-
-    def fn(label):
-        lx, la = split_label(X.carrier, A.carrier, label)
-        out = Vec.zero()
-        for ax_x0, c in X.coaction.apply(lx).items():
-            ax, x0 = split_label(A.carrier, X.carrier, ax_x0)
-            out = out + c * A.mu.apply(pair(ax, la)).tensor(Vec.basis(x0))
-        return out
-
-    return LinMap(tensor_space(X.carrier, A.carrier),
-                  tensor_space(A.carrier, X.carrier), fn, name="tau")
+    # x_(-1), x_(0), a  ->  x_(-1), a, x_(0)
+    tau = memoised(X.coaction @ identity_map(A.carrier)
+                   >> perm_map([A.carrier, X.carrier, A.carrier], (0, 2, 1))
+                   >> A.mu @ identity_map(X.carrier))
+    tau.name = "tau"
+    return tau
 
 
 def check_distributive_law(tau, X, K, comonoid=None):

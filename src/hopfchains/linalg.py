@@ -440,7 +440,8 @@ class LinMap:
       no memo and its ``apply`` is the plain definition: f's image put
       through g, or the tensor of the images of a label's two parts, so
       its memory does not grow with the window; ``memoised`` makes a
-      leaf of a composite kept as structure, such as a coaction;
+      leaf of a composite kept as structure, such as a coaction or a
+      product's structure map, whose misses a compiled image evaluates;
     * a wire (``identity_map``, ``swap_map``, ``perm_map``) sends each
       basis label to one basis label with coefficient 1: it permutes the
       label's tensor factors.  It holds no memo, and two wires composed
@@ -458,8 +459,10 @@ class LinMap:
     is made once per law shape in a process and shared by every law of
     that shape, with the leaves bound per check.  A side whose leaves
     would nest more loops than CPython allows (``_MAX_LOOPS``, counting
-    the domain's) is one call of its ``apply`` inside the kernel.  Every
-    other caller evaluates any map through ``apply``.
+    the domain's) is one call of its ``apply`` inside the kernel.  The
+    same compiler makes a memoised composite's image function (see
+    ``memoised``).  Every other caller evaluates any map through
+    ``apply``.
 
     ``f >> g`` is "f then g", ``f @ g`` the tensor product.
     """
@@ -581,12 +584,15 @@ def _streamed(dom, cod, fn, name, stages):
 def memoised(f):
     """``f`` as a leaf map, memoising per label.
 
-    A composite kept as structure, such as a coaction, meets the same
-    labels again and again, so it remembers its values like a leaf.
+    A composite kept as structure, such as a coaction or a product's
+    structure map, meets the same labels again and again, so it
+    remembers its values like a leaf.  A label it has not met is
+    evaluated by the image function that the law kernels' compiler makes
+    from f's stage tree (``_image``); f's ``apply`` stays the reference.
     """
     if f._cache is not None:
         return f
-    return LinMap(f.dom, f.cod, f.apply, name=f.name)
+    return LinMap(f.dom, f.cod, _image(f), name=f.name)
 
 
 def _wires(f, g):
@@ -679,8 +685,10 @@ def _permutation(spaces, perm, name):
 # for-loops one kernel may nest: CPython allows 20 statically nested blocks
 _MAX_LOOPS = 20
 
-# law shape -> its kernel function; a shape is ints, strings and tuples,
-# and a kernel holds code, so the table keeps no map, space or vector alive
+# shape -> its compiled function: a law's kernel (its shape starts with a
+# tuple of arities) or a map's image function (its shape with an int); a
+# shape is ints, strings and tuples, and a function holds code, so the
+# table keeps no map, space or vector alive
 _kernels = {}
 
 
@@ -714,14 +722,30 @@ def _kernel(f, g, parts):
     this one law.
     """
     leaves = {}
-    shape = _shape(f, g, parts, leaves)
-    kernel = _kernels.get(shape)
-    if kernel is None:
-        kernel = _kernels[shape] = _Compiler().kernel(shape)
+    return _compiled("kernel", _shape(f, g, parts, leaves), leaves)
+
+
+def _image(f):
+    """f's image of one label as a Vec, compiled from f's stage tree as
+    one side of a law kernel is, once per shape ``(dom arity, tree)``;
+    f's ``apply`` if its leaves would nest more than ``_MAX_LOOPS`` loops."""
+    leaves = {}
+    tree, loops = _tree(f, leaves)
+    if loops > _MAX_LOOPS:
+        return f.apply
+    return _compiled("image", (f.dom.arity, tree), leaves)
+
+
+def _compiled(kind, shape, leaves):
+    """The ``kind`` function (kernel or image) of ``shape``, bound to each
+    leaf's ``apply`` and memo lookup, in the leaves' order of first use."""
+    made = _kernels.get(shape)
+    if made is None:
+        made = _kernels[shape] = getattr(_Compiler(), kind)(shape)
     args = []
     for m in leaves:
         args += (m.apply, None if m._cache is None else m._cache.get)
-    return functools.partial(kernel, *args)
+    return functools.partial(made, *args)
 
 
 def _shape(f, g, parts, leaves):
@@ -763,7 +787,8 @@ def _leaf(m, leaves):
 
 
 class _Compiler:
-    """Writes and makes the law kernel of one shape; see ``_kernel``.
+    """Writes and makes the law kernel of one shape (see ``_kernel``), or
+    the image function of one map's shape (see ``_image``).
 
     It reads the shape only, never a map.  Leaf i's ``apply`` and memo
     lookup are the parameters ``Li`` and ``Mi``.  While compiling, a
@@ -802,15 +827,25 @@ class _Compiler:
         self.line(depth, "if lhs != rhs:")
         self.line(depth + 1, "return n, %s, lhs, rhs" % self.whole(label))
         self.line(0, "return n, None, None, None")
-        params = (["L%d, M%d" % (i, i) for i in range(self.leaves)]
-                  + ["W%d" % i for i in range(len(arities))])
-        source = "def kernel(%s):\n%s\n" % (
-            ", ".join(params), "\n".join("    " + l for b in self.lines for l in b))
-        env = {}
-        exec(compile(source, "<law kernel>", "exec"), env)
+        return self.made("kernel", ["W%d" % i for i in range(len(arities))])
+
+    def image(self, shape):
+        arity, tree = shape
+        self.open(0, ("x",))
+        self.side(tree, self.factors("x", arity), "out", 0)
+        self.line(0, "return _vec(out)")
+        return self.made("image", ["x"])
+
+    def made(self, name, params):
+        "The function ``name`` of the lines written: the leaves' parameters, then ``params``."
+        params = ["L%d, M%d" % (i, i) for i in range(self.leaves)] + params
+        source = "def %s(%s):\n%s\n" % (
+            name, ", ".join(params), "\n".join("    " + l for b in self.lines for l in b))
+        env = {"_vec": _vec}
+        exec(compile(source, "<%s>" % name, "exec"), env)
         # taken out of the globals it was defined in, so that only the
         # table keeps the function alive, and no cycle does
-        return env.pop("kernel")
+        return env.pop(name)
 
     def side(self, tree, label, out, depth):
         "Emit one side of the law, leaving its image's entries in ``out``."

@@ -10,7 +10,10 @@ subscripts for coproducts:
     (h (x) a) . (h' (x) a') = gamma(a_1, h'_(-1)) h.h'_(0) (x) a_2.a'
     delta(h (x) a) = (h_1 (x) (h_2)_(-1).a_1) (x) ((h_2)_(0) (x) a_2)
 
-Both are law-checked on a validation window as part of construction; the
+Each structure map of the product is its formula drawn as a string
+diagram: the factors' structure maps, the coaction, gamma and wires,
+composed and tensored, so the construction needs no more than a
+symmetric monoidal additive category offers.  All are law-checked on a validation window as part of construction; the
 checks are the executable content of the underlying proposition, not an
 optional extra.  Each ComoduleBimonoid builds its product once, and the
 suite runs again only for a window larger than any on which it passed.
@@ -21,14 +24,14 @@ A-comodules and comodules over the product ring.
 from __future__ import annotations
 
 from .laws import (
-    VALIDATION_WINDOW, Bimonoid, Comodule, LawViolation, Report, Verified,
+    VALIDATION_WINDOW, Bimonoid, Comodule, Report, Verified,
     check_bialgebra_laws, check_comodule_morphism, coelement_braiding,
     comodule_braiding, plain_swap, tensor_comodule, unit_comodule,
     verify,
 )
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, equal_on_window,
-    identity_map, memoised, pair, split_label, tensor_maps, tensor_space,
+    SpaceMismatch, equal_on_window, identity_map, memoised, perm_map,
+    tensor_maps, tensor_space,
 )
 
 
@@ -110,87 +113,47 @@ def semidirect_product(HB, window=VALIDATION_WINDOW):
 
 
 def _build_product(HB):
-    "The structure maps of H >< A, unverified."
-    H, A = HB.hopf, HB.ring
-    gamma = HB.coelement.gamma
-    coact = HB.comodule.coaction
-    Hs, As = H.carrier, A.carrier
-    Q = tensor_space(Hs, As)
-    QQ = tensor_space(Q, Q)
+    """The structure maps of H >< A, unverified.
 
-    def split_q(label):
-        return split_label(Hs, As, label)
-
-    def mu_fn(label):
-        lq, lq2 = split_label(Q, Q, label)
-        h, a = split_q(lq)
-        hp, ap = split_q(lq2)
-        out = Vec.zero()
-        for a_pair, c1 in A.delta.apply(a).items():
-            a_1, a_2 = split_label(As, As, a_pair)
-            for m_h0, c2 in coact.apply(hp).items():
-                hm, h0 = split_label(As, Hs, m_h0)
-                sign = gamma(a_1, hm)
-                if not sign:
-                    continue
-                hh = H.mu.apply(pair(h, h0))
-                aa = A.mu.apply(pair(a_2, ap))
-                out = out + (c1 * c2 * sign) * hh.tensor(aa)
-        return out
-
-    def delta_fn(label):
-        h, a = split_q(label)
-        out = Vec.zero()
-        for h_pair, c1 in H.delta.apply(h).items():
-            h_1, h_2 = split_label(Hs, Hs, h_pair)
-            for a_pair, c2 in A.delta.apply(a).items():
-                a_1, a_2 = split_label(As, As, a_pair)
-                for m_h0, c3 in coact.apply(h_2).items():
-                    hm, h0 = split_label(As, Hs, m_h0)
-                    first = Vec.basis(h_1).tensor(A.mu.apply(pair(hm, a_1)))
-                    second = Vec.basis(pair(h0, a_2))
-                    out = out + (c1 * c2 * c3) * first.tensor(second)
-        return out
-
-    mu = LinMap(QQ, Q, mu_fn, name="mu")
-    eta = LinMap(UNIT_SPACE, Q, lambda l: H.eta.apply(UNIT).tensor(A.eta.apply(UNIT)),
-                 name="eta")
-    delta = LinMap(Q, QQ, delta_fn, name="delta")
-    epsilon = LinMap(Q, UNIT_SPACE,
-                     lambda l: H.epsilon(Vec.basis(split_q(l)[0]))
-                     .tensor(A.epsilon(Vec.basis(split_q(l)[1]))),
-                     name="epsilon")
-
-    antipode = None
-    if H.antipode is not None and A.antipode is not None:
-        antipode = _antipode_map(HB, mu, Q)
-
-    return SemidirectRing(Q, mu, eta, delta, epsilon, antipode, HB)
-
-
-def _antipode_map(HB, mu, Q):
-    """The biproduct antipode, multiplied out with the product's own ``mu``.
+    Each is the module docstring's formula as a memoised composite of
+    the factors' structure maps, the coaction, gamma and wires.  The
+    antipode is the biproduct formula
 
         S(h (x) a) = (1 (x) S_A(h_(-1) a)) . (S_H(h_(0)) (x) 1)
 
-    (Radford, J. Algebra 1985; Majid, J. Algebra 1994).
+    multiplied out with the product's own ``mu`` (Radford, J. Algebra
+    1985; Majid, J. Algebra 1994).
     """
     H, A = HB.hopf, HB.ring
-    coact = HB.comodule.coaction
     Hs, As = H.carrier, A.carrier
-    one_h, one_a = H.eta.apply(UNIT), A.eta.apply(UNIT)
+    coact = HB.comodule.coaction
+    idh, ida = identity_map(Hs), identity_map(As)
 
-    def fn(label):
-        h, a = split_label(Hs, As, label)
-        out = Vec.zero()
-        for m_h0, c in coact.apply(h).items():
-            hm, h0 = split_label(As, Hs, m_h0)
-            left = one_h.tensor(A.antipode(A.mu.apply(pair(hm, a))))
-            right = H.antipode.apply(h0).tensor(one_a)
-            out = out + c * mu(left.tensor(right))
-        return out
+    # h, a_1, a_2, h'_(-1), h'_(0), a'  ->  a_1, h'_(-1), h, h'_(0), a_2, a'
+    mu = _kept("mu", idh @ A.delta @ coact @ ida
+               >> perm_map([Hs, As, As, As, Hs, As], (1, 3, 0, 4, 2, 5))
+               >> HB.coelement.as_map() @ H.mu @ A.mu)
+    eta = _kept("eta", H.eta @ A.eta)
+    # h_1, (h_2)_(-1), (h_2)_(0), a_1, a_2  ->  h_1, (h_2)_(-1), a_1, (h_2)_(0), a_2
+    delta = _kept("delta", H.delta @ A.delta >> idh @ coact @ ida @ ida
+                  >> perm_map([Hs, As, Hs, As, As], (0, 1, 3, 2, 4))
+                  >> idh @ A.mu @ idh @ ida)
+    epsilon = _kept("epsilon", H.epsilon @ A.epsilon)
 
-    return LinMap(Q, Q, fn, name="antipode")
+    antipode = None
+    if H.antipode is not None and A.antipode is not None:
+        # h_(-1), h_(0), a  ->  h_(-1), a, h_(0)
+        antipode = _kept("antipode", coact @ ida >> perm_map([As, Hs, As], (0, 2, 1))
+                         >> A.mu @ H.antipode >> H.eta @ A.antipode @ idh @ A.eta >> mu)
+
+    return SemidirectRing(tensor_space(Hs, As), mu, eta, delta, epsilon, antipode, HB)
+
+
+def _kept(name, f):
+    "The composite ``f`` memoised as the structure map ``name``."
+    m = memoised(f)
+    m.name = name
+    return m
 
 
 def semidirect_antipode(HB, window=VALIDATION_WINDOW):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import random
@@ -549,7 +550,8 @@ def assert_kernel_agrees(m, windows, case):
     """The kernel pits m, compiled, against m as an opaque leaf evaluated
     through ``apply``; equal dicts also mean the compiled side stores no
     zero, since an image from ``apply`` holds none."""
-    n, label, lhs, rhs = linalg._kernel(m, memoised(m), m.dom.parts)(*windows)
+    opaque = LinMap(m.dom, m.cod, m.apply, name=m.name)
+    n, label, lhs, rhs = linalg._kernel(m, opaque, m.dom.parts)(*windows)
     assert lhs is None, (case, label, lhs, rhs)
     assert n == math.prod(map(len, windows)), case
 
@@ -563,13 +565,17 @@ def test_compiled_wiring_agrees_with_apply(ring_name, p4, p3a, p3b, seed):
     for case, m in cases.items():
         for K in (1, 2):
             assert_kernel_agrees(m, part_windows(m.dom, K, rng), case)
+        # the same compiler's image of m, label by label
+        image = memoised(m).fn
+        for labels in itertools.product(*part_windows(m.dom, 1, rng)):
+            assert image(pair(*labels)) == m.apply(pair(*labels)), (case, labels)
 
 
 def _law_sides():
     "Both sides of every law the bialgebra and coelement suites build over Z^2 and P."
     sides = {}
     coelements = {
-        "Z^2": sign_coelement(Bicharacter(2, (-1, 1)), RINGS["Z^2"]),
+        "Z^2": sign_coelement(Bicharacter(2, (-1, 1))),
         "P": Coelement(RINGS["P"], lambda a, b: -1 if (a[2][0] + a[2][1] * b[2][1]) % 2
                        else 1, name="parity"),
     }
@@ -649,6 +655,22 @@ def test_a_composite_deeper_than_the_loop_limit_is_evaluated_by_apply(monkeypatc
     applied = spy_apply(monkeypatch)
     assert equal_on_window(m, reference, 40) == CheckResult("", "equal", size)
     assert m in applied
+
+
+@pytest.mark.parametrize("leaves", [linalg._MAX_LOOPS, linalg._MAX_LOOPS + 1])
+def test_a_memoised_composite_deeper_than_the_loop_limit_is_evaluated_by_apply(leaves):
+    # one loop per leaf: twenty compile into an image, twenty-one are left
+    # to the composite's apply
+    Z = RINGS["Z^2"]
+    chain = Z.antipode
+    for _ in range(leaves - 1):
+        chain = compose_maps(chain, Z.antipode)
+    m = memoised(chain)
+    assert (m.fn == chain.apply) == (leaves > linalg._MAX_LOOPS)
+    # the antipode of the group ring is an involution
+    want = Z.antipode if leaves % 2 else identity_map(Z.carrier)
+    for label in Z.carrier.enumerate(2):
+        assert m.apply(label) == want.apply(label)
 
 
 def spy_apply(monkeypatch):

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from hopfchains.grading import (
-    Bicharacter, GradedModule, graded_to_comodule, laurent_hopf, monomial,
+    Bicharacter, GradedModule, degree_of, graded_to_comodule, laurent_hopf, monomial,
     sign_coelement,
 )
 from hopfchains.laws import (
-    VALIDATION_WINDOW, Coelement, Comodule, IllegalComodule, check_bialgebra_laws,
+    VALIDATION_WINDOW, Coelement, Comodule, IllegalComodule, LawViolation,
+    check_bialgebra_laws, check_coelement, comodule_braiding, distributive_law_tau,
     plain_swap, tensor_comodule, trivial_comodule, verify,
 )
 from hopfchains.linalg import (
@@ -16,11 +17,11 @@ from hopfchains.linalg import (
     tensor_space,
 )
 from hopfchains.chains import ChainComplex, mat, random_complex
-from hopfchains import laws, semidirect
+from hopfchains import laws, linalg, semidirect
 from hopfchains.diffhopf import build_differential_hopf
 from hopfchains.pareigis import chain_to_wcomodule, differential_comodule_bimonoid
 from hopfchains.semidirect import (
-    ComoduleBimonoid, LawViolation, SemidirectRing, WComodule, comparison_f,
+    ComoduleBimonoid, SemidirectRing, WComodule, comparison_f,
     comparison_f_inverse, semidirect_antipode, semidirect_product,
     tensor_wcomodule,
 )
@@ -182,6 +183,33 @@ def test_trivial_coelement_and_coaction_give_the_plain_tensor_bimonoid():
     assert equal_on_window(sd.antipode, composite_antipode(hb, sd.carrier), 6).equal
 
 
+def skew_coelement():
+    """gamma(x^g, x^h) = (-1)^(g_1 h_2) on Z^2, a bicharacter that is not
+    symmetric: gamma(x^(1,0), x^(0,1)) = -1 but gamma(x^(0,1), x^(1,0)) = +1."""
+    return Coelement(laurent_hopf(2),
+                     lambda a, b: -1 if degree_of(a)[0] * degree_of(b)[1] % 2 else 1,
+                     name="skew")
+
+
+def test_a_skew_coelement_fixes_the_order_of_gammas_arguments():
+    gamma = skew_coelement()
+    assert check_coelement(gamma, 2).ok
+    # D = Z in degree (1, 1): gamma(x^(1,1), x^(1,1)) = -1, so it is admissible
+    D = graded_to_comodule(GradedModule.of({(1, 1): 1}, rank=2, name="d"), gamma.ring)
+    hb = build_differential_hopf(D, gamma, window=2)
+    sd = semidirect_product(hb, window=2)
+    d, one = left(atom("d", 1, 1, 0)), right(UNIT)
+    # (1 (x) x^(1,0)) . (d (x) x^0) = gamma(x^(1,0), x^(1,1)) d (x) x^(1,0),
+    # where gamma(x^(1,1), x^(1,0)) would be +1
+    got = sd.mu.apply(pair(one, monomial(1, 0), d, monomial(0, 0)))
+    assert got == Vec.basis(pair(d, monomial(1, 0)), -1)
+    # x (x) y |-> gamma(y_(-1), x_(-1)) y (x) x = gamma(x^(0,1), x^(1,0)) y (x) x
+    X, Y = (graded_to_comodule(GradedModule.of({deg: 1}, rank=2, name=name), gamma.ring)
+            for deg, name in (((1, 0), "x"), ((0, 1), "y")))
+    (x,), (y,) = X.carrier.enumerate(0), Y.carrier.enumerate(0)
+    assert comodule_braiding(X, Y, gamma).apply(pair(x, y)) == Vec.basis(pair(y, x))
+
+
 def test_law_violation_on_illegal_input():
     # I + D under the trivial coelement is not a bimonoid: the interchange
     # needs the -1 braiding on d (x) d.
@@ -238,6 +266,48 @@ def test_comparison_is_strict_monoidal_on_samples():
         rhs = tensor_comodule(comparison_f(B, window=0),
                               comparison_f(C, window=0), check_window=None)
         assert equal_on_window(lhs.coaction, rhs.coaction, 0).equal
+
+
+# ---------------------------------------------------------------------------
+# memoised composites: each miss is evaluated by a compiled image
+
+
+@pytest.fixture
+def kept(monkeypatch):
+    "(composite, memoised map) for each composite the library memoises from now on."
+    pairs = []
+
+    def spy(f):
+        m = linalg.memoised(f)
+        if m is not f:
+            pairs.append((f, m))
+        return m
+    for module in (laws, semidirect):
+        monkeypatch.setattr(module, "memoised", spy)
+    return pairs
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+def test_every_memoised_composite_agrees_with_its_plain_apply(kept, s):
+    hb = differential_comodule_bimonoid(s)
+    sd = semidirect_product(hb, window=None)
+    tau = distributive_law_tau(hb.comodule)
+    trivial = trivial_comodule(hb.ring, hb.hopf.carrier)
+    both = tensor_comodule(hb.comodule, hb.comodule)
+    X = random_complex(random.Random(5), name="m", max_window=3, max_rank=2)
+    FB = comparison_f(chain_to_wcomodule(X, s, hb), window=0)
+    back = comparison_f_inverse(FB, window=0)
+    composite = {m: f for f, m in kept}
+    built = [sd.mu, sd.eta, sd.delta, sd.epsilon, sd.antipode, tau,
+             trivial.coaction, both.coaction, FB.coaction, back.alpha, back.chi]
+    assert all(m in composite for m in built)
+    assert [m.name for m in built[:6]] == ["mu", "eta", "delta", "epsilon", "antipode", "tau"]
+    for m, f in composite.items():
+        # a miss goes to the compiled image, not to the composite's apply
+        assert m.fn != f.apply, m.name
+        for label in f.dom.enumerate(2):
+            assert m.fn(label) == f.apply(label), (m.name, label)
+            assert m.apply(label) == f.apply(label), (m.name, label)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +374,7 @@ def test_a_failing_product_raises_every_time(product_suites):
 @pytest.mark.parametrize("window", [None, VALIDATION_WINDOW])
 def test_a_comodule_on_another_carrier_of_the_same_name_is_refused(window):
     # both rings live on (Sigma(d)+I), with d in degree 1 and in degree 3
-    gamma = sign_coelement(Bicharacter(1, (-1,)), laurent_hopf(1))
+    gamma = sign_coelement(Bicharacter(1, (-1,)))
     hb1, hb2 = (build_differential_hopf(
         graded_to_comodule(GradedModule.of({k: 1}, name="d"), gamma.ring), gamma)
         for k in (1, 3))
