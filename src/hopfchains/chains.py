@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import functools
 
-from .diffhopf import _is_int, _json_type, build_differential_hopf
+from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Comodule
 from .linalg import (
-    UNIT, CheckResult, Counterexample, LinMap, Vec, _interned, atom,
-    equal_on_window, finite_space, left, pair, right, split_label, tensor_space,
+    UNIT, CheckResult, Counterexample, LinMap, Vec, _interned, _is_int, _json_type,
+    atom, equal_on_window, finite_space, left, pair, right, split_label,
+    tensor_space,
 )
 
 
@@ -305,8 +306,10 @@ class ChainMap:
         return True
 
     def then(self, other):
-        if other.src is not self.tgt and other.src.ranks != self.tgt.ranks:
-            raise IllegalChain("composition shape mismatch")
+        "self, then other; other's source must be the complex self lands in."
+        if other.src != self.tgt:
+            raise IllegalChain("cannot compose: the map ends at %r, the next starts at "
+                               "another complex, %r" % (self.tgt, other.src))
         blocks = {}
         for n, b in self.blocks.items():
             c = _product(other.blocks.get(n), b)
@@ -508,6 +511,10 @@ class GradedMap:
         _check_shapes("g", self.blocks, lambda n: (tgt.dim_at(n), src.dim_at(n)))
 
     def then(self, other):
+        "self, then other; other's source must be the module self lands in."
+        if (other.src.rank, other.src.components) != (self.tgt.rank, self.tgt.components):
+            raise IllegalChain("cannot compose: the map ends at %r, the next starts at "
+                               "another module, %r" % (self.tgt, other.src))
         blocks = {}
         for (n,), _ in self.src.components:
             c = _product(other.blocks.get(n), self.blocks.get(n))

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, comodule_braiding
 from .linalg import (
-    UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, equal_on_window,
-    identity_map, left, pair, right, scale_map, split_label, sum_space,
-    tensor_space,
+    UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, _is_int, _json_type,
+    equal_on_window, identity_map, left, pair, right, scale_map, split_label,
+    sum_space, tensor_space,
 )
 from .semidirect import ComoduleBimonoid
 
@@ -45,19 +45,6 @@ def cyclic_tensor(a, b):
 def _cyclic_name(n):
     "Z/n by its order, with 0 meaning Z."
     return "Z" if n == 0 else "Z/%d" % n
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
-               int: "a number", float: "a number", type(None): "null"}
-
-
-def _json_type(value):
-    "How a parsed JSON value reads in a message, e.g. ``a list``."
-    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 @dataclass(frozen=True)
@@ -213,7 +200,7 @@ def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW):
 
     A = coelement.ring
     Ds = D.carrier
-    H = sum_space(Ds, UNIT_SPACE, name="(%s+I)" % Ds.name)
+    H = sum_space(Ds, UNIT_SPACE)
     HH = tensor_space(H, H)
 
     def mu_fn(label):

@@ -17,11 +17,10 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 
-from .diffhopf import _is_int, _json_type
 from .laws import Bimonoid, Coelement, Comodule, IllegalComodule
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, atom, finite_space, pair,
-    split_label, tensor_space,
+    UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, _is_int, _json_type, atom,
+    finite_space, pair, split_label, tensor_space,
 )
 
 
@@ -31,17 +30,11 @@ def laurent_space(r):
 
 
 def _laurent_space(r):
-    name = "Z" if r == 1 else "Z^%d" % r
-
-    def contains(label):
-        return (label != UNIT and label[0] == "a" and label[1] == "x"
-                and len(label[2]) == r)
-
     def window(K):
         rng = range(-K, K + 1)
         return [atom("x", *g) for g in product(rng, repeat=r)]
 
-    return Space(name, 1, contains, window=window)
+    return Space("Z" if r == 1 else "Z^%d" % r, 1, window)
 
 
 def monomial(*g):

@@ -5,8 +5,8 @@ Everything downstream is built from four ingredients:
 * basis labels -- hashable tagged tuples with a canonical (strictly
   associative, strictly unital) tensor structure,
 * ``Vec`` -- finitely supported integer combinations of labels,
-* ``Space`` -- a named basis: a validity predicate plus a window
-  enumerator ``enumerate(K)`` that is monotone in ``K``,
+* ``Space`` -- a named basis given by its windows: a name, an arity
+  and a window enumerator ``enumerate(K)`` that is monotone in ``K``,
 * ``LinMap`` -- a linear map given label-wise and extended by linearity.
 
 Map equality is decided exactly on windows: ``equal_on_window(f, g, K)``
@@ -146,6 +146,20 @@ def label_from_json(data):
     return label
 
 
+def _is_int(value):
+    "Is a parsed JSON value an integer (not a boolean)?"
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(value):
+    "How a parsed JSON value reads in a message, e.g. ``a list``."
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def _label_from_json(data):
     tag = data[0]
     if tag == "1":
@@ -278,31 +292,30 @@ class SpaceMismatch(Exception):
 
 
 class Space:
-    """A named based space: validity predicate plus window enumeration.
+    """A named based space: a name, an arity and a window.
 
     ``arity`` counts primitive tensor factors per label, which is what
     makes the strictified tensor splittable: a label of ``X (x) Y`` is cut
-    after the first ``X.arity`` factors.  Spaces with a finite basis
-    enumerate it for every window.
+    after the first ``X.arity`` factors.  The window ``enumerate(K)`` is
+    the only description of the basis: every law is decided on the
+    labels it lists.  A space with a finite basis lists all of it for
+    every window.
 
     The constructors (``finite_space``, ``tensor_space``, ``sum_space``
     and the ring carriers) intern their spaces: while a space is alive,
     every construction from the same data returns that one object, so
     two spaces are one space exactly when they are the same object
     (``is``).  A space made by calling ``Space`` directly is its own,
-    unlike any other.  A name is part of the data of a finite space and
-    a direct sum, but no check compares names on their own.
+    unlike any other.  A name is part of the data of a finite space
+    only, and no check compares names on their own.
     """
 
-    __slots__ = ("name", "arity", "contains", "_window", "basis", "_parts",
-                 "__weakref__")
+    __slots__ = ("name", "arity", "_window", "_parts", "__weakref__")
 
-    def __init__(self, name, arity, contains, window=None, basis=None):
+    def __init__(self, name, arity, window):
         self.name = name
         self.arity = arity
-        self.contains = contains
         self._window = window
-        self.basis = None if basis is None else list(basis)
         self._parts = None
 
     @property
@@ -316,8 +329,6 @@ class Space:
 
     def enumerate(self, K):
         "Labels inside window K, in deterministic order; monotone in K."
-        if self.basis is not None:
-            return list(self.basis)
         return list(self._window(K))
 
     def __repr__(self):
@@ -347,11 +358,10 @@ def finite_space(name, basis):
 
 
 def _finite_space(name, basis):
-    members = set(basis)
-    return Space(name, 1, lambda l: l in members, basis=basis)
+    return Space(name, 1, lambda K: basis)
 
 
-UNIT_SPACE = Space("I", 0, lambda l: l == UNIT, basis=[UNIT])
+UNIT_SPACE = Space("I", 0, lambda K: (UNIT,))
 UNIT_SPACE._parts = ()
 
 
@@ -370,23 +380,8 @@ def tensor_space(X, Y):
 
 def _tensor_space(parts):
     name = "(" + "*".join(p.name for p in parts) + ")"
-    arities = [p.arity for p in parts]
-
-    def contains(label, parts=parts, arities=arities):
-        fs = factors(label)
-        if len(fs) != sum(arities):
-            return False
-        pos = 0
-        for p, a in zip(parts, arities):
-            if not p.contains(pair(*fs[pos:pos + a])):
-                return False
-            pos += a
-        return True
-
-    def window(K, parts=parts):
-        return _joined(parts, [p.enumerate(K) for p in parts])
-
-    space = Space(name, sum(arities), contains, window=window)
+    space = Space(name, sum(p.arity for p in parts),
+                  lambda K: _joined(parts, [p.enumerate(K) for p in parts]))
     space._parts = parts
     return space
 
@@ -401,21 +396,17 @@ def _joined(parts, windows):
     return [sum(combo, (_TENSOR,)) for combo in itertools.product(*cuts)]
 
 
-def sum_space(X, Y, name=None):
-    "Direct sum; labels are Left/Right-tagged labels of the summands."
-    return _interned(_sum_space, X, Y, name or "(%s+%s)" % (X.name, Y.name))
+def sum_space(X, Y):
+    """Direct sum ``(X+Y)``, interned by its summands; labels are
+    Left/Right-tagged labels of the summands."""
+    return _interned(_sum_space, X, Y)
 
 
-def _sum_space(X, Y, name):
-    def contains(label):
-        if label == UNIT or label[0] not in (_LEFT, _RIGHT):
-            return False
-        return X.contains(label[1]) if label[0] == _LEFT else Y.contains(label[1])
-
+def _sum_space(X, Y):
     def window(K):
         return [left(l) for l in X.enumerate(K)] + [right(l) for l in Y.enumerate(K)]
 
-    return Space(name, 1, contains, window=window)
+    return Space("(%s+%s)" % (X.name, Y.name), 1, window)
 
 
 def split_label(X, Y, label):

@@ -16,15 +16,18 @@ checks all five structure maps agree label-for-label.
 from __future__ import annotations
 
 import functools
+import json
 
 from .chains import ChainComplex, ChainMap, IllegalChain, _agree, _product, zeros
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Bimonoid, Comodule, IllegalComodule, Report
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, atom, equal_on_window,
-    identity_map, left, pair, right, split_label, tensor_maps, tensor_space,
+    UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, _is_int, _json_type, atom,
+    equal_on_window, finite_space, identity_map, label_from_json, label_key,
+    label_to_json, left, pair, right, split_label, tensor_maps, tensor_space,
 )
+from .semidirect import WComodule
 
 XI = "xi"
 XI_INV = "xi'"
@@ -109,16 +112,10 @@ def pareigis_space(s):
 
 
 def _pareigis_space(s):
-    name = "P" if s == -1 else "P+"
-
-    def contains(label):
-        return (label != UNIT and label[0] == "a" and label[1] == _FAMILY
-                and label[2][0] in (0, 1))
-
     def window(K):
         return [monomial(a, k) for a in (0, 1) for k in range(-K, K + 1)]
 
-    return Space(name, 1, contains, window=window)
+    return Space("P" if s == -1 else "P+", 1, window)
 
 
 def pareigis_ring(s=-1):
@@ -411,8 +408,6 @@ def chain_to_wcomodule(X, s, hb=None):
     Without ``hb`` it is the I + D that ``identify_semidirect`` shares,
     built and verified once per sign.
     """
-    from .semidirect import WComodule
-
     hb = hb or _identified_bimonoid(s)
     A = hb.ring
     H = hb.hopf
@@ -444,10 +439,6 @@ def comodule_to_json(B):
     Coaction values are triples [coeff, ring label, carrier label]; keys
     are the JSON encodings of the basis labels.
     """
-    import json
-
-    from .linalg import label_key, label_to_json
-
     ring_name = "pareigis" if B.ring.s == -1 else "pareigis-plus"
     P = B.ring.carrier
     basis = B.carrier.enumerate(0)
@@ -472,11 +463,6 @@ def comodule_from_json(doc):
     the label or the expected shape; a coaction that breaks a comodule
     law raises ``IllegalComodule``.
     """
-    import json
-
-    from .diffhopf import _is_int, _json_type
-    from .linalg import finite_space, label_from_json
-
     if not isinstance(doc, dict):
         raise ValueError('a comodule is a JSON object with "ring", "basis" and "coaction", '
                          'not %s' % _json_type(doc))
@@ -493,14 +479,14 @@ def comodule_from_json(doc):
     basis = [label_from_json(b) for b in doc["basis"]]
     if len(set(basis)) != len(basis):
         raise ValueError("the basis lists a label twice")
-    carrier = finite_space("comodule", basis)
+    members = set(basis)
     table = {}
     for key, terms in doc["coaction"].items():
         try:
             b = label_from_json(json.loads(key))
         except ValueError:
             raise ValueError("the coaction key %r does not encode a label" % key) from None
-        if not carrier.contains(b):
+        if b not in members:
             raise ValueError("the coaction key %s is not a basis label" % key)
         if not isinstance(terms, list):
             raise ValueError("the coaction under basis key %s is a list, not %s"
@@ -518,7 +504,7 @@ def comodule_from_json(doc):
             if not _is_monomial(r):
                 raise ValueError("ring label %s under basis key %s is not psi^a xi^k"
                                  % (json.dumps(rdata), key))
-            if not carrier.contains(x):
+            if x not in members:
                 raise ValueError("label %s under basis key %s is not a basis label"
                                  % (json.dumps(xdata), key))
             out = out + c * Vec.basis(pair(r, x))
@@ -526,6 +512,7 @@ def comodule_from_json(doc):
     for b, data in zip(basis, doc["basis"]):
         if b not in table:
             raise ValueError("basis label %s has no coaction entry" % json.dumps(data))
+    carrier = finite_space("comodule", basis)
     coaction = LinMap(carrier, tensor_space(ring.carrier, carrier),
                       lambda l: table[l], name="beta")
     return Comodule(ring, carrier, coaction, check_window=0)

@@ -363,6 +363,27 @@ def test_a_graded_map_block_of_the_wrong_shape_names_its_degree():
         GradedMap(M, M, {1: []})
 
 
+def test_maps_whose_ends_do_not_meet_are_not_composed():
+    # equal ranks, different differentials: d = [[1]] against d = 0
+    A = ChainComplex({1: 1, 0: 1}, {1: mat([[1]])}, name="a")
+    A0 = ChainComplex({1: 1, 0: 1}, {}, name="a0")
+    with pytest.raises(IllegalChain, match=r"ends at ChainComplex\(a: .*ChainComplex\(a0: "):
+        identity_chain_map(A).then(identity_chain_map(A0))
+    # an equal complex that is another object meets it
+    twin = ChainComplex({1: 1, 0: 1}, {1: mat([[1]])}, name="twin")
+    assert identity_chain_map(A).then(identity_chain_map(twin)) == identity_chain_map(A)
+    # Z in degree 0 against Z in degree 1
+    M = GradedModule.of({0: 1}, rank=1, name="m")
+    N, N2 = GradedModule.of({0: 1}, rank=1, name="n"), GradedModule.of({1: 1}, rank=1, name="n2")
+    P = GradedModule.of({1: 1}, rank=1, name="p")
+    f, g = GradedMap(M, N, {0: [[1]]}), GradedMap(N2, P, {1: [[1]]})
+    with pytest.raises(IllegalChain, match=r"ends at .*name='n'.* another module, .*name='n2'"):
+        f.then(g)
+    # a module of other name, equal rank and components meets it
+    h = GradedMap(GradedModule.of({0: 1}, rank=1, name="n3"), M, {0: [[2]]})
+    assert f.then(h) == GradedMap(M, M, {0: [[2]]})
+
+
 def test_graded_maps_compare_unequal_to_other_objects():
     g = underlying_graded_map(identity_chain_map(two_step()))
     assert (g == 3) is False and g != 3

@@ -1,9 +1,13 @@
-"""Every name a module of the package imports is read somewhere in it.
+"""Every name a module of the package imports is read somewhere in it,
+and every import sits at the top level of its module.
 
-The check reads the source with the standard library's ``ast`` only:
+The checks read the source with the standard library's ``ast`` only:
 a name bound by ``import`` or ``from ... import`` (not ``__future__``)
 must be loaded by some expression of the same module.  ``__init__.py``
-is left out, because it imports names to export them.
+is left out of that check, because it imports names to export them.
+No module imports inside a function or class body: the package has no
+import cycle that such an import would break, so a module's imports
+are all in one place.
 """
 
 import ast
@@ -41,3 +45,31 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(modules) > 5
     unread = {p.name: unread_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def nested_imports(source):
+    "The line numbers of the imports inside a function or class body, sorted."
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            lines.update(n.lineno for n in ast.walk(node)
+                         if isinstance(n, (ast.Import, ast.ImportFrom)))
+    return sorted(lines)
+
+
+def test_the_check_sees_an_import_inside_a_body():
+    source = ("import json\n"
+              "def f():\n"
+              "    def g():\n"
+              "        import os\n"
+              "    return json\n"
+              "class C:\n"
+              "    from .linalg import Vec\n")
+    assert nested_imports(source) == [4, 7]
+
+
+def test_every_import_is_at_the_top_level_of_its_module():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    nested = {p.name: nested_imports(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in nested.items() if lines} == {}

@@ -181,24 +181,29 @@ def test_sum_space_window_enumeration():
     S = finite_space("S", [atom("d")])
     H = sum_space(S, UNIT_SPACE)
     assert H.enumerate(3) == [left(atom("d")), right(UNIT)]
-    assert H.contains(left(atom("d")))
-    assert not H.contains(atom("d"))
 
 
 def supported_on_codomain(f, K):
-    "Do the outputs of f on window K land on valid codomain labels?"
+    "Do the outputs of f on window K lie in its codomain's window 2K?"
+    window = set(f.cod.enumerate(2 * K))
     for l in f.dom.enumerate(K):
         for out_label in f.apply(l).entries:
-            if not f.cod.contains(out_label):
+            if out_label not in window:
                 return False, (l, out_label)
     return True, None
 
 
 def test_structure_maps_land_on_valid_codomain_labels():
-    Z = laurent_hopf(1)
-    for f in (Z.mu, Z.delta, Z.antipode, Z.epsilon, Z.eta):
-        ok, witness = supported_on_codomain(f, 2)
-        assert ok, witness
+    rings = {"Z": laurent_hopf(1), "Z^2": laurent_hopf(2),
+             "P": pareigis_ring(-1), "P+": pareigis_ring(1)}
+    for s in (-1, 1):
+        hb = differential_comodule_bimonoid(s)
+        rings["I+D[s=%+d]" % s] = hb.hopf
+        rings["(I+D)><Z[s=%+d]" % s] = hb.product()
+    for name, ring in rings.items():
+        for f in (ring.mu, ring.delta, ring.antipode, ring.epsilon, ring.eta):
+            ok, witness = supported_on_codomain(f, 2)
+            assert ok, (name, f, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +235,7 @@ vecs = st.dictionaries(labels, st.integers(-3, 3), max_size=4).map(Vec)
 
 
 def space_of_arity(n, name="S"):
-    return Space("%s%d" % (name, n), n, lambda l: True, window=lambda K: [])
+    return Space("%s%d" % (name, n), n, lambda K: [])
 
 
 @settings(deadline=None)
@@ -343,9 +348,11 @@ MONOTONE_SPACES = _monotone_spaces()
 @pytest.mark.parametrize("name", MONOTONE_SPACES)
 def test_window_enumeration_is_monotone(name):
     space = MONOTONE_SPACES[name]
-    # the premise that lets a law pass at window K stand for every K' <= K
+    # the premise that lets a law pass at window K stand for every K' <= K;
+    # a label listed twice would be counted twice in a check's instances
     for K in range(6):
         assert set(space.enumerate(K)) <= set(space.enumerate(K + 1))
+        assert len(set(space.enumerate(K))) == len(space.enumerate(K))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +482,6 @@ def test_spaces_are_interned_by_their_data():
     assert tensor_space(A, B) is not tensor_space(B, A)
     assert tensor_space(A, UNIT_SPACE) is A and tensor_space(UNIT_SPACE, A) is A
     assert sum_space(A, UNIT_SPACE) is sum_space(A, UNIT_SPACE)
-    assert sum_space(A, UNIT_SPACE) is not sum_space(A, UNIT_SPACE, name="A+1")
     assert sum_space(A, B) is not sum_space(B, A)
 
 
@@ -737,7 +743,7 @@ def test_a_compiled_window_is_never_listed(monkeypatch):
 def test_a_part_of_two_factors_is_cut_into_them():
     A = laurent_hopf(1).carrier
     window = [pair(x(i), x(-i)) for i in range(3)]
-    two = Space("two", 2, lambda l: True, window=lambda K: window)
+    two = Space("two", 2, lambda K: window)
     D = tensor_space(A, two)
     want = [pair(a, w) for a in A.enumerate(40) for w in window]
     assert D.parts == (A, two) and D.enumerate(40) == want

@@ -283,6 +283,8 @@ def _malform_comodule(doc, how):
         doc["coaction"][key][0] = [1, ["1"]]
     elif how == "ring label":
         doc["coaction"][key][0][1] = ["a", "pareigis", [2, 0]]
+    elif how == "stray key":
+        doc["coaction"][json.dumps(["a", "nowhere", [0]])] = doc["coaction"].pop(key)
     elif how == "stray label":
         doc["coaction"][key][0][2] = ["a", "nowhere", [0]]
     elif how == "basis a number":
@@ -297,6 +299,7 @@ def _malform_comodule(doc, how):
     ("bad label", r"\['a'\] does not encode a label"),
     ("pair not triple", r"is a \[coefficient, ring label, basis label\] triple"),
     ("ring label", r"ring label .* is not psi\^a xi\^k"),
+    ("stray key", r'the coaction key \["a", "nowhere", \[0\]\] is not a basis label'),
     ("stray label", r'label \["a", "nowhere", \[0\]\] under basis key .* is not a basis label'),
     ("basis a number", r'"basis" is a list, not a number'),
 ])

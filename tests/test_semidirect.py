@@ -46,7 +46,7 @@ def hb(request):
 
 def test_multiplication_braids_with_a_sign(hb):
     sd = hb.product()
-    s = 1 if hb.comodule.carrier.contains(atom("d", 1, 0)) else -1
+    s = 1 if left(atom("d", 1, 0)) in hb.comodule.carrier.enumerate(0) else -1
     # x^j . (d (x) x^k) = (-1)^j d (x) x^{j+k}
     for j, k in ((1, 0), (2, 3), (-3, 1)):
         want = Vec.basis(dx(s, j + k), (-1) ** j)
@@ -61,7 +61,7 @@ def test_multiplication_braids_with_a_sign(hb):
 
 def test_comultiplication_pushes_the_coaction_into_the_grading_leg(hb):
     sd = hb.product()
-    s = 1 if hb.comodule.carrier.contains(atom("d", 1, 0)) else -1
+    s = 1 if left(atom("d", 1, 0)) in hb.comodule.carrier.enumerate(0) else -1
     got = sd.delta.apply(dx(s, 2))
     want = (Vec.basis(pair(dx(s, 2), ox(2)))
             + Vec.basis(pair(ox(s + 2), dx(s, 2))))
@@ -71,7 +71,7 @@ def test_comultiplication_pushes_the_coaction_into_the_grading_leg(hb):
 
 def test_antipode_components(hb):
     sd = hb.product()
-    s = 1 if hb.comodule.carrier.contains(atom("d", 1, 0)) else -1
+    s = 1 if left(atom("d", 1, 0)) in hb.comodule.carrier.enumerate(0) else -1
     # d (x) x^j |-> (-1)^j d (x) x^{-j-s}
     for j in (0, 3, -2):
         want = Vec.basis(dx(s, -j - s), (-1) ** j)
@@ -158,7 +158,7 @@ def test_trivial_coelement_and_coaction_give_the_plain_tensor_bimonoid():
     gamma = Coelement(A, lambda a, b: 1, name="trivial")
     H = laurent_hopf(1)
     # rename H's carrier so the two tensor factors stay distinguishable
-    carrier = Space("Zh", 1, H.carrier.contains, window=H.carrier._window)
+    carrier = Space("Zh", 1, H.carrier._window)
     relabeled = Bimonoid(
         carrier,
         LinMap(tensor_space(carrier, carrier), carrier, H.mu.fn),
