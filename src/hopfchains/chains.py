@@ -2,8 +2,10 @@
 
 Covers the symmetric monoidal closed structure (tensor with Koszul
 signs, internal hom, currying), the adjoint triple between complexes and
-graded modules, the comparison of the induced comonad with tensoring by
-the two-term Hopf ring carrier, and bicomplexes with a second
+graded modules (a graded module being a complex with no differential,
+and a graded map a chain map between two of them), the comparison of
+the induced comonad with tensoring by the two-term Hopf ring carrier,
+and bicomplexes with a second
 differential whose commutation sign is controlled by the grading
 coelement's kappa.
 
@@ -148,7 +150,7 @@ def _check_shapes(name, blocks, want):
     "Every block name_n has the shape want(n), or IllegalChain names both."
     for n, b in blocks.items():
         if b.shape != want(n):
-            raise IllegalChain("%s_%d has shape %s, expected %s"
+            raise IllegalChain("%s_%s has shape %s, expected %s"
                                % (name, n, b.shape, want(n)))
 
 
@@ -318,11 +320,11 @@ class ChainMap:
         return ChainMap(self.src, other.tgt, blocks, check=False)
 
     def __eq__(self, other):
+        "Equal ends (as complexes, as ``then`` asks) and equal nonzero blocks."
         if not isinstance(other, ChainMap):
             return NotImplemented
-        if self.blocks.keys() != other.blocks.keys():
-            return False
-        return all(b == other.blocks[n] for n, b in self.blocks.items())
+        return (self.src == other.src and self.tgt == other.tgt
+                and self.blocks == other.blocks)
 
     def __repr__(self):
         return "ChainMap(%s -> %s)" % (self.src.name, self.tgt.name)
@@ -367,9 +369,12 @@ def _kron(a, b):
                    a.ncols * b.ncols)
 
 
-def _differentials(ranks):
-    "A zero d_n for every degree n whose target degree n - 1 is nonzero."
-    return {n: zeros(ranks[n - 1], r) for n, r in ranks.items() if n - 1 in ranks}
+def _block_at(blocks, n, shape):
+    "blocks[n], made a zero matrix of this shape when it is first asked for."
+    b = blocks.get(n)
+    if b is None:
+        b = blocks[n] = zeros(*shape)
+    return b
 
 
 def tensor_chains(A, B, name=None):
@@ -391,15 +396,36 @@ def tensor_chains(A, B, name=None):
     """
     name = name or "(%s(x)%s)" % (A.name, B.name)
     ranks, offset = _offsets(A.ranks, B.ranks)
-    diffs = _differentials(ranks)
+    diffs = {}
     for (i, j), col in offset.items():
         da, db = A.diffs.get(i), B.diffs.get(j)
+        if da is None and db is None:
+            continue
+        n = i + j
+        d = _block_at(diffs, n, (ranks[n - 1], ranks[n]))
         if da is not None:
-            _place(diffs[i + j], _kron(da, eye(B.ranks[j])), offset[i - 1, j], col)
+            _place(d, _kron(da, eye(B.ranks[j])), offset[i - 1, j], col)
         if db is not None:
             sign = -1 if i % 2 else 1
-            _place(diffs[i + j], sign * _kron(eye(A.ranks[i]), db), offset[i, j - 1], col)
+            _place(d, sign * _kron(eye(A.ranks[i]), db), offset[i, j - 1], col)
     return ChainComplex(ranks, diffs, name=name)
+
+
+def tensor_chain_maps(f, g):
+    """f (x) g: A (x) B -> A' (x) B', whose block on A_i (x) B_j is the
+    Kronecker product f_i (x) g_j, placed by the ``_offsets`` of both ends.
+    It needs no sign, as f and g keep degrees."""
+    src, tgt = tensor_chains(f.src, g.src), tensor_chains(f.tgt, g.tgt)
+    _, cols = _offsets(f.src.ranks, g.src.ranks)
+    _, rows = _offsets(f.tgt.ranks, g.tgt.ranks)
+    blocks = {}
+    for (i, j), col in cols.items():
+        fb, gb = f.blocks.get(i), g.blocks.get(j)
+        if fb is not None and gb is not None:
+            n = i + j
+            _place(_block_at(blocks, n, (tgt.rank(n), src.rank(n))),
+                   _kron(fb, gb), rows[i, j], col)
+    return ChainMap(src, tgt, blocks, check=False)
 
 
 def chain_symmetry(A, B):
@@ -432,15 +458,19 @@ def internal_hom(B, C, name=None):
     """
     name = name or "[%s,%s]" % (B.name, C.name)
     ranks, offset = _hom_offsets(B.ranks, C.ranks)
-    diffs = _differentials(ranks)
+    diffs = {}
     for (j, k), col in offset.items():
         dc, db = C.diffs.get(k), B.diffs.get(j + 1)
+        if dc is None and db is None:
+            continue
+        n = k - j
+        d = _block_at(diffs, n, (ranks[n - 1], ranks[n]))
         if dc is not None:
-            _place(diffs[k - j], _kron(dc, eye(B.ranks[j])), offset[j, k - 1], col)
+            _place(d, _kron(dc, eye(B.ranks[j])), offset[j, k - 1], col)
         if db is not None:
-            sign = 1 if (k - j) % 2 else -1
+            sign = 1 if n % 2 else -1
             dbt = _Matrix([list(c) for c in zip(*db.rows)], len(db.rows))
-            _place(diffs[k - j], sign * _kron(eye(C.ranks[k]), dbt), offset[j + 1, k], col)
+            _place(d, sign * _kron(eye(C.ranks[k]), dbt), offset[j + 1, k], col)
     return ChainComplex(ranks, diffs, name=name)
 
 
@@ -496,94 +526,57 @@ def evaluation_map(B, C):
 
 
 # ---------------------------------------------------------------------------
-# the adjoint triple against graded modules
-
-
-class GradedMap:
-    """A degree-wise matrix family between rank-1 graded modules; an
-    absent block is zero, and every block g_n has shape
-    (tgt.dim_at(n), src.dim_at(n))."""
-
-    def __init__(self, src, tgt, blocks):
-        self.src = src
-        self.tgt = tgt
-        self.blocks = {n: mat(b) for n, b in blocks.items()}
-        _check_shapes("g", self.blocks, lambda n: (tgt.dim_at(n), src.dim_at(n)))
-
-    def then(self, other):
-        "self, then other; other's source must be the module self lands in."
-        if (other.src.rank, other.src.components) != (self.tgt.rank, self.tgt.components):
-            raise IllegalChain("cannot compose: the map ends at %r, the next starts at "
-                               "another module, %r" % (self.tgt, other.src))
-        blocks = {}
-        for (n,), _ in self.src.components:
-            c = _product(other.blocks.get(n), self.blocks.get(n))
-            if c is not None:
-                blocks[n] = c
-        return GradedMap(self.src, other.tgt, blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedMap):
-            return NotImplemented
-        return all(_agree(self.blocks.get(n), other.blocks.get(n))
-                   for n in set(self.blocks) | set(other.blocks))
+# the adjoint triple against graded modules, each a complex with no differential
 
 
 def underlying_graded(X):
-    "The forgetful functor: drop the differential."
-    return GradedModule.of({(n,): X.rank(n) for n in X.degrees()},
-                           rank=1, name=X.name)
+    "The forgetful functor: the complex with X's ranks and no differential."
+    return ChainComplex(X.ranks, {}, name=X.name)
 
 
 def underlying_graded_map(f):
-    return GradedMap(underlying_graded(f.src), underlying_graded(f.tgt),
-                     dict(f.blocks))
+    return ChainMap(underlying_graded(f.src), underlying_graded(f.tgt), f.blocks)
 
 
-def _shift_pair_complex(M, shift):
+def _shift_pair_complex(ranks, name, shift):
     """Complex with degree-n component M_{k+1} + M_k for k = n - shift,
-    and the square-zero block differential [[0, 1], [0, 0]]: L(M) for
-    shift 0 and R(M) for shift 1."""
-    name = ("L(%s)" if shift == 0 else "R(%s)") % M.name
-    ranks = {}
-    degs = [d[0] for d in M.degrees()]
-    for n in {d + shift for d in degs} | {d + shift - 1 for d in degs}:
-        k = n - shift
-        r = M.dim_at(k + 1) + M.dim_at(k)
-        if r:
-            ranks[n] = r
-    diffs = {}
-    for n in ranks:
-        if ranks.get(n - 1):
-            k = n - shift
-            top, bot = M.dim_at(k + 1), M.dim_at(k)
-            t2, b2 = M.dim_at(k), M.dim_at(k - 1)
-            d = zeros(t2 + b2, top + bot)
-            for i in range(min(bot, t2)):
-                d[i, top + i] = 1
-            diffs[n] = d
-    return ChainComplex(ranks, diffs, name=name)
+    where M has these (degree, rank) pairs, and the square-zero block
+    differential [[0, 1], [0, 0]]: L(M) for shift 0 and R(M) for shift 1."""
+    rank = dict(ranks).get
+    out, diffs = {}, {}
+    for k, r in ranks:
+        above, below = rank(k + 1, 0), rank(k - 1, 0)
+        out[k + shift] = above + r
+        out[k + shift - 1] = r + below
+        # d_n for n = k + shift sends the M_k summand of degree n onto that of n - 1
+        d = diffs[k + shift] = zeros(r + below, above + r)
+        _place(d, eye(r), 0, above)
+    return ChainComplex(out, diffs, name=("L(%s)" if shift == 0 else "R(%s)") % name)
+
+
+def _adjoint_complex(M, shift):
+    """The one live L(M) (shift 0) or R(M) (shift 1): it is built, and its
+    d.d = 0 checked, only when none is alive for M's ranks and name."""
+    return _interned(_shift_pair_complex, tuple(sorted(M.ranks.items())), M.name, shift)
 
 
 def left_adjoint_complex(M):
     """L(M)_n = M_{n+1} + M_n with the identity block differential.
 
-    There is one live L(M) per graded module M, as there is one live
-    space per structure: it is built, and its d.d = 0 checked, only when
-    none is alive.
+    It reads only M's ranks, and there is one live L(M) per graded
+    module M, as there is one live space per structure.
     """
-    return _interned(_shift_pair_complex, M, 0)
+    return _adjoint_complex(M, 0)
 
 
 def right_adjoint_complex(M):
     "R(M)_n = M_n + M_{n-1} with the identity block differential; one live R(M) per M."
-    return _interned(_shift_pair_complex, M, 1)
+    return _adjoint_complex(M, 1)
 
 
 def _pair_map(g, shift):
     "The chain map L(g) (shift 0) or R(g) (shift 1): g_{k+1} + g_k at degree n = k + shift."
-    P1 = _interned(_shift_pair_complex, g.src, shift)
-    P2 = _interned(_shift_pair_complex, g.tgt, shift)
+    P1, P2 = _adjoint_complex(g.src, shift), _adjoint_complex(g.tgt, shift)
     blocks = {}
     for n in P1.degrees():
         k = n - shift
@@ -594,7 +587,7 @@ def _pair_map(g, shift):
         if top is not None:
             _place(m, top, 0, 0)
         if bot is not None:
-            _place(m, bot, g.tgt.dim_at(k + 1), g.src.dim_at(k + 1))
+            _place(m, bot, g.tgt.rank(k + 1), g.src.rank(k + 1))
         blocks[n] = m
     return ChainMap(P1, P2, blocks, check=False)
 
@@ -622,27 +615,26 @@ def unit_ur(X):
 
 
 def counit_ur(M):
-    "U(R M) -> M, (u, v) |-> u; a graded map."
+    "U(R M) -> M, (u, v) |-> u."
     R = right_adjoint_complex(M)
     blocks = {}
     for n in R.degrees():
-        k = M.dim_at(n)
+        k = M.rank(n)
         m = zeros(k, R.rank(n))
         _place(m, eye(k), 0, 0)
         blocks[n] = m
-    return GradedMap(underlying_graded(R), M, blocks)
+    return ChainMap(underlying_graded(R), M, blocks)
 
 
 def unit_lu(M):
-    "M -> U(L M), c |-> (0, c); a graded map."
+    "M -> U(L M), c |-> (0, c)."
     L = left_adjoint_complex(M)
     blocks = {}
-    for n, _ in M.components:
-        k = M.dim_at(n)
-        m = zeros(L.rank(n[0]), k)
-        _place(m, eye(k), M.dim_at(n[0] + 1), 0)
-        blocks[n[0]] = m
-    return GradedMap(M, underlying_graded(L), blocks)
+    for n, k in M.ranks.items():
+        m = zeros(L.rank(n), k)
+        _place(m, eye(k), M.rank(n + 1), 0)
+        blocks[n] = m
+    return ChainMap(M, underlying_graded(L), blocks)
 
 
 def counit_lu(X):
@@ -663,7 +655,7 @@ def triangle_identities_hold(X):
     """Both triangle identities for L -| U and U -| R, on the complex X
     and its underlying graded module."""
     M = underlying_graded(X)
-    idm = GradedMap(M, M, {n[0]: eye(d) for n, d in M.components})
+    idm = identity_chain_map(M)
     # held for the whole check, so that every unit and counit below
     # finds the one live R(M) and L(M)
     RM, LM = right_adjoint_complex(M), left_adjoint_complex(M)
@@ -683,36 +675,6 @@ def triangle_identities_hold(X):
 # the comonad comparison U.R = (I + D) (x) -
 
 
-def _ranks(M):
-    "A rank-1 graded module's dimensions by integer degree."
-    return {i: d for (i,), d in M.components}
-
-
-def graded_tensor(M, N):
-    "Tensor of rank-1 graded modules, basis laid out as in ``tensor_chains``."
-    ranks, _ = _offsets(_ranks(M), _ranks(N))
-    return GradedModule.of(ranks, rank=1, name="(%s(x)%s)" % (M.name, N.name))
-
-
-def graded_tensor_map(f, g):
-    "f (x) g, whose block on M_i (x) N_j is the Kronecker product f_i (x) g_j."
-    src = graded_tensor(f.src, g.src)
-    tgt = graded_tensor(f.tgt, g.tgt)
-    _, cols = _offsets(_ranks(f.src), _ranks(g.src))
-    _, rows = _offsets(_ranks(f.tgt), _ranks(g.tgt))
-    blocks = {n: zeros(tgt.dim_at(n), d) for (n,), d in src.components}
-    for (i, j), col in cols.items():
-        fb, gb = f.blocks.get(i), g.blocks.get(j)
-        if fb is not None and gb is not None and (i, j) in rows:
-            _place(blocks[i + j], _kron(fb, gb), rows[i, j], col)
-    return GradedMap(src, tgt, blocks)
-
-
-def two_term_carrier():
-    "The graded carrier I + D with D = Z in degree 1."
-    return GradedModule.of({0: 1, 1: 1}, rank=1, name="(I+D)")
-
-
 def comonad_comparison(X, maps=()):
     """Check (U R X)_n = X_n + X_{n-1} = ((I+D) (x) U X)_n, naturally.
 
@@ -722,25 +684,24 @@ def comonad_comparison(X, maps=()):
     dimension, or for the map at index ``map`` of ``maps``.
     """
     M = underlying_graded(X)
-    ID = two_term_carrier()
+    ID = ChainComplex({0: 1, 1: 1}, {}, name="(I+D)")
     RM = right_adjoint_complex(M)   # held, so right_adjoint_map finds it below
-    ur = underlying_graded(RM)
-    tens = graded_tensor(ID, M)
-    for n in sorted(set(d[0] for d in ur.components) | set(d[0] for d in tens.components)):
-        if ur.dim_at(n) != tens.dim_at(n):
+    tens = tensor_chains(ID, M)
+    for n in sorted(set(RM.ranks) | set(tens.ranks)):
+        if RM.rank(n) != tens.rank(n):
             return CheckResult("comonad-comparison", "differ", 1,
                                Counterexample(atom("degree", n),
-                                              Vec.basis(UNIT, ur.dim_at(n)),
-                                              Vec.basis(UNIT, tens.dim_at(n))))
+                                              Vec.basis(UNIT, RM.rank(n)),
+                                              Vec.basis(UNIT, tens.rank(n))))
     checked = 1
-    id_id = GradedMap(ID, ID, {n[0]: eye(d) for n, d in ID.components})
+    id_id = identity_chain_map(ID)
     for index, f in enumerate(maps):
         gf = underlying_graded_map(f)
-        lhs = underlying_graded_map(right_adjoint_map(gf)).blocks
-        rhs = graded_tensor_map(id_id, gf).blocks
+        lhs = right_adjoint_map(gf).blocks
+        rhs = tensor_chain_maps(id_id, gf).blocks
         checked += 1
         for n in sorted(set(lhs) | set(rhs)):
-            if not _agree(lhs.get(n), rhs.get(n)):
+            if lhs.get(n) != rhs.get(n):
                 return CheckResult("comonad-comparison", "differ", checked,
                                    {"map": index, "degree": n})
     return CheckResult("comonad-comparison", "equal", checked)
@@ -788,14 +749,9 @@ class Bicomplex:
 
     def _check(self):
         dn, dm = self.d2_bidegree
-        for (n, m), d in self.d1.items():
-            want = (self.rank((n - 1, m)), self.rank((n, m)))
-            if d.shape != want:
-                raise IllegalChain("d at %s has shape %s, want %s" % ((n, m), d.shape, want))
-        for (n, m), d in self.d2.items():
-            want = (self.rank((n + dn, m + dm)), self.rank((n, m)))
-            if d.shape != want:
-                raise IllegalChain("d' at %s has shape %s, want %s" % ((n, m), d.shape, want))
+        _check_shapes("d", self.d1, lambda c: (self.rank((c[0] - 1, c[1])), self.rank(c)))
+        _check_shapes("d'", self.d2,
+                      lambda c: (self.rank((c[0] + dn, c[1] + dm)), self.rank(c)))
         d1, d2 = self.d1.get, self.d2.get
         for (n, m) in self.cells():
             if not _agree(_product(d1((n - 1, m)), d1((n, m))), None):

@@ -19,17 +19,13 @@ from itertools import product
 
 from .laws import Bimonoid, Coelement, Comodule, IllegalComodule
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, _is_int, _json_type, atom,
+    UNIT, UNIT_SPACE, LinMap, Space, Vec, _is_int, _json_type, atom,
     finite_space, pair, split_label, tensor_space,
 )
 
 
-def laurent_space(r):
-    "The carrier of ``laurent_hopf(r)``: one space per rank r."
-    return _interned(_laurent_space, r)
-
-
 def _laurent_space(r):
+    "The carrier of ``laurent_hopf(r)``, made once with its ring."
     def window(K):
         rng = range(-K, K + 1)
         return [atom("x", *g) for g in product(rng, repeat=r)]
@@ -66,7 +62,7 @@ def laurent_hopf(r=1):
 @functools.lru_cache(maxsize=None)
 def _laurent_hopf(r):
     "The one ``laurent_hopf(r)``, keyed by r alone."
-    A = laurent_space(r)
+    A = _laurent_space(r)
     AA = tensor_space(A, A)
 
     def mu_fn(label):

@@ -540,11 +540,6 @@ def _wiring(picks):
     return ("wire", picks), lambda l: _vec({(_TENSOR,) + pick(l): 1})
 
 
-@functools.lru_cache(maxsize=None)
-def _identity_wiring(n):
-    return _wiring(tuple(range(n)))
-
-
 def _wire(dom, cod, picks, name):
     "A wire: each basis label goes to the label of its factors in ``picks`` order."
     stages, fn = _wiring(picks)
@@ -552,8 +547,7 @@ def _wire(dom, cod, picks, name):
 
 
 def identity_map(X):
-    stages, fn = _identity_wiring(X.arity)
-    return _streamed(X, X, fn, "id", stages)
+    return _wire(X, X, tuple(range(X.arity)), "id")
 
 
 def zero_map(X, Y):

@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import json
 
-from .chains import ChainComplex, ChainMap, IllegalChain, _agree, _product, zeros
+from .chains import ChainComplex, ChainMap, IllegalChain, zeros
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Bimonoid, Comodule, IllegalComodule, Report
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Space, Vec, _interned, _is_int, _json_type, atom,
+    UNIT, UNIT_SPACE, LinMap, Space, Vec, _is_int, _json_type, atom,
     equal_on_window, finite_space, identity_map, label_from_json, label_key,
     label_to_json, left, pair, right, split_label, tensor_maps, tensor_space,
 )
@@ -106,12 +106,8 @@ def rewrite_once(word):
     return out
 
 
-def pareigis_space(s):
-    "The carrier of ``pareigis_ring(s)``: one space per sign s."
-    return _interned(_pareigis_space, s)
-
-
 def _pareigis_space(s):
+    "The carrier of ``pareigis_ring(s)``, made once with its ring."
     def window(K):
         return [monomial(a, k) for a in (0, 1) for k in range(-K, K + 1)]
 
@@ -143,7 +139,7 @@ def _pareigis_ring(s):
     "The one ``pareigis_ring(s)``; a bad sign raises and is not remembered."
     if s not in (-1, 1):
         raise ValueError("s must be +-1")
-    P = pareigis_space(s)
+    P = _pareigis_space(s)
     PP = tensor_space(P, P)
     one = monomial(0, 0)
 
@@ -265,9 +261,6 @@ def chain_to_comodule(X, s):
     is exactly d.d = 0.
     """
     ring = pareigis_ring(s)
-    for n, d in X.diffs.items():
-        if not _agree(_product(X.diffs.get(n - 1), d), None):
-            raise IllegalChain("d.d != 0 at degree %d" % n)
     carrier = X.space()
     coaction = LinMap(carrier, tensor_space(ring.carrier, carrier), _coaction(X, s),
                       name="beta")

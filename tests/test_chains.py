@@ -14,15 +14,14 @@ from hypothesis import given, settings, strategies as st
 import hopfchains
 from hopfchains import chains
 from hopfchains.chains import (
-    Bicomplex, ChainComplex, ChainMap, GradedMap, IllegalChain, chain_symmetry,
+    Bicomplex, ChainComplex, ChainMap, IllegalChain, chain_symmetry,
     comonad_comparison, curry_adjunction, disk, evaluation_map, eye,
-    graded_tensor, graded_tensor_map, identity_chain_map, internal_hom, left_adjoint_complex, left_adjoint_map,
+    identity_chain_map, internal_hom, left_adjoint_complex, left_adjoint_map,
     mat, random_bicomplex, random_chain_map, random_complex, random_graded_map,
     random_unimodular, right_adjoint_complex, second_differential, sphere,
-    tensor_chains, triangle_identities_hold, underlying_graded,
+    tensor_chain_maps, tensor_chains, triangle_identities_hold, underlying_graded,
     underlying_graded_map, unit_lu, is_zero, zeros,
 )
-from hopfchains.grading import GradedModule
 from hopfchains.linalg import UNIT, Counterexample, Vec, atom
 
 DATA = Path(__file__).parent / "data"
@@ -152,15 +151,15 @@ def test_curry_uncurry_round_trip_on_samples():
 
 
 def test_adjoints_of_a_point():
-    C = GradedModule.of({0: 1}, name="c")
+    C = sphere(0, name="c")
     L = left_adjoint_complex(C)
     assert L.ranks == {0: 1, -1: 1}
     assert L.d(0)[0, 0] == 1
     R = right_adjoint_complex(C)
     assert R.ranks == {0: 1, 1: 1}
     assert R.d(1)[0, 0] == 1
-    assert underlying_graded(L).dim_at(0) == 1
-    assert underlying_graded(L).dim_at(-1) == 1
+    assert underlying_graded(L).rank(0) == 1
+    assert underlying_graded(L).rank(-1) == 1
 
 
 def test_shift_pair_differential_squares_to_zero():
@@ -194,16 +193,16 @@ def test_comonad_comparison_is_natural():
 
 def test_a_comonad_comparison_of_unequal_dimensions_names_the_first_degree(monkeypatch):
     # a (I+D) (x) M that is one dimension too large in degrees -2 and -1
-    monkeypatch.setattr(chains, "graded_tensor",
-                        lambda A, B: GradedModule.of({-2: 2, -1: 2, 3: 1, 4: 1}, rank=1))
+    monkeypatch.setattr(chains, "tensor_chains",
+                        lambda A, B: ChainComplex({-2: 2, -1: 2, 3: 1, 4: 1}, {}))
     got = comonad_comparison(ChainComplex({-2: 1, 3: 1}, {}, name="x"))
     assert got.verdict == "differ" and got.instances == 1
-    assert got.counterexample == Counterexample(atom("degree", (-2,)), Vec.basis(UNIT),
+    assert got.counterexample == Counterexample(atom("degree", -2), Vec.basis(UNIT),
                                                 Vec.basis(UNIT, 2))
 
 
 def test_a_comonad_comparison_of_unequal_maps_names_the_map_and_first_degree(monkeypatch):
-    real = chains.graded_tensor_map
+    real = chains.tensor_chain_maps
     calls = []
 
     def second_one_off(f, g):
@@ -214,7 +213,7 @@ def test_a_comonad_comparison_of_unequal_maps_names_the_map_and_first_degree(mon
             for n in (1, -1):
                 out.blocks[n].rows[0][0] += 1
         return out
-    monkeypatch.setattr(chains, "graded_tensor_map", second_one_off)
+    monkeypatch.setattr(chains, "tensor_chain_maps", second_one_off)
     X = ChainComplex({-1: 1, 0: 1}, {}, name="x")
     got = comonad_comparison(X, [identity_chain_map(X)] * 3)
     assert got.verdict == "differ" and got.instances == 3
@@ -227,6 +226,16 @@ def test_random_unimodular_inverse():
     for k in (0, 1, 2, 3, 5):
         U, Uinv = random_unimodular(rng, k)
         assert U.dot(Uinv) == eye(k)
+
+
+def test_a_bicomplex_block_of_the_wrong_shape_names_its_cell():
+    ranks = {(0, 0): 1, (1, 0): 1, (1, -1): 1}
+    wrong = r"_\(1, 0\) has shape \(1, 2\), expected \(1, 1\)$"
+    with pytest.raises(IllegalChain, match="^d" + wrong):
+        Bicomplex(ranks, {(1, 0): [[1, 0]]}, {}, (0, -1))
+    with pytest.raises(IllegalChain, match="^d'" + wrong):
+        Bicomplex(ranks, {}, {(1, 0): [[1, 0]]}, (0, -1))
+    Bicomplex(ranks, {(1, 0): [[1]]}, {(1, 0): [[1]]}, (0, -1))
 
 
 def test_zero_second_differential_is_accepted_for_both_kappas():
@@ -354,15 +363,6 @@ def test_a_chain_map_block_of_the_wrong_shape_names_its_degree():
     assert ChainMap(X, X, {0: [[0, 0, 0]], 1: [[1]]}).blocks.keys() == {1}
 
 
-def test_a_graded_map_block_of_the_wrong_shape_names_its_degree():
-    M = GradedModule.of({0: 1, 1: 1}, name="m")
-    with pytest.raises(IllegalChain, match=r"g_0 has shape \(1, 3\), expected \(1, 1\)"):
-        GradedMap(M, M, {0: [[1, 2, 3]]})
-    # a zero block is a block too: L(g) places it by the modules' ranks
-    with pytest.raises(IllegalChain, match=r"g_1 has shape \(0, 0\), expected \(1, 1\)"):
-        GradedMap(M, M, {1: []})
-
-
 def test_maps_whose_ends_do_not_meet_are_not_composed():
     # equal ranks, different differentials: d = [[1]] against d = 0
     A = ChainComplex({1: 1, 0: 1}, {1: mat([[1]])}, name="a")
@@ -372,16 +372,29 @@ def test_maps_whose_ends_do_not_meet_are_not_composed():
     # an equal complex that is another object meets it
     twin = ChainComplex({1: 1, 0: 1}, {1: mat([[1]])}, name="twin")
     assert identity_chain_map(A).then(identity_chain_map(twin)) == identity_chain_map(A)
-    # Z in degree 0 against Z in degree 1
-    M = GradedModule.of({0: 1}, rank=1, name="m")
-    N, N2 = GradedModule.of({0: 1}, rank=1, name="n"), GradedModule.of({1: 1}, rank=1, name="n2")
-    P = GradedModule.of({1: 1}, rank=1, name="p")
-    f, g = GradedMap(M, N, {0: [[1]]}), GradedMap(N2, P, {1: [[1]]})
-    with pytest.raises(IllegalChain, match=r"ends at .*name='n'.* another module, .*name='n2'"):
+    # graded modules (complexes with no differential): Z in degree 0 against Z in degree 1
+    M, N = sphere(0, name="m"), sphere(0, name="n")
+    N2, P = sphere(1, name="n2"), sphere(1, name="p")
+    f, g = ChainMap(M, N, {0: [[1]]}), ChainMap(N2, P, {1: [[1]]})
+    with pytest.raises(IllegalChain, match=r"ends at ChainComplex\(n: .* another complex, "
+                                           r"ChainComplex\(n2: "):
         f.then(g)
-    # a module of other name, equal rank and components meets it
-    h = GradedMap(GradedModule.of({0: 1}, rank=1, name="n3"), M, {0: [[2]]})
-    assert f.then(h) == GradedMap(M, M, {0: [[2]]})
+    # a module of other name and equal ranks meets it
+    h = ChainMap(sphere(0, name="n3"), M, {0: [[2]]})
+    assert f.then(h) == ChainMap(M, M, {0: [[2]]})
+
+
+def test_maps_with_equal_blocks_and_other_ends_are_unequal():
+    A = ChainComplex({1: 1, 0: 1}, {1: mat([[1]])}, name="a")
+    A0 = ChainComplex({1: 1, 0: 1}, {}, name="a0")
+    assert identity_chain_map(A) != identity_chain_map(A0)
+    assert identity_chain_map(A0) != identity_chain_map(A)
+    twin = ChainComplex({1: 1, 0: 1}, {1: mat([[1]])}, name="twin")
+    assert identity_chain_map(A) == identity_chain_map(twin)
+    # the same block into modules of other ranks, and of equal ranks
+    M = sphere(1, name="m")
+    assert ChainMap(M, A0, {1: [[1]]}) != ChainMap(M, sphere(1, name="n"), {1: [[1]]})
+    assert ChainMap(M, M, {1: [[1]]}) == ChainMap(M, sphere(1, name="n"), {1: [[1]]})
 
 
 def test_graded_maps_compare_unequal_to_other_objects():
@@ -398,9 +411,9 @@ def _counting_shift_pair_complexes(monkeypatch):
     built = []
     real = chains._shift_pair_complex
 
-    def spy(M, shift):
-        built.append((M, shift))
-        return real(M, shift)
+    def spy(*data):
+        built.append(data)
+        return real(*data)
 
     monkeypatch.setattr(chains, "_shift_pair_complex", spy)
     return built
@@ -770,22 +783,22 @@ def _ref_curry_adjunction(A, B, C):
 
 def _ref_graded_tensor_map(f, g):
     comps = {}
-    for (i,), dm in f.src.components:
-        for (j,), dn in g.src.components:
+    for i, dm in sorted(f.src.ranks.items()):
+        for j, dn in sorted(g.src.ranks.items()):
             comps[i + j] = comps.get(i + j, 0) + dm * dn
     blocks = {}
     for n in comps:
-        m = zeros(sum(dm * g.tgt.dim_at(n - i) for (i,), dm in f.tgt.components), comps[n])
+        m = zeros(sum(dm * g.tgt.rank(n - i) for i, dm in f.tgt.ranks.items()), comps[n])
         top, row = {}, 0   # the first row of f.tgt_i (x) g.tgt_{n-i}
-        for (i,), dm in f.tgt.components:
+        for i, dm in sorted(f.tgt.ranks.items()):
             top[i] = row
-            row += dm * g.tgt.dim_at(n - i)
+            row += dm * g.tgt.rank(n - i)
         col = 0
-        for (i,), dm in f.src.components:
-            width = g.src.dim_at(n - i)
+        for i, dm in sorted(f.src.ranks.items()):
+            width = g.src.rank(n - i)
             fb, gb = f.blocks.get(i), g.blocks.get(n - i)
             if fb is not None and gb is not None and i in top:
-                height = g.tgt.dim_at(n - i)
+                height = g.tgt.rank(n - i)
                 for p in range(dm):
                     for q in range(width):
                         for p2, frow in enumerate(fb.rows):
@@ -841,12 +854,16 @@ def test_tensor_and_hom_blocks_match_the_per_entry_reference(A, B, C, seed):
     _same_blocks(uncurry(psi).blocks, ref_uncurry(psi))
 
     M, N = underlying_graded(A), underlying_graded(B)
-    f = GradedMap(M, underlying_graded(C), random_graded_map(rng, A, C))
-    g = GradedMap(N, underlying_graded(A), random_graded_map(rng, B, A))
-    got = graded_tensor_map(f, g)
-    assert got.src == graded_tensor(M, N)
-    assert got.tgt == graded_tensor(underlying_graded(C), underlying_graded(A))
-    assert got.blocks.keys() == {n for (n,), _ in got.src.components}
+    f = ChainMap(M, underlying_graded(C), random_graded_map(rng, A, C))
+    g = ChainMap(N, underlying_graded(A), random_graded_map(rng, B, A))
+    got = tensor_chain_maps(f, g)
+    assert got.src == tensor_chains(M, N)
+    assert got.tgt == tensor_chains(underlying_graded(C), underlying_graded(A))
+    _same_blocks(got.blocks, _ref_graded_tensor_map(f, g))
+    # and on chain maps of the complexes themselves, differentials and all
+    f, g = random_chain_map(rng, A, C), random_chain_map(rng, B, A)
+    got = tensor_chain_maps(f, g)
+    assert got.src == AB and got.tgt == tensor_chains(C, A) and got.is_chain_map()
     _same_blocks(got.blocks, _ref_graded_tensor_map(f, g))
 
 

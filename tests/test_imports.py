@@ -1,5 +1,6 @@
 """Every name a module of the package imports is read somewhere in it,
-and every import sits at the top level of its module.
+every import sits at the top level of its module, and every private
+top-level name is read somewhere in the package.
 
 The checks read the source with the standard library's ``ast`` only:
 a name bound by ``import`` or ``from ... import`` (not ``__future__``)
@@ -7,7 +8,9 @@ must be loaded by some expression of the same module.  ``__init__.py``
 is left out of that check, because it imports names to export them.
 No module imports inside a function or class body: the package has no
 import cycle that such an import would break, so a module's imports
-are all in one place.
+are all in one place.  A top-level ``def``, ``class`` or assignment
+whose name starts with one underscore is not exported, so a module of
+the package must load it (as a name or an attribute) or it is dead.
 """
 
 import ast
@@ -73,3 +76,55 @@ def test_every_import_is_at_the_top_level_of_its_module():
     assert len(modules) > 5
     nested = {p.name: nested_imports(p.read_text()) for p in modules}
     assert {name: lines for name, lines in nested.items() if lines} == {}
+
+
+def private_definitions(source):
+    "The top-level def, class and assigned names that start with one underscore."
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def loaded_names(source):
+    "Every name the source loads, bare or as an attribute."
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def unread_private_names(sources):
+    "The private top-level names of these sources that none of them loads, sorted."
+    defined = set().union(*(private_definitions(s) for s in sources))
+    read = set().union(*(loaded_names(s) for s in sources))
+    return sorted(defined - read)
+
+
+def test_the_check_sees_an_unread_private_helper():
+    first = ("_TABLE = {}\n"
+             "_a, _b = 1, 2\n"
+             "def _helper():\n"
+             "    return _TABLE\n"
+             "def _dead():\n"
+             "    return _a\n"
+             "class _Unused:\n"
+             "    pass\n"
+             "def __getattr__(name):\n"
+             "    return name\n")
+    second = ("from .first import _helper\n"
+              "import first\n"
+              "x = first._dead\n"
+              "def public():\n"
+              "    return _helper()\n")
+    assert unread_private_names([first, second]) == ["_Unused", "_b"]
+    assert unread_private_names([first]) == ["_Unused", "_b", "_dead", "_helper"]
+
+
+def test_every_private_top_level_name_is_read_in_the_package():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert len(sources) > 5
+    assert unread_private_names(sources) == []

@@ -6,11 +6,13 @@ import re
 import pytest
 
 from hopfchains import semidirect
-from hopfchains.chains import ChainComplex, mat, random_chain_map, random_complex
+from hopfchains.chains import (
+    ChainComplex, mat, random_chain_map, random_complex, tensor_chains,
+)
 from hopfchains.grading import monomial
 from hopfchains.laws import (
     Bimonoid, IllegalComodule, check_bialgebra_laws, check_comodule_morphism,
-    plain_swap,
+    plain_swap, tensor_comodule,
 )
 from hopfchains.linalg import LinMap, Vec, atom, finite_space, pair, tensor_space
 from hopfchains.pareigis import (
@@ -159,6 +161,18 @@ def test_round_trip_on_random_complexes(s):
         X = random_complex(rng, name="r%d" % trial)
         com = chain_to_comodule(X, s)
         assert comodule_to_chain(com) == X
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+def test_the_tensor_of_comodules_is_the_koszul_tensor_of_complexes(s):
+    # the ring's product mu on the psi legs carries the Koszul sign of
+    # tensor_chains, and the tensor carrier lists its basis in _offsets order
+    rng = random.Random(71)
+    for _ in range(150):
+        A = random_complex(rng, name="a", max_window=4, max_rank=3)
+        B = random_complex(rng, name="b", max_window=4, max_rank=3)
+        both = tensor_comodule(chain_to_comodule(A, s), chain_to_comodule(B, s))
+        assert comodule_to_chain(both) == tensor_chains(A, B)
 
 
 def test_non_homogeneous_basis_is_rejected():
