@@ -159,6 +159,15 @@ def _nonzero(blocks):
     return {k: m for k, m in ((k, mat(b)) for k, b in blocks.items()) if not is_zero(m)}
 
 
+def _column(block, i, label):
+    """Column i of a stored block as label entries: {label(j): entry} over
+    its nonzero entries, and {} for an absent (zero) block.  It is the one
+    place where a block meets the labels of a based space."""
+    if block is None:
+        return {}
+    return {label(j): row[i] for j, row in enumerate(block.rows) if row[i]}
+
+
 def _place(m, block, top, left):
     "Write block into m with its top-left entry at (top, left)."
     for i, r in enumerate(block.rows, top):
@@ -274,9 +283,9 @@ def sphere(n, rank=1, name="s"):
     return ChainComplex({n: rank}, {}, name=name)
 
 
-def disk(n, name="d"):
-    "The contractible complex Z at degrees n, n-1 with identity differential."
-    return ChainComplex({n: 1, n - 1: 1}, {n: eye(1)}, name=name)
+def disk(n):
+    "The contractible complex d: Z at degrees n, n-1 with identity differential."
+    return ChainComplex({n: 1, n - 1: 1}, {n: eye(1)}, name="d")
 
 
 class ChainMap:
@@ -377,7 +386,7 @@ def _block_at(blocks, n, shape):
     return b
 
 
-def tensor_chains(A, B, name=None):
+def tensor_chains(A, B):
     """Componentwise tensor with the Koszul-signed differential.
 
     d(a (x) b) = da (x) b + (-1)^i a (x) db for a of degree i.  The basis
@@ -394,7 +403,6 @@ def tensor_chains(A, B, name=None):
     >>> T.d(1).rows
     [[1, 2, 0], [0, 0, 2]]
     """
-    name = name or "(%s(x)%s)" % (A.name, B.name)
     ranks, offset = _offsets(A.ranks, B.ranks)
     diffs = {}
     for (i, j), col in offset.items():
@@ -408,7 +416,7 @@ def tensor_chains(A, B, name=None):
         if db is not None:
             sign = -1 if i % 2 else 1
             _place(d, sign * _kron(eye(A.ranks[i]), db), offset[i, j - 1], col)
-    return ChainComplex(ranks, diffs, name=name)
+    return ChainComplex(ranks, diffs, name="(%s(x)%s)" % (A.name, B.name))
 
 
 def tensor_chain_maps(f, g):
@@ -449,14 +457,13 @@ def chain_symmetry(A, B):
     return ChainMap(AB, BA, blocks)
 
 
-def internal_hom(B, C, name=None):
+def internal_hom(B, C):
     """[B, C]_n = prod_j Hom(B_j, C_{j+n}) with differential
     (df)_j b = d(f_j b) - (-1)^n f_{j-1}(db).
 
     On the row-major basis of ``_hom_offsets``, f |-> dc f is dc (x) 1
     and f |-> f db is 1 (x) db^T.
     """
-    name = name or "[%s,%s]" % (B.name, C.name)
     ranks, offset = _hom_offsets(B.ranks, C.ranks)
     diffs = {}
     for (j, k), col in offset.items():
@@ -471,7 +478,7 @@ def internal_hom(B, C, name=None):
             sign = 1 if n % 2 else -1
             dbt = _Matrix([list(c) for c in zip(*db.rows)], len(db.rows))
             _place(d, sign * _kron(eye(C.ranks[k]), dbt), offset[j + 1, k], col)
-    return ChainComplex(ranks, diffs, name=name)
+    return ChainComplex(ranks, diffs, name="[%s,%s]" % (B.name, C.name))
 
 
 def curry_adjunction(A, B, C):
@@ -829,13 +836,9 @@ def second_differential(B, kappa, s):
 
     def coact_fn(label):
         n, m, i = label[2]
-        out = Vec.basis(pair(right(UNIT), label))
-        d2 = B.d2.get((n, m))
-        for j, row in enumerate(d2.rows if d2 is not None else ()):
-            if row[i]:
-                tgt = atom(B.name, n + dn, m - 1, j)
-                out = out + row[i] * Vec.basis(pair(left(dlabel), tgt))
-        return out
+        return Vec({pair(right(UNIT), label): 1,
+                    **_column(B.d2.get((n, m)), i,
+                              lambda j: pair(left(dlabel), atom(B.name, n + dn, m - 1, j)))})
 
     coaction = LinMap(carrier, tensor_space(H.carrier, carrier), coact_fn,
                       name="coaction")
@@ -845,12 +848,7 @@ def second_differential(B, kappa, s):
     # Koszul-signed differential on H (x) X (the H part has zero d).
     def dx_fn(label):
         n, m, i = label[2]
-        d1 = B.d1.get((n, m))
-        out = Vec.zero()
-        for j, row in enumerate(d1.rows if d1 is not None else ()):
-            if row[i]:
-                out = out + row[i] * Vec.basis(atom(B.name, n - 1, m, j))
-        return out
+        return Vec(_column(B.d1.get((n, m)), i, lambda j: atom(B.name, n - 1, m, j)))
 
     dx = LinMap(carrier, carrier, dx_fn, name="d")
     hdeg = {right(UNIT): 0, left(dlabel): ddeg[0]}
@@ -940,13 +938,13 @@ def random_complex(rng, name="c", max_window=7, max_rank=4):
     return ChainComplex(ranks, conj, name=name)
 
 
-def random_graded_map(rng, X, Y, shift=0, bound=2):
-    "Random degree-`shift` family of matrices X_n -> Y_{n+shift}."
+def random_graded_map(rng, X, Y, shift=0):
+    "Random degree-`shift` family of matrices X_n -> Y_{n+shift}, entries in [-2, 2]."
     blocks = {}
     for n in X.degrees():
         rows, cols = Y.rank(n + shift), X.rank(n)
         if rows and cols:
-            blocks[n] = mat([[rng.randint(-bound, bound) for _ in range(cols)]
+            blocks[n] = mat([[rng.randint(-2, 2) for _ in range(cols)]
                              for _ in range(rows)])
     return blocks
 
@@ -976,8 +974,8 @@ def random_chain_map(rng, X, Y=None):
     return f
 
 
-def random_bicomplex(rng, kappa, s, name="b"):
-    """A random bicomplex satisfying the kappa-square law by construction.
+def random_bicomplex(rng, kappa, s):
+    """A random bicomplex b satisfying the kappa-square law by construction.
 
     Built from two small random complexes P, Q: the cell (n, m) holds
     P_u (x) Q_m with u = n (kappa = -1) or u = n - s m (kappa = +1); the
@@ -1012,7 +1010,7 @@ def random_bicomplex(rng, kappa, s, name="b"):
                 d1[cell] = sign * _kron(P.d(u), eye(Q.rank(m)))
             if Q.rank(m - 1):
                 d2[cell] = _kron(eye(P.rank(u)), Q.d(m))
-    B = Bicomplex(ranks, d1, d2, (dn, -1), name=name)
+    B = Bicomplex(ranks, d1, d2, (dn, -1))
 
     us = {cell: random_unimodular(rng, B.rank(cell)) for cell in B.cells()}
     c1, c2 = {}, {}
@@ -1024,4 +1022,4 @@ def random_bicomplex(rng, kappa, s, name="b"):
         if B.rank((n + dn, m - 1)):
             um, _ = us[(n + dn, m - 1)]
             c2[(n, m)] = um.dot(B.second((n, m))).dot(uinv)
-    return Bicomplex(ranks, c1, c2, (dn, -1), name=name)
+    return Bicomplex(ranks, c1, c2, (dn, -1))

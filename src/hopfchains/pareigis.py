@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 
-from .chains import ChainComplex, ChainMap, IllegalChain, zeros
+from .chains import ChainComplex, ChainMap, IllegalChain, _block_at, _column, zeros
 from .diffhopf import build_differential_hopf
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import Bimonoid, Comodule, IllegalComodule, Report
@@ -207,7 +207,7 @@ def _identified_bimonoid(s):
     return differential_comodule_bimonoid(s)
 
 
-def identify_semidirect(s, K=6):
+def identify_semidirect(s, K):
     """Compare (I + D) >< Z with the Pareigis ring of the same sign.
 
     Transport along the label bijection d^a (x) x^k <-> psi^a xi^k and
@@ -272,13 +272,9 @@ def _coaction(X, s):
     def coact_fn(label):
         n, i = label[2]
         m = s * n
-        out = Vec.basis(pair(monomial(0, m), label))
-        d = X.diffs.get(n)
-        for j, row in enumerate(d.rows if d is not None else ()):
-            if row[i]:
-                out = out + row[i] * Vec.basis(
-                    pair(monomial(1, m - s), atom(X.name, n - 1, j)))
-        return out
+        psi = monomial(1, m - s)
+        return Vec({pair(monomial(0, m), label): 1,
+                    **_column(X.diffs.get(n), i, lambda j: pair(psi, atom(X.name, n - 1, j)))})
     return coact_fn
 
 
@@ -287,77 +283,55 @@ def comodule_to_chain(B, name=None):
 
     The carrier basis must be homogeneous for the xi-grading (each basis
     vector's grading term is exactly xi^m (x) itself); the differential
-    is read off the psi xi^(m-s) components.  The coaction of the chain
-    complex read off is compared against the original, label for label.
+    is read off the terms psi xi^(m-s) (x) x with x one degree down, and
+    every other term is skipped.  The coaction of the complex read off is
+    then compared against the original, label for label, so a skipped
+    term is refused there, naming the first basis vector it breaks.
     That coaction is legal without a check of its own: the complex's
     constructor has checked d.d = 0 exactly, and over the Pareigis ring
     that is coassociativity, while the counit law holds by its form.
     """
-    ring = B.ring
-    s = ring.s
-    P = ring.carrier
+    s = B.ring.s
+    P = B.ring.carrier
     name = name or B.carrier.name
     basis = B.carrier.enumerate(0)
 
-    grade = {}
-    dvec = {}
-    for b in basis:
-        grading_terms = []
-        diff_terms = []
-        for t, c in B.coaction.apply(b).items():
-            r, x = split_label(P, B.carrier, t)
-            a, k = r[2]
-            (grading_terms if a == 0 else diff_terms).append((k, x, c))
-        if len(grading_terms) != 1 or grading_terms[0][1:] != (b, 1):
+    coaction = {b: B.coaction.apply(b) for b in basis}
+    terms, degree = {}, {}
+    for b, v in coaction.items():
+        terms[b] = [(split_label(P, B.carrier, t), c) for t, c in v.items()]
+        grading = [(r[2][1], x, c) for (r, x), c in terms[b]
+                   if _is_monomial(r) and r[2][0] == 0]
+        if len(grading) != 1 or grading[0][1:] != (b, 1):
             raise IllegalComodule("basis vector %s is not homogeneous" % (b,))
-        m = grading_terms[0][0]
-        grade[b] = m
-        for k, x, c in diff_terms:
-            if k != m - s:
-                raise IllegalComodule(
-                    "differential term of %s has grade %d, expected %d"
-                    % (b, k, m - s))
-        dvec[b] = diff_terms
+        degree[b] = s * grading[0][0]
 
     by_degree = {}
     for b in basis:
-        by_degree.setdefault(s * grade[b], []).append(b)
+        by_degree.setdefault(degree[b], []).append(b)
     position = {b: i for bs in by_degree.values() for i, b in enumerate(bs)}
-    degree = {b: n for n, bs in by_degree.items() for b in bs}
-
     ranks = {n: len(bs) for n, bs in by_degree.items()}
     diffs = {}
-    for n, bs in by_degree.items():
-        if not by_degree.get(n - 1):
-            continue
-        d = zeros(len(by_degree[n - 1]), len(bs))
-        for i, b in enumerate(bs):
-            for _, x, c in dvec[b]:
-                if degree.get(x) != n - 1:
-                    raise IllegalComodule(
-                        "differential of %s lands outside degree %d" % (b, n - 1))
-                d[position[x], i] += c
-        diffs[n] = d
-    for n, bs in by_degree.items():
-        if not by_degree.get(n - 1):
-            for b in bs:
-                if dvec[b]:
-                    raise IllegalComodule("differential of %s has no target" % (b,))
-
+    for b in basis:
+        n = degree[b]
+        for (r, x), c in terms[b]:
+            if r == monomial(1, s * n - s) and degree.get(x) == n - 1:
+                _block_at(diffs, n, (ranks[n - 1], ranks[n]))[position[x], position[b]] += c
     try:
         X = ChainComplex(ranks, diffs, name=name)
     except IllegalChain as err:
         raise IllegalComodule(str(err))
 
-    relabel = {b: atom(name, degree[b], position[b]) for b in basis}
+    # X's coaction, carried back to B's basis along the bijection of labels
     rebuilt = _coaction(X, s)
-    for b in basis:
-        want = Vec.zero()
-        for rx, c in B.coaction.apply(b).items():
-            r, x = split_label(P, B.carrier, rx)
-            want = want + c * Vec.basis(pair(r, relabel.get(x, x)))
-        if rebuilt(relabel[b]) != want:
-            raise IllegalComodule("round trip does not reproduce the coaction")
+    basis_of = {atom(name, degree[b], position[b]): b for b in basis}
+    for y, b in basis_of.items():
+        got = {}
+        for t, c in rebuilt(y).items():
+            r, x = split_label(P, B.carrier, t)
+            got[pair(r, basis_of[x])] = c
+        if Vec(got) != coaction[b]:
+            raise IllegalComodule("round trip does not reproduce the coaction of %s" % (b,))
     return X
 
 
@@ -365,12 +339,7 @@ def chain_map_to_linmap(f, src_comodule, tgt_comodule):
     "Transport a chain map to a map of the underlying based spaces."
     def fn(label):
         n, i = label[2]
-        out = Vec.zero()
-        block = f.block(n)
-        for j in range(f.tgt.rank(n)):
-            if block[j, i]:
-                out = out + block[j, i] * Vec.basis(atom(f.tgt.name, n, j))
-        return out
+        return Vec(_column(f.blocks.get(n), i, lambda j: atom(f.tgt.name, n, j)))
 
     return LinMap(src_comodule.carrier, tgt_comodule.carrier, fn,
                   name="chainmap")
@@ -413,13 +382,9 @@ def chain_to_wcomodule(X, s, hb=None):
 
     def chi_fn(label):
         n, i = label[2]
-        out = Vec.basis(pair(right(UNIT), label))
-        d = X.d(n)
-        for j in range(X.rank(n - 1)):
-            if d[j, i]:
-                out = out + d[j, i] * Vec.basis(
-                    pair(left(dlabel), atom(X.name, n - 1, j)))
-        return out
+        return Vec({pair(right(UNIT), label): 1,
+                    **_column(X.diffs.get(n), i,
+                              lambda j: pair(left(dlabel), atom(X.name, n - 1, j)))})
 
     alpha = LinMap(carrier, tensor_space(A.carrier, carrier), alpha_fn, name="alpha")
     chi = LinMap(carrier, tensor_space(H.carrier, carrier), chi_fn, name="chi")
@@ -484,7 +449,7 @@ def comodule_from_json(doc):
         if not isinstance(terms, list):
             raise ValueError("the coaction under basis key %s is a list, not %s"
                              % (key, _json_type(terms)))
-        out = Vec.zero()
+        out = {}
         for term in terms:
             if not (isinstance(term, list) and len(term) == 3):
                 raise ValueError("a term under basis key %s is a [coefficient, ring label, "
@@ -500,8 +465,8 @@ def comodule_from_json(doc):
             if x not in members:
                 raise ValueError("label %s under basis key %s is not a basis label"
                                  % (json.dumps(xdata), key))
-            out = out + c * Vec.basis(pair(r, x))
-        table[b] = out
+            out[pair(r, x)] = out.get(pair(r, x), 0) + c
+        table[b] = Vec(out)
     for b, data in zip(basis, doc["basis"]):
         if b not in table:
             raise ValueError("basis label %s has no coaction entry" % json.dumps(data))

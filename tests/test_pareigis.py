@@ -7,14 +7,14 @@ import pytest
 
 from hopfchains import semidirect
 from hopfchains.chains import (
-    ChainComplex, mat, random_chain_map, random_complex, tensor_chains,
+    ChainComplex, ChainMap, eye, mat, random_chain_map, random_complex, tensor_chains,
 )
 from hopfchains.grading import monomial
 from hopfchains.laws import (
     Bimonoid, IllegalComodule, check_bialgebra_laws, check_comodule_morphism,
     plain_swap, tensor_comodule,
 )
-from hopfchains.linalg import LinMap, Vec, atom, finite_space, pair, tensor_space
+from hopfchains.linalg import UNIT, LinMap, Vec, atom, finite_space, pair, tensor_space
 from hopfchains.pareigis import (
     ALPHABET, PSI, XI, XI_INV, chain_map_to_linmap, chain_to_comodule,
     chain_to_wcomodule, comodule_to_chain, identify_semidirect,
@@ -195,27 +195,66 @@ def test_non_homogeneous_basis_is_rejected():
         comodule_to_chain(com)
 
 
-def test_a_differential_term_outside_the_normal_forms_breaks_the_round_trip():
-    # b1 in degree 1, b0 in degree 0 over P+; the differential term of b1
-    # carries psi xi^0's payload (1, 0) under another family's label, so
-    # the grading and degree checks pass and only the coaction comparison
-    # can refuse it
-    ring = pareigis_ring(1)
-    b1, b0 = atom("k", 1), atom("k", 0)
-    carrier = finite_space("k", [b1, b0])
-    assert pm(1, 0) != atom("other", 1, 0)
+_K2, _K1, _K0 = atom("k", 2), atom("k", 1), atom("k", 0)
 
-    def beta(label):
-        if label == b1:
-            return Vec.basis(pair(pm(0, 1), b1)) + Vec.basis(pair(atom("other", 1, 0), b0))
-        return Vec.basis(pair(pm(0, 0), b0))
+# coactions over P+ (s = +1: a degree-n vector has grade xi^n and its
+# differential terms psi xi^(n-1)), each term a (ring label, vector,
+# coefficient) triple; the basis vector named is the one that breaks.
+# "other-family" carries psi xi^0's payload (1, 0) under another
+# family's label, and "no-ring-factor" has a term pair(UNIT, k0) = k0.
+MALFORMED_COMODULES = {
+    "no-ring-factor": ({_K0: [(pm(0, 0), _K0, 1), (UNIT, _K0, 1)]},
+                       "round trip does not reproduce the coaction of %s" % (_K0,)),
+    "other-family": ({_K1: [(pm(0, 1), _K1, 1), (atom("other", 1, 0), _K0, 1)],
+                      _K0: [(pm(0, 0), _K0, 1)]},
+                     "round trip does not reproduce the coaction of %s" % (_K1,)),
+    "wrong-grade": ({_K1: [(pm(0, 1), _K1, 1), (pm(1, 5), _K0, 1)],
+                     _K0: [(pm(0, 0), _K0, 1)]},
+                    "round trip does not reproduce the coaction of %s" % (_K1,)),
+    "two-degrees-down": ({_K2: [(pm(0, 2), _K2, 1), (pm(1, 1), _K0, 1)],
+                          _K1: [(pm(0, 1), _K1, 1)],
+                          _K0: [(pm(0, 0), _K0, 1)]},
+                         "round trip does not reproduce the coaction of %s" % (_K2,)),
+    "no-degree-below": ({_K0: [(pm(0, 0), _K0, 1), (pm(1, -1), _K0, 1)]},
+                        "round trip does not reproduce the coaction of %s" % (_K0,)),
+    "d-squared": ({_K2: [(pm(0, 2), _K2, 1), (pm(1, 1), _K1, 1)],
+                   _K1: [(pm(0, 1), _K1, 1), (pm(1, 0), _K0, 1)],
+                   _K0: [(pm(0, 0), _K0, 1)]},
+                  "d.d != 0 at degree 2"),
+}
 
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COMODULES))
+def test_comodule_to_chain_refuses_a_malformed_coaction(case):
+    # built with no law check, so only comodule_to_chain can refuse them
     from hopfchains.laws import Comodule
-    com = Comodule(ring, carrier,
-                   LinMap(carrier, tensor_space(ring.carrier, carrier), beta,
-                          name="beta"), check_window=None)
-    with pytest.raises(IllegalComodule, match="round trip does not reproduce the coaction"):
+
+    table, message = MALFORMED_COMODULES[case]
+    ring = pareigis_ring(1)
+    carrier = finite_space("k", list(table))
+    beta = LinMap(carrier, tensor_space(ring.carrier, carrier),
+                  lambda b: Vec({pair(r, x): c for r, x, c in table[b]}), name="beta")
+    com = Comodule(ring, carrier, beta, check_window=None)
+    with pytest.raises(IllegalComodule, match=re.escape(message)):
         comodule_to_chain(com)
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+def test_a_chain_map_between_two_complexes_transports_to_a_comodule_morphism(s):
+    # Y is X under another name, and f the identity plus a null-homotopic
+    # map: the image of a label of X is a vector of Y's basis, named by Y
+    rng = random.Random(11)
+    for trial in range(10):
+        X = random_complex(rng, name="x%d" % trial, max_window=4, max_rank=3)
+        Y = ChainComplex(X.ranks, X.diffs, name="y%d" % trial)
+        h = random_chain_map(rng, X, Y)
+        f = ChainMap(X, Y, {n: eye(X.rank(n)) + h.block(n) for n in X.degrees()})
+        cx, cy = chain_to_comodule(X, s), chain_to_comodule(Y, s)
+        lf = chain_map_to_linmap(f, cx, cy)
+        for b in X.basis():
+            assert {y for y, _ in lf.apply(b).items()} <= set(Y.basis())
+        assert check_comodule_morphism(lf, cx, cy, 0)
+        assert linmap_to_chain_map(lf, X, Y) == f
 
 
 @pytest.mark.parametrize("s", [-1, 1])
