@@ -235,11 +235,12 @@ def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW):
 
     def coact_fn(label):
         if label[0] == "L":
-            out = Vec.zero()
+            # a (x) d0 |-> a (x) Left(d0) is injective, so no term merges
+            out = {}
             for a_d, c in D.coaction.apply(label[1]).items():
                 a, d0 = split_label(A.carrier, Ds, a_d)
-                out = out + c * Vec.basis(pair(a, left(d0)))
-            return out
+                out[pair(a, left(d0))] = c
+            return Vec(out)
         return Vec({pair(k, label): c for k, c in A.eta.apply(UNIT).items()})
 
     coact = LinMap(H, tensor_space(A.carrier, H), coact_fn, name="alpha")

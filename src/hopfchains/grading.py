@@ -17,9 +17,9 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 
-from .laws import Bimonoid, Coelement, Comodule, IllegalComodule
+from .laws import Bimonoid, Coelement, Comodule, IllegalComodule, verify
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Space, Vec, _is_int, _json_type, atom,
+    UNIT, UNIT_SPACE, ZERO, LinMap, Space, Vec, _is_int, _json_type, atom,
     finite_space, pair, split_label, tensor_space,
 )
 
@@ -212,37 +212,21 @@ def graded_to_comodule(M, ring=None):
 def comodule_to_graded_projections(X):
     """Degree projections of a legal comodule over a Laurent ring.
 
-    Returns {degree: p_g} with only nonzero projections; checks that the
-    projections sum to the identity and are orthogonal idempotents, and
-    raises IllegalComodule otherwise.
+    Returns {degree: p_g}, the nonzero p_g of the coaction
+    b |-> sum_g x^g (x) p_g(b), once its laws pass on window 0 and its ring
+    terms are group-like (else IllegalComodule): then the counit law says
+    they sum to 1, and coassociativity that they are orthogonal idempotents.
     """
-    A = X.ring.carrier
-    basis = X.carrier.enumerate(0)
+    verify(X, 0)
     columns = {}
-    for b in basis:
+    for b in X.carrier.enumerate(0):
         for a_x, c in X.coaction.apply(b).items():
-            a, x0 = split_label(A, X.carrier, a_x)
-            deg = degree_of(a)
-            columns.setdefault(deg, {}).setdefault(b, Vec.zero())
-            columns[deg][b] = columns[deg][b] + c * Vec.basis(x0)
+            a, x0 = split_label(X.ring.carrier, X.carrier, a_x)
+            if X.ring.delta.apply(a) != Vec.basis(pair(a, a)):
+                raise IllegalComodule("ring term %s of the coaction is not group-like" % (a,))
+            columns.setdefault(degree_of(a), {}).setdefault(b, {})[x0] = c
 
-    projections = {}
-    for deg, col in sorted(columns.items()):
-        fn = (lambda col: lambda l: col.get(l, Vec.zero()))(dict(col))
-        projections[deg] = LinMap(X.carrier, X.carrier, fn, name="p%s" % (deg,))
-
-    for b in basis:
-        total = Vec.zero()
-        for p in projections.values():
-            total = total + p.apply(b)
-        if total != Vec.basis(b):
-            raise IllegalComodule("projections do not sum to the identity at %s" % (b,))
-    for g, p in projections.items():
-        for h, q in projections.items():
-            for b in basis:
-                got = q(p.apply(b))
-                want = p.apply(b) if g == h else Vec.zero()
-                if got != want:
-                    raise IllegalComodule(
-                        "p%s . p%s is not %s" % (g, h, "p" if g == h else "0"))
-    return projections
+    def projection(deg, col):
+        col = {b: Vec(v) for b, v in col.items()}
+        return LinMap(X.carrier, X.carrier, lambda l: col.get(l, ZERO), name="p%s" % (deg,))
+    return {deg: projection(deg, col) for deg, col in sorted(columns.items())}

@@ -435,8 +435,8 @@ class LinMap:
       product's structure map, whose misses a compiled image evaluates;
     * a wire (``identity_map``, ``swap_map``, ``perm_map``) sends each
       basis label to one basis label with coefficient 1: it permutes the
-      label's tensor factors.  It holds no memo, and two wires composed
-      or tensored make one wire.
+      label's tensor factors.  It holds no memo; wires composed or
+      tensored make a composite like any other maps.
 
     A composite and a wire keep their stage tree in ``_stages``
     (``("compose", f, g)``, ``("tensor", f, g)`` or ``("wire", picks)``;
@@ -580,46 +580,34 @@ def memoised(f):
     return LinMap(f.dom, f.cod, _image(f), name=f.name)
 
 
-def _wires(f, g):
-    "Are both maps wires?"
-    return (f._stages is not None and f._stages[0] == "wire"
-            and g._stages is not None and g._stages[0] == "wire")
-
-
 def compose_maps(f, g):
     """f then g; f's codomain must be g's domain.
 
-    A label goes through f and its image through g.  Two wires make one
-    wire; the law kernel works out every other wire while compiling.
+    A label goes through f and its image through g; the law kernel works
+    out the wires while compiling.
     """
     if f.cod is not g.dom:
         raise SpaceMismatch("compose: codomain %s of %r is not the domain %s of %r"
                             % (f.cod.name, f, g.dom.name, g))
-    name = "(%s;%s)" % (f.name, g.name)
-    if _wires(f, g):
-        return _wire(f.dom, g.cod, tuple(f._stages[1][i] for i in g._stages[1]), name)
     fa = f.apply
-    return _streamed(f.dom, g.cod, lambda label: g(fa(label)), name, ("compose", f, g))
+    return _streamed(f.dom, g.cod, lambda label: g(fa(label)),
+                     "(%s;%s)" % (f.name, g.name), ("compose", f, g))
 
 
 def tensor_maps(f, g):
     """f (x) g: a label is split into its f and g parts, and their images tensored.
 
-    Two wires make one wire; the law kernel works out every other wire
-    and every cut and join while compiling.
+    The law kernel works out the wires and every cut and join while
+    compiling.
     """
     X, Y = f.dom, g.dom
-    dom = tensor_space(X, Y)
-    cod = tensor_space(f.cod, g.cod)
-    name = "(%s@%s)" % (f.name, g.name)
-    if _wires(f, g):
-        return _wire(dom, cod, f._stages[1] + tuple(X.arity + j for j in g._stages[1]), name)
     fa, ga = f.apply, g.apply
 
     def fn(label):
         x, y = split_label(X, Y, label)
         return fa(x).tensor(ga(y))
-    return _streamed(dom, cod, fn, name, ("tensor", f, g))
+    return _streamed(tensor_space(X, Y), tensor_space(f.cod, g.cod), fn,
+                     "(%s@%s)" % (f.name, g.name), ("tensor", f, g))
 
 
 def direct_sum_maps(f, g):

@@ -25,7 +25,8 @@ from .laws import Bimonoid, Comodule, IllegalComodule, Report
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, Space, Vec, _is_int, _json_type, atom,
     equal_on_window, finite_space, identity_map, label_from_json, label_key,
-    label_to_json, left, pair, right, split_label, tensor_maps, tensor_space,
+    label_to_json, left, pair, right, show_label, split_label, tensor_maps,
+    tensor_space,
 )
 from .semidirect import WComodule
 
@@ -346,16 +347,18 @@ def chain_map_to_linmap(f, src_comodule, tgt_comodule):
 
 
 def linmap_to_chain_map(g, X, Y):
-    "Read a based-space map back into degree-wise matrices."
+    """Read a based-space map back into degree-wise matrices; an image
+    label outside Y's basis in its source's degree is IllegalChain."""
     blocks = {}
     for n in X.degrees():
         b = zeros(Y.rank(n), X.rank(n))
+        rows = {atom(Y.name, n, j): j for j in range(Y.rank(n))}
         for i in range(X.rank(n)):
             for lbl, c in g.apply(atom(X.name, n, i)).items():
-                n2, j = lbl[2]
-                if n2 != n:
-                    raise IllegalChain("transport is not degree-preserving")
-                b[j, i] = c
+                if lbl not in rows:
+                    raise IllegalChain("image label %s is not in the degree-%d basis of %s"
+                                       % (show_label(lbl), n, Y.name))
+                b[rows[lbl], i] = c
         blocks[n] = b
     return ChainMap(X, Y, blocks)
 

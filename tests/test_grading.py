@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hopfchains.chains import ChainComplex, mat
 from hopfchains.grading import (
     Bicharacter, GradedModule, comodule_to_graded_projections,
     graded_to_comodule, laurent_hopf, monomial, sigma_space, sign_coelement,
@@ -14,6 +15,7 @@ from hopfchains.linalg import (
     LinMap, Vec, atom, equal_on_window, identity_map, pair, finite_space,
     tensor_maps, tensor_space,
 )
+from hopfchains.pareigis import chain_to_comodule
 
 
 def x(*g):
@@ -155,11 +157,26 @@ def test_illegal_coaction_is_rejected_by_projections():
     ring = laurent_hopf(1)
     b = atom("b", 0)
     carrier = finite_space("bad2", [b])
-    # not counital: collapses to x^1 (x) b plus x^2 (x) b
-    fn = lambda l: Vec.basis(pair(x(1), b)) + Vec.basis(pair(x(2), b))
-    X = Comodule(ring, carrier, LinMap(carrier, tensor_space(ring.carrier, carrier),
-                                       fn, name="beta"), check_window=None)
-    with pytest.raises(IllegalComodule):
+    images = [
+        # not counital: collapses to x^1 (x) b plus x^2 (x) b
+        Vec.basis(pair(x(1), b)) + Vec.basis(pair(x(2), b)),
+        # counital (2 - 1 = 1) but not coassociative: p_1 = 2 is no idempotent
+        2 * Vec.basis(pair(x(1), b)) - Vec.basis(pair(x(2), b)),
+    ]
+    for image in images:
+        X = Comodule(ring, carrier, LinMap(carrier, tensor_space(ring.carrier, carrier),
+                                           lambda l, image=image: image, name="beta"),
+                     check_window=None)
+        with pytest.raises(IllegalComodule):
+            comodule_to_graded_projections(X)
+
+
+def test_a_comodule_over_a_ring_with_non_group_like_terms_is_refused():
+    # a legal comodule over P: its coaction has the skew-primitive xi in it,
+    # so coefficients of ring monomials are not projections
+    e = ChainComplex({0: 1, 1: 1}, {1: mat([[1]])}, name="e")
+    X = chain_to_comodule(e, -1)
+    with pytest.raises(IllegalComodule, match="not group-like"):
         comodule_to_graded_projections(X)
 
 

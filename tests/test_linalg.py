@@ -356,84 +356,52 @@ def test_window_enumeration_is_monotone(name):
 
 
 # ---------------------------------------------------------------------------
-# wires: identity, swap and permutations, in composites and merged into one wire
+# wires: identity, swap and permutations, alone and in composites
 
 
-def unfused(wire):
-    "A wire as a plain memoising leaf with the same relabelling."
-    return LinMap(wire.dom, wire.cod, wire.apply, name=wire.name)
-
-
-def reference_compose(f, g):
-    return LinMap(f.dom, g.cod, lambda l: g(f.apply(l)))
-
-
-def reference_tensor(f, g):
-    "f (x) g through the generic cut and canonicalising tensor of labels."
-    def fn(label):
-        lx, ly = split_label(f.dom, g.dom, label)
-        return f.apply(lx).tensor(g.apply(ly))
-    return LinMap(tensor_space(f.dom, g.dom), tensor_space(f.cod, g.cod), fn)
-
-
-FUSED = (lambda m: m, compose_maps, tensor_maps)
-UNFUSED = (unfused, reference_compose, reference_tensor)
 RINGS = {"Z^2": laurent_hopf(2), "P": pareigis_ring(-1)}
 
 
-def wiring_cases(ring, p4, p3a, p3b, build):
-    "Composites mixing wires with structure maps, built by ``build``."
-    wire, then, times = build
+def wiring_cases(ring, p4, p3a, p3b):
+    "Composites mixing wires with structure maps."
     A = ring.carrier
     mu, delta, eps, eta, s = ring.mu, ring.delta, ring.epsilon, ring.eta, ring.antipode
-    ida = wire(identity_map(A))
-    perm4 = wire(perm_map([A] * 4, p4))
+    ida, swap = identity_map(A), swap_map(A, A)
+    perm4 = perm_map([A] * 4, p4)
+    perm3a, perm3b = perm_map([A] * 3, p3a), perm_map([A] * 3, p3b)
     return {
-        "f;perm": then(times(delta, delta), perm4),
-        "f;perm;g": then(then(times(delta, delta), perm4), times(mu, mu)),
-        "id@f": then(times(ida, mu), mu),
-        "f@id": then(times(mu, ida), times(s, s)),
-        "perm;perm": then(wire(perm_map([A] * 3, p3a)), wire(perm_map([A] * 3, p3b))),
-        "perm;g": then(wire(perm_map([A] * 3, p3a)), times(mu, ida)),
-        "swap@f": times(wire(swap_map(A, A)), delta),
-        "f@swap": times(s, wire(swap_map(A, A))),
-        "perm@swap": times(wire(perm_map([A] * 3, p3a)), wire(swap_map(A, A))),
-        "eps@id;id@eta": then(times(eps, ida), times(ida, eta)),
-        "f;perm;g on A^2": then(then(times(delta, ida), wire(perm_map([A] * 3, p3b))),
-                            times(ida, mu)),
+        "f;perm": delta @ delta >> perm4,
+        "f;perm;g": delta @ delta >> perm4 >> mu @ mu,
+        "id@f": ida @ mu >> mu,
+        "f@id": mu @ ida >> s @ s,
+        "perm;perm": perm3a >> perm3b,
+        "perm;g": perm3a >> mu @ ida,
+        "swap@f": swap @ delta,
+        "f@swap": s @ swap,
+        "perm@swap": perm3a @ swap,
+        "eps@id;id@eta": eps @ ida >> ida @ eta,
+        "f;perm;g on A^2": delta @ ida >> perm3b >> ida @ mu,
     }
-
-
-@settings(deadline=None, max_examples=20)
-@given(st.sampled_from(sorted(RINGS)), st.permutations(range(4)),
-       st.permutations(range(3)), st.permutations(range(3)))
-def test_fused_wires_agree_with_unfused_stages(ring_name, p4, p3a, p3b):
-    ring = RINGS[ring_name]
-    perms = (tuple(p4), tuple(p3a), tuple(p3b))
-    fused = wiring_cases(ring, *perms, FUSED)
-    reference = wiring_cases(ring, *perms, UNFUSED)
-    for case, f in fused.items():
-        r = reference[case]
-        assert f.dom.name == r.dom.name and f.cod.name == r.cod.name, case
-        for label in f.dom.enumerate(1):
-            assert f.apply(label) == r.apply(label), (case, label)
 
 
 def test_wires_keep_no_memo():
     P = pareigis_ring(-1)
     A = P.carrier
     ida = identity_map(A)
-    assert ida._cache is None
     swap, perm = swap_map(A, A), perm_map([A, A, A], (2, 0, 1))
+    # wires composed or tensored are composites like any others
     middle = tensor_maps(tensor_maps(ida, swap), ida)
-    wires = [ida, swap, perm, middle, compose_maps(perm, perm),
-             compose_maps(swap, swap), tensor_maps(ida, ida)]
+    cube = compose_maps(perm, compose_maps(perm, perm))
+    composites = [middle, cube, compose_maps(swap, swap), tensor_maps(ida, ida)]
     lhs = tensor_maps(P.delta, P.delta) >> middle >> tensor_maps(P.mu, P.mu)
     assert equal_on_window(lhs, P.mu >> P.delta, 3, law="interchange")
-    assert equal_on_window(compose_maps(perm, compose_maps(perm, perm)),
-                           identity_map(perm.dom), 2)
-    for w in wires:
+    assert equal_on_window(cube, identity_map(perm.dom), 2)
+    for label in perm.dom.enumerate(1):
+        assert cube.apply(label) == Vec.basis(label)
+    for w in (ida, swap, perm):
         assert w._cache is None and w._stages[0] == "wire"
+    for m in composites:
+        assert m._cache is None and m._stages[0] in ("compose", "tensor")
     # a wire kept as structure still memoises like a leaf
     kept = memoised(swap)
     assert kept._cache == {} and kept._stages is None
@@ -566,7 +534,7 @@ def assert_kernel_agrees(m, windows, case):
 @given(st.sampled_from(sorted(RINGS)), st.permutations(range(4)),
        st.permutations(range(3)), st.permutations(range(3)), st.integers(0, 2 ** 32))
 def test_compiled_wiring_agrees_with_apply(ring_name, p4, p3a, p3b, seed):
-    cases = wiring_cases(RINGS[ring_name], tuple(p4), tuple(p3a), tuple(p3b), FUSED)
+    cases = wiring_cases(RINGS[ring_name], tuple(p4), tuple(p3a), tuple(p3b))
     rng = random.Random(seed)
     for case, m in cases.items():
         for K in (1, 2):

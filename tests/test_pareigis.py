@@ -7,14 +7,17 @@ import pytest
 
 from hopfchains import semidirect
 from hopfchains.chains import (
-    ChainComplex, ChainMap, eye, mat, random_chain_map, random_complex, tensor_chains,
+    ChainComplex, ChainMap, IllegalChain, eye, mat, random_chain_map, random_complex,
+    tensor_chains,
 )
 from hopfchains.grading import monomial
 from hopfchains.laws import (
     Bimonoid, IllegalComodule, check_bialgebra_laws, check_comodule_morphism,
     plain_swap, tensor_comodule,
 )
-from hopfchains.linalg import UNIT, LinMap, Vec, atom, finite_space, pair, tensor_space
+from hopfchains.linalg import (
+    UNIT, LinMap, Vec, atom, finite_space, pair, show_label, tensor_space,
+)
 from hopfchains.pareigis import (
     ALPHABET, PSI, XI, XI_INV, chain_map_to_linmap, chain_to_comodule,
     chain_to_wcomodule, comodule_to_chain, identify_semidirect,
@@ -271,6 +274,18 @@ def test_chain_maps_transport_to_comodule_morphisms(s):
         # composition is preserved and transport is invertible
         assert linmap_to_chain_map(lf >> lg, X, X) == f.then(g)
         assert linmap_to_chain_map(lf, X, X) == f
+
+
+@pytest.mark.parametrize("image", [atom("x", 0, 0), atom("y", 0, 1), atom("y", 0),
+                                   atom("y", 1, 0)],
+                         ids=["source-family", "out-of-range", "no-degree", "other-degree"])
+def test_an_image_outside_the_target_basis_is_refused(image):
+    # X and Y have the same ranks; only y(0,0) is a degree-0 label of Y
+    X = ChainComplex({0: 1, 1: 1}, {}, name="x")
+    Y = ChainComplex({0: 1, 1: 1}, {}, name="y")
+    g = LinMap(X.space(), Y.space(), lambda l: Vec.basis(image), name="g")
+    with pytest.raises(IllegalChain, match=re.escape(show_label(image))):
+        linmap_to_chain_map(g, X, Y)
 
 
 def test_word_of_inverts_normal_forms():
