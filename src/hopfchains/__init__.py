@@ -18,7 +18,7 @@ from .laws import (
     Bimonoid, Coelement, Comodule, IllegalComodule, LawViolation,
     Report, check_bialgebra_laws, check_coelement, check_comodule_morphism,
     check_distributive_law, comodule_braiding, distributive_law_tau,
-    plain_swap, coelement_braiding, tensor_comodule, verify,
+    plain_swap, tensor_comodule, verify,
 )
 from .grading import (
     Bicharacter, GradedModule, comodule_to_graded_projections,

@@ -724,12 +724,13 @@ class Bicomplex:
     d has bidegree (-1, 0); d2 has the declared ``d2_bidegree`` (its
     second component is always -1).  Both squares are enforced to be
     zero; the commutation law between them is checked by
-    ``second_differential``.
+    ``second_differential``.  Its basis labels are named ``b``.
     """
 
-    def __init__(self, ranks, d1, d2, d2_bidegree, name="b"):
+    name = "b"
+
+    def __init__(self, ranks, d1, d2, d2_bidegree):
         self.ranks = {c: r for c, r in ranks.items() if r}
-        self.name = name
         self.d2_bidegree = tuple(d2_bidegree)
         self.d1 = _nonzero(d1)
         self.d2 = _nonzero(d2)

@@ -37,13 +37,13 @@ class Report(list):
 
 
 class Bimonoid:
-    """A based space with mu, eta, delta, epsilon and optional antipode.
+    """A based space with mu, eta, delta, epsilon and antipode.
 
     Carrying the maps does not assume the laws hold; call
     ``check_bialgebra_laws`` to establish them for a given braiding.
     """
 
-    def __init__(self, carrier, mu, eta, delta, epsilon, antipode=None):
+    def __init__(self, carrier, mu, eta, delta, epsilon, antipode):
         self.carrier = carrier
         self.mu = mu
         self.eta = eta
@@ -52,9 +52,8 @@ class Bimonoid:
         self.antipode = antipode
         hh = tensor_space(carrier, carrier)
         shapes = [(mu, hh, carrier), (eta, UNIT_SPACE, carrier),
-                  (delta, carrier, hh), (epsilon, carrier, UNIT_SPACE)]
-        if antipode is not None:
-            shapes.append((antipode, carrier, carrier))
+                  (delta, carrier, hh), (epsilon, carrier, UNIT_SPACE),
+                  (antipode, carrier, carrier)]
         for f, dom, cod in shapes:
             if f.dom is not dom or f.cod is not cod:
                 raise SpaceMismatch("structure map %r should be %s -> %s"
@@ -225,20 +224,6 @@ def comodule_braiding(X, Y, coelement):
                   tensor_space(Y.carrier, X.carrier), fn, name="braid")
 
 
-def coelement_braiding(coelement, comodules):
-    "The braiding ``(X, Y) -> map`` that looks comodules up by their carriers."
-    table = {c.carrier: c for c in comodules}
-
-    def braid(X, Y):
-        try:
-            cx, cy = table[X], table[Y]
-        except KeyError as err:
-            raise SpaceMismatch("no comodule registered for %s" % err)
-        return comodule_braiding(cx, cy, coelement)
-
-    return braid
-
-
 # ---------------------------------------------------------------------------
 # law suites
 
@@ -275,10 +260,9 @@ def check_bialgebra_laws(B, braid, K):
         tensor_maps(delta, delta) >> middle >> tensor_maps(mu, mu),
         mu >> delta)
 
-    if B.antipode is not None:
-        s = B.antipode
-        law("antipode-left", delta >> tensor_maps(s, idh) >> mu, eps >> eta)
-        law("antipode-right", delta >> tensor_maps(idh, s) >> mu, eps >> eta)
+    s = B.antipode
+    law("antipode-left", delta >> tensor_maps(s, idh) >> mu, eps >> eta)
+    law("antipode-right", delta >> tensor_maps(idh, s) >> mu, eps >> eta)
     return report
 
 

@@ -28,7 +28,7 @@ from .linalg import (
     label_to_json, left, pair, right, show_label, split_label, tensor_maps,
     tensor_space,
 )
-from .semidirect import WComodule
+from .semidirect import WComodule, semidirect_product
 
 XI = "xi"
 XI_INV = "xi'"
@@ -200,10 +200,10 @@ def differential_comodule_bimonoid(s):
 
 @functools.lru_cache(maxsize=None)
 def _identified_bimonoid(s):
-    """The I + D that every identification of sign s shares.
+    """The I + D that every ``identify_semidirect`` of sign s shares.
 
-    Building it checks comodule legality, the H suite and the product
-    suite; the maps are pure, so one build per sign serves every call.
+    Building it checks comodule legality and the H suite; the maps are
+    pure, so one build per sign serves every call.
     """
     return differential_comodule_bimonoid(s)
 
@@ -216,7 +216,7 @@ def identify_semidirect(s, K):
     carries one verdict per map.  The I + D is built once per sign.
     """
     hb = _identified_bimonoid(s)
-    sd = hb.product()
+    sd = semidirect_product(hb)
     ring = pareigis_ring(s)
     P = ring.carrier
     Q = sd.carrier
@@ -279,7 +279,7 @@ def _coaction(X, s):
     return coact_fn
 
 
-def comodule_to_chain(B, name=None):
+def comodule_to_chain(B):
     """Recover the chain complex from a comodule over a Pareigis ring.
 
     The carrier basis must be homogeneous for the xi-grading (each basis
@@ -291,10 +291,11 @@ def comodule_to_chain(B, name=None):
     That coaction is legal without a check of its own: the complex's
     constructor has checked d.d = 0 exactly, and over the Pareigis ring
     that is coassociativity, while the counit law holds by its form.
+    The complex is named after B's carrier.
     """
     s = B.ring.s
     P = B.ring.carrier
-    name = name or B.carrier.name
+    name = B.carrier.name
     basis = B.carrier.enumerate(0)
 
     coaction = {b: B.coaction.apply(b) for b in basis}
@@ -363,17 +364,15 @@ def linmap_to_chain_map(g, X, Y):
     return ChainMap(X, Y, blocks)
 
 
-def chain_to_wcomodule(X, s, hb=None):
-    """View a complex as a comodule over I + D inside the graded category.
+def chain_to_wcomodule(X, s, hb):
+    """View a complex as a comodule over ``hb``, an I + D of sign s, inside
+    the graded category.
 
     The grading coaction sends a degree-n vector to x^(s.n) (x) itself;
     the H-coaction records the differential on the Left(d) leg.  Feeding
     the result to the comparison functor recovers ``chain_to_comodule``
     up to the semidirect label bijection.  It is verified on window 0.
-    Without ``hb`` it is the I + D that ``identify_semidirect`` shares,
-    built and verified once per sign.
     """
-    hb = hb or _identified_bimonoid(s)
     A = hb.ring
     H = hb.hopf
     dlabel = atom("d", s, 0)

@@ -16,8 +16,9 @@ wires, composed and tensored, so the construction needs no more than a
 symmetric monoidal additive category offers.  All are law-checked on a
 validation window as part of construction; the checks are the
 executable content of the underlying proposition, not an optional
-extra.  Each ComoduleBimonoid builds its product once, and the suite
-runs again only for a window larger than any on which it passed.
+extra.  ``semidirect_product`` builds the product once per
+ComoduleBimonoid, and the suite runs again only for a window larger
+than any on which it passed.
 The comparison functors translate between comodules over H inside
 A-comodules and comodules over the product ring.
 """
@@ -26,9 +27,8 @@ from __future__ import annotations
 
 from .laws import (
     VALIDATION_WINDOW, Bimonoid, Comodule, Report, Verified,
-    check_bialgebra_laws, check_comodule_morphism, coelement_braiding,
-    comodule_braiding, distributive_law_tau, plain_swap, tensor_comodule,
-    unit_comodule, verify,
+    check_bialgebra_laws, check_comodule_morphism, comodule_braiding,
+    distributive_law_tau, plain_swap, tensor_comodule, unit_comodule, verify,
 )
 from .linalg import (
     SpaceMismatch, identity_map, memoised, perm_map, tensor_maps, tensor_space,
@@ -40,9 +40,8 @@ class ComoduleBimonoid(Verified):
 
     Construction verifies on ``window`` (None: not at all) that all four
     structure maps are A-comodule morphisms and that the bialgebra laws
-    hold for the coelement-induced braiding.  The semidirect product is
-    built at most once per object and verified at most once per window
-    (``product``).
+    hold for the coelement-induced braiding.  ``semidirect_product``
+    builds its semidirect product.
     """
 
     def __init__(self, hopf, comodule, coelement, window=VALIDATION_WINDOW):
@@ -65,7 +64,16 @@ class ComoduleBimonoid(Verified):
         return report
 
     def braiding(self):
-        return coelement_braiding(self.coelement, [self.comodule])
+        """The braiding ``(X, Y) -> map`` of the carrier with itself, from the
+        coelement; any other pair of spaces is a SpaceMismatch."""
+        com = self.comodule
+
+        def braid(X, Y):
+            if not (X is Y is com.carrier):
+                raise SpaceMismatch("no braiding of %s with %s" % (X.name, Y.name))
+            return comodule_braiding(com, com, self.coelement)
+
+        return braid
 
     def morphism_report(self, K):
         "Are mu, eta, delta, epsilon morphisms of A-comodules?"
@@ -78,10 +86,6 @@ class ComoduleBimonoid(Verified):
             check_comodule_morphism(H.delta, com, hh, K),
             check_comodule_morphism(H.epsilon, com, one, K),
         ])
-
-    def product(self, window=VALIDATION_WINDOW):
-        "The memoised H >< A, verified on ``window`` (``semidirect_product``)."
-        return semidirect_product(self, window)
 
 
 class SemidirectRing(Bimonoid, Verified):
@@ -101,9 +105,8 @@ def semidirect_product(HB, window=VALIDATION_WINDOW):
 
     Every call for the same ``HB`` returns the same ``SemidirectRing``.
     The full bimonoid suite under the plain swap must hold on ``window``
-    (None builds without verifying); the antipode is attached when both
-    H and A carry one, and both antipode identities are part of that
-    suite.  See ``laws.verify`` for when the suite actually runs.
+    (None builds without verifying); both antipode identities are part
+    of that suite.  See ``laws.verify`` for when the suite actually runs.
     """
     ring = HB._product
     if ring is None:
@@ -139,9 +142,7 @@ def _build_product(HB):
     delta = _kept("delta", H.delta @ A.delta >> idh @ tau @ ida)
     epsilon = _kept("epsilon", H.epsilon @ A.epsilon)
 
-    antipode = None
-    if H.antipode is not None and A.antipode is not None:
-        antipode = _kept("antipode", tau >> H.eta @ A.antipode @ H.antipode @ A.eta >> mu)
+    antipode = _kept("antipode", tau >> H.eta @ A.antipode @ H.antipode @ A.eta >> mu)
 
     return SemidirectRing(tensor_space(Hs, As), mu, eta, delta, epsilon, antipode, HB)
 
@@ -160,8 +161,6 @@ def semidirect_antipode(HB, window=VALIDATION_WINDOW):
     suite contains both antipode identities, on the same maps under the
     same plain swap, so no separate check runs here.
     """
-    if HB.hopf.antipode is None or HB.ring.antipode is None:
-        raise ValueError("both H and A must carry antipodes")
     return semidirect_product(HB, window).antipode
 
 
@@ -227,7 +226,7 @@ def comparison_f(B, window=VALIDATION_WINDOW):
     The coaction is (1_H (x) alpha) . chi; the underlying map of a
     morphism is untouched.  The result is checked legal over the product.
     """
-    ring = B.hb.product()
+    ring = semidirect_product(B.hb)
     idh = identity_map(B.hb.hopf.carrier)
     coaction = B.chi >> tensor_maps(idh, B.alpha)
     return Comodule(ring, B.carrier, coaction, check_window=window)

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfchains import cli
+from hopfchains import cli, semidirect
 from hopfchains.cli import (
     RunConfig, build_parser, main, render_json, render_text, run_command,
 )
+from hopfchains.linalg import scale_map
 
 DATA = Path(__file__).parent / "data"
 
@@ -91,6 +92,23 @@ def test_build_semidirect_runs_the_suite():
     names = {row["name"] for row in report["results"]}
     assert "admissibility" in names
     assert "semidirect/interchange" in names
+
+
+def test_a_failing_product_law_is_a_report_row(monkeypatch, capsys):
+    # a product with its mu doubled breaks laws of the product suite:
+    # build-semidirect reports them as rows of the requested window and
+    # exits 1, with no LawViolation escaping main
+    kept = semidirect._kept
+    monkeypatch.setattr(semidirect, "_kept",
+                        lambda name, f: kept(name, scale_map(f, 2) if name == "mu" else f))
+    assert main(["--command", "build-semidirect", "--s", "1", "--window", "2"]) == 1
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["results"]}
+    assert rows.pop("admissibility")["verdict"] == "accept"
+    differ = sorted(name for name, row in rows.items() if row["verdict"] == "differ")
+    assert differ == ["semidirect/%s" % law for law in (
+        "antipode-left", "antipode-right", "epsilon-mu", "interchange",
+        "unit-left", "unit-right")]
+    assert rows["semidirect/associativity"]["instances"] == (2 * 5) ** 3
 
 
 def test_build_semidirect_gives_the_reason_an_even_carrier_is_rejected(tmp_path):

@@ -187,33 +187,6 @@ def test_sigma_forgets_the_grading():
     assert len(sigma_space(GradedModule.of({0: 2}, name="m")).enumerate(0)) == 2
 
 
-def test_graded_module_json_round_trip():
-    M = GradedModule.of({(1, 0): 2, (-1, 2): 1}, rank=2, name="m")
-    doc = M.to_json()
-    assert GradedModule.from_json(doc, name="m") == M
-
-
-@pytest.mark.parametrize("doc, message", [
-    ({}, r'no "rank" key'),
-    ({"rank": 1}, r'no "components" key'),
-    ({"components": []}, r'no "rank" key'),
-    ([], r"a graded module is a JSON object .*, not a list"),
-    ({"rank": 1, "components": 3}, r'"components" is a list of objects, not a number'),
-    ({"rank": "x", "components": []}, r"\"rank\" is an integer >= 1, not 'x'"),
-    ({"rank": True, "components": []}, r'"rank" is an integer >= 1, not True'),
-    ({"rank": 0, "components": []}, r'"rank" is an integer >= 1, not 0'),
-    ({"rank": 1, "components": [3]}, r"a component is an object .*, not 3"),
-    ({"rank": 1, "components": [{"degree": [0]}]}, r"a component is an object"),
-    ({"rank": 1, "components": [{"degree": 0, "rank": 1}]}, r"a component is an object"),
-    ({"rank": 1, "components": [{"degree": ["a"], "rank": 1}]}, r"a component is an object"),
-    ({"rank": 1, "components": [{"degree": [0], "rank": "x"}]}, r"a component is an object"),
-    ({"rank": 1, "components": [{"degree": [0], "rank": -1}]}, r"a component is an object"),
-])
-def test_a_malformed_graded_module_document_names_what_is_wrong(doc, message):
-    with pytest.raises(ValueError, match=message):
-        GradedModule.from_json(doc)
-
-
 def test_there_is_one_laurent_ring_per_rank():
     assert laurent_hopf() is laurent_hopf(1) is laurent_hopf(r=1)
     assert laurent_hopf(2) is not laurent_hopf(1)

@@ -11,6 +11,8 @@ import cycle that such an import would break, so a module's imports
 are all in one place.  A top-level ``def``, ``class`` or assignment
 whose name starts with one underscore is not exported, so a module of
 the package must load it (as a name or an attribute) or it is dead.
+The parameters with a default, over every function and lambda of the
+package, are counted, and the count may not rise above its bound.
 """
 
 import ast
@@ -128,3 +130,35 @@ def test_every_private_top_level_name_is_read_in_the_package():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert len(sources) > 5
     assert unread_private_names(sources) == []
+
+
+# the parameters with a default in the package: a new default, option or
+# knob raises the count, so it must lower this bound in the same change
+DEFAULTED_PARAMETERS = 35
+
+
+def defaulted_parameters(source):
+    "How many parameters of the source's functions and lambdas have a default."
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+    return count
+
+
+def test_the_count_sees_every_kind_of_default():
+    source = ("def f(a, b=1, *args, c, d=2, **kw):\n"
+              "    g = lambda x, y=3: x\n"
+              "    async def h(p=4, /, q=5):\n"
+              "        pass\n"
+              "class C:\n"
+              "    def m(self, r=None):\n"
+              "        pass\n")
+    assert defaulted_parameters(source) == 6
+
+
+def test_no_parameter_with_a_default_is_added():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert sum(defaulted_parameters(p.read_text()) for p in modules) <= DEFAULTED_PARAMETERS

@@ -9,8 +9,8 @@ from hopfchains.grading import (
 )
 from hopfchains.laws import (
     Coelement, Comodule, check_bialgebra_laws, check_coelement,
-    check_comodule_morphism, check_distributive_law, coelement_braiding,
-    comodule_braiding, distributive_law_tau, plain_swap, tensor_comodule, trivial_comodule,
+    check_comodule_morphism, check_distributive_law, comodule_braiding,
+    distributive_law_tau, plain_swap, tensor_comodule, trivial_comodule,
     unit_comodule,
 )
 from hopfchains.linalg import (
@@ -225,16 +225,6 @@ def test_tensor_comodule_multiplies_the_ring_legs():
     assert T.coaction.apply(pair(u, v)) == Vec.basis(pair(x(3), u, v))
 
 
-def test_antipode_rows_appear_only_when_present():
-    from hopfchains.laws import Bimonoid
-
-    Z = laurent_hopf(1)
-    no_antipode = Bimonoid(Z.carrier, Z.mu, Z.eta, Z.delta, Z.epsilon)
-    report = check_bialgebra_laws(no_antipode, plain_swap(), 2)
-    assert report.ok
-    assert not {r.law for r in report} & {"antipode-left", "antipode-right"}
-
-
 def test_bimonoid_rejects_maps_on_a_namesake_carrier():
     from hopfchains.grading import sigma_space
     from hopfchains.laws import Bimonoid
@@ -249,14 +239,14 @@ def test_bimonoid_rejects_maps_on_a_namesake_carrier():
     other = sigma_space(GradedModule.of({3: 2}))
     assert carrier.name == other.name == "Sigma(m)"
     mu, eta, delta, eps, anti = zero_structure(other)
-    with pytest.raises(SpaceMismatch):
-        Bimonoid(carrier, mu, eta, delta, eps)
-    # one map on the namesake is enough, the antipode included
     own = zero_structure(carrier)
     with pytest.raises(SpaceMismatch):
-        Bimonoid(carrier, own[0], own[1], delta, own[3])
+        Bimonoid(carrier, mu, eta, delta, eps, anti)
+    # one map on the namesake is enough, the antipode included
     with pytest.raises(SpaceMismatch):
-        Bimonoid(carrier, *own[:4], antipode=anti)
+        Bimonoid(carrier, own[0], own[1], delta, own[3], own[4])
+    with pytest.raises(SpaceMismatch):
+        Bimonoid(carrier, *own[:4], anti)
     # the same basis under the same name is the same carrier
     same = sigma_space(GradedModule.of({0: 1}))
     Bimonoid(same, *own)
@@ -295,18 +285,18 @@ def test_comodules_over_namesake_rings_are_refused():
     assert check_comodule_morphism(identity_map(B), X, trivial_comodule(again, B), 0)
 
 
-def test_coelement_braiding_tells_namesake_carriers_apart():
-    # X1 and X2 both live on a Sigma(d); the braiding of X1 with itself
-    # must come from X1's coaction, whatever else is registered
-    from hopfchains.linalg import finite_space
+def test_a_comodule_bimonoid_braids_its_own_carrier_alone():
+    # (I + D) on d in degree 1 and in degree 3: both carriers are
+    # (Sigma(d)+I), and the braiding of one must refuse the other
+    from hopfchains.linalg import SpaceMismatch, left
     gamma = sign_coelement(Bicharacter(1, (-1,)))
-    X1 = d_comodule(1, gamma.ring)
-    X2 = trivial_comodule(gamma.ring, finite_space("Sigma(d)", [atom("w")]))
-    assert X1.carrier.name == X2.carrier.name and X1.carrier is not X2.carrier
-    d = atom("d", 1, 0)
-    want = comodule_braiding(X1, X1, gamma).apply(pair(d, d))
-    assert want == -Vec.basis(pair(d, d))
-    braid = coelement_braiding(gamma, [X1, X2])
-    assert braid(X1.carrier, X1.carrier).apply(pair(d, d)) == want
-    w = atom("w")
-    assert braid(X2.carrier, X2.carrier).apply(pair(w, w)) == Vec.basis(pair(w, w))
+    hb, other = (build_differential_hopf(d_comodule(k, gamma.ring), gamma, window=None)
+                 for k in (1, 3))
+    H = hb.hopf.carrier
+    assert H.name == other.hopf.carrier.name == "(Sigma(d)+I)" and H is not other.hopf.carrier
+    d = left(atom("d", 1, 0))
+    braid = hb.braiding()
+    assert braid(H, H).apply(pair(d, d)) == -Vec.basis(pair(d, d))
+    for X, Y in ((other.hopf.carrier,) * 2, (H, other.hopf.carrier), (other.hopf.carrier, H)):
+        with pytest.raises(SpaceMismatch):
+            braid(X, Y)

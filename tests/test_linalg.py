@@ -28,6 +28,7 @@ from hopfchains.laws import (
 from hopfchains.pareigis import (
     differential_comodule_bimonoid, monomial as pm, pareigis_ring, ring_by_name,
 )
+from hopfchains.semidirect import semidirect_product
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,7 +200,7 @@ def test_structure_maps_land_on_valid_codomain_labels():
     for s in (-1, 1):
         hb = differential_comodule_bimonoid(s)
         rings["I+D[s=%+d]" % s] = hb.hopf
-        rings["(I+D)><Z[s=%+d]" % s] = hb.product()
+        rings["(I+D)><Z[s=%+d]" % s] = semidirect_product(hb)
     for name, ring in rings.items():
         for f in (ring.mu, ring.delta, ring.antipode, ring.epsilon, ring.eta):
             ok, witness = supported_on_codomain(f, 2)
