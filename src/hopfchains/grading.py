@@ -142,9 +142,6 @@ class GradedModule:
         # dim_at's table; not a field, so it is left out of ==, hash and repr
         object.__setattr__(self, "_dims", dict(self.components))
 
-    def degrees(self):
-        return [deg for deg, _ in self.components]
-
     def dim_at(self, deg):
         return self._dims.get((deg,) if isinstance(deg, int) else tuple(deg), 0)
 

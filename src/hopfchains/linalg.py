@@ -443,15 +443,18 @@ class LinMap:
     ``None`` on a leaf).  Only the law kernel optimises a tree: it works
     out wires, cuts and joins while compiling.  ``equal_on_window``
     checks every window with one law kernel (see ``_kernel``) made from
-    both sides' trees: one nested loop per factor of the domain, with
-    each leaf application an inline lookup in the leaf's memo and
-    ``apply`` called only on a miss.  A lookup is made once per value of the factors it reads, in
-    the loop of the last of them, and once for both sides.  The kernel
-    is made once per law shape in a process and shared by every law of
-    that shape, with the leaves bound per check.  A side whose leaves
-    would nest more loops than CPython allows (``_MAX_LOOPS``, counting
-    the domain's) is one call of its ``apply`` inside the kernel.  The
-    same compiler makes a memoised composite's image function (see
+    both sides' trees: one nested loop per factor of the domain, in
+    which each leaf application is a lookup in a table of the check's
+    own, keyed by numbers the check gives the labels it meets, and a
+    miss there reads the leaf's memo and calls ``apply`` only on a miss
+    in it (a kernel over one part looks up the memo directly).  A
+    lookup is made once per value of the factors it reads, in the loop
+    of the last of them, and once for both sides.  The kernel is made
+    once per law shape in a process and shared by every law of that
+    shape, with the leaves bound per check.  A side whose leaves would
+    nest more loops than CPython allows (``_MAX_LOOPS``, counting the
+    domain's) is one call of its ``apply`` inside the kernel.  The same
+    compiler makes a memoised composite's image function (see
     ``memoised``).  Every other caller evaluates any map through
     ``apply``.
 
@@ -670,23 +673,43 @@ def _kernel(f, g, parts):
 
     Called with one window per part, it checks the labels of their
     tensor one at a time, in enumeration order.  It returns ``(n,
-    label, lhs, rhs)`` at the n-th label, the first whose two images
-    (dicts, with no zero stored) differ, and ``(n, None, None, None)``
-    after n labels that all agree.
+    label)`` at the n-th label, the first whose two images differ, and
+    ``(n, None)`` after n labels that all agree; ``equal_on_window``
+    takes the images of a failing label from ``apply``.
 
     The kernel is one generated function with one nested ``for`` per
-    part.  Inside them each side is compiled from its stage tree: a leaf
-    application is an inline lookup in the leaf's memo, with ``apply``
-    called only on a miss; wires and tensor cuts and joins are worked
-    out on the label's factors while compiling, so at run time they are
-    tuple slots, and a label is only built where a leaf needs it; the
-    terms are summed into one dict.  A lookup is hoisted to the top of
-    the loop that binds the last factor it reads, or to the kernel's top
-    if it reads none, so that ``mu(a0, a1)`` on three parts is looked up
-    once per pair, not once per label; and one lookup serves both sides
-    wherever they apply the same leaf to the same factors.  A side whose
-    leaves, one loop each, would nest more than ``_MAX_LOOPS`` loops with
-    the domain's is one call of its ``apply``.
+    part.  Inside them each side is compiled from its stage tree: wires
+    and tensor cuts and joins are worked out on the label's factors
+    while compiling, so at run time they are tuple slots, and a label
+    is only built where a leaf needs it.  Each side's terms are summed
+    into one dict, or into an int when the codomain is the unit space.
+
+    Labels are nested tuples, and CPython does not cache a tuple's hash,
+    so a kernel over two or more parts works on numbers instead.  On
+    entry it numbers the labels it meets in a dict of its own, in
+    first-seen order, so that two labels get one number exactly when
+    they are equal.  Each leaf gets a table of its own, keyed by the
+    numbers of its argument's factors (an int for one factor, a tuple of
+    ints for more, ``()`` for none), which holds its image as
+    ``(numbers, coefficient, label)`` terms, or as the one coefficient
+    when its codomain is the unit space; the sides' dicts are keyed by
+    numbers too.  On a miss the kernel builds the label, looks it up
+    in the leaf's memo, and calls ``apply`` only on a miss there, so the
+    memos fill as before.  The numbers and tables die with the call.  A
+    kernel over one part works on labels and looks leaves up in their
+    memos: its window is small in every check the package makes, and a
+    verification on construction runs on window 0, where numbering would
+    cost more than it saves.  So does a law whose two sides are single
+    leaves, which looks each label up once.
+
+    A lookup is hoisted to the top of the loop that binds the last
+    factor it reads, or to the kernel's top if it reads none, so that
+    ``mu(a0, a1)`` on three parts is looked up once per pair, not once
+    per label; one lookup serves both sides wherever they apply the same
+    leaf to the same factors; and each term loop multiplies the
+    coefficients so far once, before the loop inside it.  A side whose
+    leaves, one loop each, would nest more than ``_MAX_LOOPS`` loops
+    with the domain's is one call of its ``apply``.
 
     The function is made from the law's shape alone (``_shape``), once
     per shape in a process (``_kernels``), and serves every law of that
@@ -701,7 +724,8 @@ def _kernel(f, g, parts):
 def _image(f):
     """f's image of one label as a Vec, compiled from f's stage tree as
     one side of a law kernel is, once per shape ``(dom arity, tree)``;
-    f's ``apply`` if its leaves would nest more than ``_MAX_LOOPS`` loops."""
+    f's ``apply`` if its leaves would nest more than ``_MAX_LOOPS`` loops.
+    It meets each label once, so it works on labels, not numbers."""
     leaves = {}
     tree, loops = _tree(f, leaves)
     if loops > _MAX_LOOPS:
@@ -724,21 +748,22 @@ def _compiled(kind, shape, leaves):
 def _shape(f, g, parts, leaves):
     """The shape of the law ``f == g`` on a domain of these parts.
 
-    It is the parts' arities and the stage tree of each side, with each
-    wire replaced by ``("wire", picks)``, each composite by ``(kind, dom
-    arity of its first map, shape, shape)`` and each leaf by ``(index,
-    dom arity, cod arity, has a memo)``.  The index is the leaf's place
-    in order of first use across both sides, so laws whose leaves repeat
-    differently have different shapes; ``leaves`` maps each leaf met to
-    its index.  A side whose leaves, one loop each, would nest more than
-    ``_MAX_LOOPS`` loops with the domain's stands as a leaf itself, after
-    the leaves it holds (whose parameters the kernel then leaves unused).
+    It is the parts' arities, the codomain's arity and the stage tree of
+    each side, with each wire replaced by ``("wire", picks)``, each
+    composite by ``(kind, dom arity of its first map, shape, shape)`` and
+    each leaf by ``(index, dom arity, cod arity, has a memo)``.  The
+    index is the leaf's place in order of first use across both sides,
+    so laws whose leaves repeat differently have different shapes;
+    ``leaves`` maps each leaf met to its index.  A side whose leaves,
+    one loop each, would nest more than ``_MAX_LOOPS`` loops with the
+    domain's stands as a leaf itself, after the leaves it holds (whose
+    parameters the kernel then leaves unused).
     """
     sides = []
     for m in (f, g):
         tree, loops = _tree(m, leaves)
         sides.append(_leaf(m, leaves) if len(parts) + loops > _MAX_LOOPS else tree)
-    return (tuple(p.arity for p in parts),) + tuple(sides)
+    return (tuple(p.arity for p in parts), f.cod.arity) + tuple(sides)
 
 
 def _tree(m, leaves):
@@ -764,48 +789,65 @@ class _Compiler:
     the image function of one map's shape (see ``_image``).
 
     It reads the shape only, never a map.  Leaf i's ``apply`` and memo
-    lookup are the parameters ``Li`` and ``Mi``.  While compiling, a
-    label is a tuple of expressions, one per tensor factor; a label that
-    a loop binds whole keeps the variable that names it (``spans``), so
-    a stage that needs the whole label takes that variable.  Every
-    factor expression records the depth of the loop that binds it (a
-    domain factor its part's loop, a term of an image its term loop),
-    and every loop keeps a head, the lines at the top of its body.  A
-    lookup goes to the head of the deepest loop its key reads, once per
-    leaf and key expression.
+    lookup are the parameters ``Li`` and ``Mi``; in a numbered kernel
+    its table is ``Ti``, with its ``get`` in ``Gi``.  While compiling, a
+    label is a tuple of factors, one per tensor factor, and a factor is
+    a triple: an expression for its number (``None`` where the kernel
+    works on labels), an expression for its label, and the depth of the
+    loop that binds it (a domain factor its part's loop, a term of an
+    image its term loop).  A label that a loop binds whole keeps the
+    variable that names it, and so do its numbers (``spans``), so a
+    stage that needs the whole label or all its numbers takes that
+    variable.  Every loop keeps a head, the lines at the top of its
+    body.  A lookup goes to the head of the deepest loop its key reads,
+    once per leaf and key expression.
     """
 
     def __init__(self):
         self.lines = [[]]    # blocks of lines, a loop's head a block of its own
         self.heads = {}      # depth -> the head of the loop open at that depth
-        self.depths = {}     # factor expressions -> the depth of the loop binding them
         self.images = {}     # (leaf index, key expression) -> the variable of its image
-        self.spans = {}      # factor expressions -> the variable of that label
+        self.spans = {}      # factor expressions -> the variable of that label or its numbers
         self.leaves = 0      # how many leaves the kernel's parameters carry
+        self.tables = []     # the leaves with a table, in a numbered kernel
+        self.numbered = False
         self.count = 0
 
     def kernel(self, shape):
-        arities, f, g = shape
+        arities, cod, f, g = shape
+        # one part, or two single leaves: the kernel works on labels
+        self.numbered = len(arities) > 1 and (type(f[0]) is not int or type(g[0]) is not int)
+        windows = ["W%d" % i for i in range(len(arities))]
+        if self.numbered:
+            self.line(0, "ids = {}")
+            self.line(0, "number = ids.setdefault")
+            for w, arity in zip(windows, arities):
+                self.line(0, "%s = [(%s, l) for l in %s]" % (w, self.number("l", arity), w))
         self.line(0, "n = 0")
-        self.open(0, ())
+        self.open(0)
         label = ()
         for i, arity in enumerate(arities):
-            self.line(i, "for a%d in W%d:" % (i, i))
-            self.open(i + 1, ("a%d" % i,))
-            label += self.factors("a%d" % i, arity)
+            if self.numbered:
+                self.line(i, "for i%d, a%d in W%d:" % (i, i, i))
+            else:
+                self.line(i, "for a%d in W%d:" % (i, i))
+            self.open(i + 1)
+            label += self.factors("i%d" % i if self.numbered else None, "a%d" % i, arity, i + 1)
         depth = len(arities)
         self.line(depth, "n += 1")
-        self.side(f, label, "lhs", depth)
-        self.side(g, label, "rhs", depth)
+        self.side(f, label, "lhs", depth, cod)
+        self.side(g, label, "rhs", depth, cod)
         self.line(depth, "if lhs != rhs:")
-        self.line(depth + 1, "return n, %s, lhs, rhs" % self.whole(label))
-        self.line(0, "return n, None, None, None")
-        return self.made("kernel", ["W%d" % i for i in range(len(arities))])
+        self.line(depth + 1, "return n, %s" % self.whole(label))
+        self.line(0, "return n, None")
+        for i in self.tables:
+            self.lines[0] += ["T%d = {}" % i, "G%d = T%d.get" % (i, i)]
+        return self.made("kernel", windows)
 
     def image(self, shape):
         arity, tree = shape
-        self.open(0, ("x",))
-        self.side(tree, self.factors("x", arity), "out", 0)
+        self.open(0)
+        self.side(tree, self.factors(None, "x", arity, 0), "out", 0, None)
         self.line(0, "return _vec(out)")
         return self.made("image", ["x"])
 
@@ -820,14 +862,22 @@ class _Compiler:
         # table keeps the function alive, and no cycle does
         return env.pop(name)
 
-    def side(self, tree, label, out, depth):
-        "Emit one side of the law, leaving its image's entries in ``out``."
-        if type(tree[0]) is int:
-            self.line(depth, "%s = %s" % (out, self.call(tree, label)))
+    def side(self, tree, label, out, depth, cod):
+        """Emit one side of the law, leaving its image in ``out``: a dict
+        of entries, or an int when a numbered kernel's codomain ``cod``
+        is the unit space."""
+        if type(tree[0]) is int and not self.numbered:
+            self.line(depth, "%s = %s.entries" % (out, self.call(tree, label)))
+            return
+        if self.numbered and cod == 0:
+            self.line(depth, "%s = 0" % out)
+            self.stage(tree, label, None, depth,
+                       lambda label, coeff, depth: self.line(
+                           depth, "%s += %s" % (out, coeff or "1")))
             return
 
         def collect(label, coeff, depth):
-            key = self.whole(label)
+            key = self.key(label)
             if not key.isidentifier():
                 self.line(depth, "key = %s" % key)
                 key = "key"
@@ -844,58 +894,95 @@ class _Compiler:
     def line(self, depth, text):
         self.lines[-1].append("    " * depth + text)
 
-    def open(self, depth, names):
-        "Start the body of a loop at ``depth``, whose ``for`` binds ``names``."
+    def open(self, depth):
+        "Start the body of a loop at ``depth``."
         self.heads[depth] = []
         self.lines += [self.heads[depth], []]
-        self.depths.update(dict.fromkeys(names, depth))
 
     def fresh(self, stem):
         self.count += 1
         return "%s%d" % (stem, self.count)
 
-    def factors(self, whole, n):
-        "Expressions for the n factors of the label a loop binds to ``whole``."
+    def number(self, whole, n):
+        "An expression numbering the n factors of the label in ``whole``."
         if n == 1:
-            return (whole,)
-        parts = tuple("%s[%d]" % (whole, i) for i in range(1, n + 1))
+            return "number(%s, len(ids))" % whole
+        return "(%s)" % ", ".join("number(%s[%d], len(ids))" % (whole, i)
+                                  for i in range(1, n + 1))
+
+    def factors(self, numbers, whole, n, depth):
+        """The n factors of the label a loop at ``depth`` binds to ``whole``,
+        and its numbers to ``numbers``."""
+        if n == 1:
+            return ((numbers, whole, depth),)
+        labels = tuple("%s[%d]" % (whole, i) for i in range(1, n + 1))
+        nums = (None,) * n
         if n:
-            self.spans[parts] = whole
-        self.depths.update(dict.fromkeys(parts, self.depths[whole]))
-        return parts
+            self.spans[labels] = whole
+        if n and numbers:
+            nums = tuple("%s[%d]" % (numbers, i) for i in range(n))
+            self.spans[nums] = numbers
+        return tuple(zip(nums, labels, (depth,) * n))
 
     def whole(self, label):
         "An expression for a label."
-        if label in self.spans:
-            return self.spans[label]
-        if not label:
+        labels = tuple(f[1] for f in label)
+        if labels in self.spans:
+            return self.spans[labels]
+        if not labels:
             return repr(UNIT)
-        if len(label) == 1:
-            return label[0]
-        return "(%r, %s)" % (_TENSOR, ", ".join(label))
+        if len(labels) == 1:
+            return labels[0]
+        return "(%r, %s)" % (_TENSOR, ", ".join(labels))
+
+    def key(self, label):
+        "An expression for a label's key: its numbers in a numbered kernel, else itself."
+        if not self.numbered:
+            return self.whole(label)
+        nums = tuple(f[0] for f in label)
+        if nums in self.spans:
+            return self.spans[nums]
+        if len(nums) == 1:
+            return nums[0]
+        return "(%s)" % ", ".join(nums)
 
     def call(self, leaf, label):
-        """Apply a leaf to a label; an expression for its image's entries.
+        """Apply a leaf to a label; the variable that holds its image: the
+        Vec, or in a numbered kernel its terms (its coefficient, if its
+        codomain is the unit space).
 
-        A leaf with a memo is looked up in it first, and applied on a
-        miss.  The lookup goes to the head of the deepest loop the label
-        reads, and is made once there for each leaf and key expression.
+        In a numbered kernel the leaf's table is read first, and its memo
+        and then ``apply`` on a miss there; otherwise its memo and then
+        ``apply``.  The lookup goes to the head of the deepest loop the
+        label reads, and is made once there for each leaf and key
+        expression.
         """
-        i, memo = leaf[0], leaf[3]
-        x = self.whole(label)
+        i, cod, memo = leaf[0], leaf[2], leaf[3]
+        x = self.key(label)
         image = self.images.get((i, x))
-        if image is None:
-            image = self.images[(i, x)] = self.fresh("e")
-            self.leaves = max(self.leaves, i + 1)
-            if memo:
-                lines = ["%s = M%d(%s)" % (image, i, x),
-                         "if %s is None:" % image,
-                         "    %s = L%d(%s)" % (image, i, x)]
+        if image is not None:
+            return image
+        image = self.images[(i, x)] = self.fresh("e")
+        self.leaves = max(self.leaves, i + 1)
+        whole = self.whole(label)
+        vec = "v" if self.numbered else image
+        read = ["%s = L%d(%s)" % (vec, i, whole)]
+        if memo:
+            read = ["%s = M%d(%s)" % (vec, i, whole), "if %s is None:" % vec, "    " + read[0]]
+        if self.numbered:
+            if i not in self.tables:
+                self.tables.append(i)
+            if cod:
+                terms = ["%s = T%d[%s] = []" % (image, i, x),
+                         "for k, c in v.entries.items():",
+                         "    %s.append((%s, c, k))" % (image, self.number("k", cod))]
             else:
-                lines = ["%s = L%d(%s)" % (image, i, x)]
-            depth = max(map(self.depths.__getitem__, label), default=0)
-            self.heads[depth] += ["    " * depth + l for l in lines]
-        return image + ".entries"
+                terms = ["%s = T%d[%s] = v.entries.get(%r, 0)" % (image, i, x, UNIT)]
+            read = (["%s = G%d(%s)" % (image, i, x), "if %s is None:" % image]
+                    + ["    " + l for l in read + terms])
+        depth = max((f[2] for f in label), default=0)
+        self.heads[depth] += ["    " * depth + l for l in read]
+        return image
 
     def stage(self, tree, label, coeff, depth, then):
         "Emit a shape tree on a label; ``then(label, coeff, depth)`` emits what takes each term."
@@ -912,12 +999,28 @@ class _Compiler:
             self.stage(f, label[:cut], coeff, depth, lambda l, c, d: self.stage(
                 g, label[cut:], c, d, lambda r, c, d: then(l + r, c, d)))
         else:
-            # a loop over the terms of the leaf's image
+            # a loop over the terms of the leaf's image; the coefficients
+            # so far are multiplied once, before it
+            image = self.call(tree, label)
+            if coeff is not None and not coeff.isidentifier():
+                product = self.fresh("p")
+                self.line(depth, "%s = %s" % (product, coeff))
+                coeff = product
+            if self.numbered and not tree[2]:
+                # a unit codomain: the image is its coefficient
+                self.line(depth, "if %s:" % image)
+                then((), image if coeff is None else "%s * %s" % (coeff, image), depth + 1)
+                return
             k, c = self.fresh("k"), self.fresh("c")
-            self.line(depth, "for %s, %s in %s.items():" % (k, c, self.call(tree, label)))
-            self.open(depth + 1, (k,))
-            then(self.factors(k, tree[2]), c if coeff is None else "%s * %s" % (coeff, c),
-                 depth + 1)
+            if self.numbered:
+                numbers = self.fresh("n")
+                self.line(depth, "for %s, %s, %s in %s:" % (numbers, c, k, image))
+            else:
+                numbers = None
+                self.line(depth, "for %s, %s in %s.entries.items():" % (k, c, image))
+            self.open(depth + 1)
+            then(self.factors(numbers, k, tree[2], depth + 1),
+                 c if coeff is None else "%s * %s" % (coeff, c), depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -991,8 +1094,9 @@ def equal_on_window(f, g, K, law=""):
     law kernel (``_kernel``), which loops over the domain's part windows
     and never lists the window, and drops its leaves when it returns.  A
     domain of more parts than one kernel may nest loops is listed, and
-    its kernel has one loop over that list.  The result records the
-    check's wall time in ``seconds``.
+    its kernel has one loop over that list.  The kernel names the failing
+    label, and the counterexample's images are both sides' ``apply``
+    there.  The result records the check's wall time in ``seconds``.
     """
     if f.dom is not g.dom or f.cod is not g.cod:
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))
@@ -1000,8 +1104,8 @@ def equal_on_window(f, g, K, law=""):
     parts = f.dom.parts
     if len(parts) > _MAX_LOOPS:
         parts = (f.dom,)
-    checked, label, lhs, rhs = _kernel(f, g, parts)(*[p.enumerate(K) for p in parts])
-    if lhs is None:
+    checked, label = _kernel(f, g, parts)(*[p.enumerate(K) for p in parts])
+    if label is None:
         return CheckResult(law, "equal", checked, None, time.perf_counter() - started)
-    return CheckResult(law, "differ", checked, Counterexample(label, _vec(lhs), _vec(rhs)),
-                       time.perf_counter() - started)
+    cx = Counterexample(label, f.apply(label), g.apply(label))
+    return CheckResult(law, "differ", checked, cx, time.perf_counter() - started)

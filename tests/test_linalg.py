@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import re
+import sys
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -523,11 +525,11 @@ def part_windows(space, K, rng, limit=500):
 
 def assert_kernel_agrees(m, windows, case):
     """The kernel pits m, compiled, against m as an opaque leaf evaluated
-    through ``apply``; equal dicts also mean the compiled side stores no
+    through ``apply``; equal images also mean the compiled side stores no
     zero, since an image from ``apply`` holds none."""
     opaque = LinMap(m.dom, m.cod, m.apply, name=m.name)
-    n, label, lhs, rhs = linalg._kernel(m, opaque, m.dom.parts)(*windows)
-    assert lhs is None, (case, label, lhs, rhs)
+    n, label = linalg._kernel(m, opaque, m.dom.parts)(*windows)
+    assert label is None, (case, label, m.apply(label))
     assert n == math.prod(map(len, windows)), case
 
 
@@ -788,40 +790,63 @@ def test_a_law_frees_its_leaves_when_the_check_returns():
             gc.enable()
 
 
-class CountingMemo(dict):
-    "A leaf memo that counts its lookups."
+def kernel_source(f, g, parts):
+    "The source of the law kernel of f == g, written afresh."
+    sources = []
 
-    gets = 0
-
-    def get(self, key, default=None):
-        self.gets += 1
-        return dict.get(self, key, default)
-
-
-def counted(leaf):
-    "A leaf of its own, applying ``leaf``, whose memo counts its lookups."
-    m = LinMap(leaf.dom, leaf.cod, leaf.apply, name=leaf.name + "'")
-    m._cache = CountingMemo()
-    return m
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    with mock.patch.object(linalg, "compile", spy, create=True):
+        linalg._Compiler().kernel(linalg._shape(f, g, parts, {}))
+    return sources[0]
 
 
-def lookups(leaf, f, g, K):
-    "The result of checking f == g on window K again, and the counted leaf's lookups."
-    equal_on_window(f, g, K)  # fills the memos, so that apply looks up nothing
-    leaf._cache.gets = 0
-    return equal_on_window(f, g, K), leaf._cache.gets
+def table_lookups(f, g, K):
+    """The result of checking f == g on window K again, and how many
+    times the kernel looked each leaf up in its table, by leaf.
+
+    The second check runs under a line tracer, which counts the
+    executions of each line that reads a leaf's table; the first
+    compiles the kernel, so that nothing else runs it while traced."""
+    equal_on_window(f, g, K)
+    leaves = {}
+    linalg._shape(f, g, f.dom.parts, leaves)
+    reads = {}
+    for number, text in enumerate(kernel_source(f, g, f.dom.parts).splitlines(), 1):
+        read = re.search(r"= G(\d+)\(", text)
+        if read:
+            reads[number] = int(read.group(1))
+    counts = dict.fromkeys(range(len(leaves)), 0)
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name != "kernel":
+            return None
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno in reads:
+                counts[reads[frame.f_lineno]] += 1
+            return line
+        return line
+    sys.settrace(trace)
+    try:
+        got = equal_on_window(f, g, K)
+    finally:
+        sys.settrace(None)
+    return got, {m: counts[i] for m, i in leaves.items()}
 
 
 def test_a_lookup_is_made_once_per_value_of_the_factors_it_reads():
     P = RINGS["P"]
     A = P.carrier
     idh = identity_map(A)
-    mu = counted(P.mu)
+    mu = LinMap(P.mu.dom, P.mu.cod, P.mu.apply, name="mu'")
     lhs = compose_maps(tensor_maps(mu, idh), P.mu)
     rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
     n = len(A.enumerate(1))
+    got, counts = table_lookups(lhs, rhs, 1)
     # mu' reads the first two factors: once per pair, not once per label
-    assert lookups(mu, lhs, rhs, 1) == (CheckResult("", "equal", n ** 3), n ** 2)
+    assert got == CheckResult("", "equal", n ** 3) and counts[mu] == n ** 2
 
 
 def test_a_hoisted_leaf_broken_at_a_tail_label_is_reported_as_a_plain_loop_reports_it():
@@ -845,13 +870,56 @@ def test_one_lookup_serves_both_sides():
     P = RINGS["P"]
     A = P.carrier
     idh = identity_map(A)
-    delta = counted(P.delta)
+    delta = LinMap(P.delta.dom, P.delta.cod, P.delta.apply, name="delta'")
     after = tensor_maps(idh, P.mu)
     lhs = compose_maps(tensor_maps(delta, idh), after)
     rhs = compose_maps(tensor_maps(delta, idh), memoised(after))
     n = len(A.enumerate(4))
+    got, counts = table_lookups(lhs, rhs, 4)
     # delta' on the first factor, on both sides: once per first factor
-    assert lookups(delta, lhs, rhs, 4) == (CheckResult("", "equal", n ** 2), n)
+    assert got == CheckResult("", "equal", n ** 2) and counts[delta] == n
+
+
+def test_a_term_loop_multiplies_two_coefficients_at_most():
+    # the coefficients so far are multiplied once, before each term loop,
+    # so that no line of an inner loop multiplies three or more
+    for law, (f, g) in sorted(LAW_SIDES.items()):
+        for line in kernel_source(f, g, f.dom.parts).splitlines():
+            assert line.count(" * ") <= 1, (law, line)
+
+
+def test_a_unit_codomain_side_sums_to_an_int():
+    P = RINGS["P"]
+    eps2 = tensor_maps(P.epsilon, P.epsilon)
+    D = eps2.dom
+
+    def antisymmetric(label):
+        a, b = factors(label)
+        return Vec.basis(pair(a, b)) - Vec.basis(pair(b, a))
+    # eps(a) eps(b) - eps(b) eps(a): terms that cancel to 0 equal an empty image
+    cancel = compose_maps(LinMap(D, D, antisymmetric, name="a*b-b*a"), eps2)
+    zero = zero_map(D, UNIT_SPACE)
+    assert "lhs = 0" in kernel_source(cancel, zero, D.parts)
+    n = len(D.enumerate(1))
+    assert equal_on_window(cancel, zero, 1) == CheckResult("", "equal", n)
+    assert equal_on_window(cancel, eps2, 1) == reference_check(cancel, eps2, 1, "")
+
+
+def test_a_unit_codomain_leaf_compares_with_a_summed_composite():
+    P = RINGS["P"]
+    eps2 = tensor_maps(P.epsilon, P.epsilon)
+    D = eps2.dom
+    n = len(D.enumerate(1))
+    leaf = LinMap(D, UNIT_SPACE, eps2.apply, name="eps2")
+    assert equal_on_window(leaf, eps2, 1) == CheckResult("", "equal", n)
+    assert equal_on_window(eps2, leaf, 1) == CheckResult("", "equal", n)
+    # a failing law reports both images from apply: {} against {"1": c}
+    bad = [l for l in D.enumerate(1) if eps2.apply(l)][-1]
+    planted = LinMap(D, UNIT_SPACE, lambda l: ZERO if l == bad else eps2.apply(l), name="eps2'")
+    got = equal_on_window(eps2, planted, 1)
+    assert got == reference_check(eps2, planted, 1, "")
+    assert json.dumps(got.counterexample.to_json()) == json.dumps(
+        {"label": label_to_json(bad), "lhs": [[1, ["1"]]], "rhs": []})
 
 
 def test_a_law_of_one_shape_is_compiled_once_for_every_ring(monkeypatch):
