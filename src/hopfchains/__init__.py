@@ -27,6 +27,7 @@ from .grading import (
 from .diffhopf import (
     GradedCarrier, NotAdmissible, RankMismatch, brute_force_carrier_check,
     build_differential_hopf, check_differential_carrier, cyclic_tensor,
+    two_term_ring,
 )
 from .semidirect import (
     ComoduleBimonoid, SemidirectRing, WComodule, comparison_f,

@@ -15,10 +15,7 @@ ints, see ``mat``), so all arithmetic is exact.
 
 from __future__ import annotations
 
-import functools
-
-from .diffhopf import build_differential_hopf
-from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
+from .diffhopf import two_term_ring
 from .laws import Comodule
 from .linalg import (
     UNIT, CheckResult, Counterexample, LinMap, Vec, _interned, _is_int, _json_type,
@@ -788,18 +785,6 @@ class SecondDifferentialResult:
         return "SecondDifferential(rejected at %s)" % (self.violations,)
 
 
-@functools.lru_cache(maxsize=None)
-def _second_differential_ring(kappa, ddeg):
-    """The Hopf ring on I + D for ``second_differential``, whose
-    differential generator d has degree ``ddeg`` in the double grading,
-    and d's label.
-    """
-    dmodule = GradedModule.of({ddeg: 1}, rank=2, name="dgen")
-    hb = build_differential_hopf(graded_to_comodule(dmodule),
-                                 sign_coelement(Bicharacter(2, (-1, kappa))))
-    return hb.hopf, dmodule.basis()[0]
-
-
 def second_differential(B, kappa, s):
     """Decide the kappa-square law and emit the two-term-ring coaction.
 
@@ -808,11 +793,11 @@ def second_differential(B, kappa, s):
     the coaction b |-> 1 (x) b + d (x) d2(b) over the Hopf ring built on
     I + D is returned and its comodule legality verified, together with
     an independent check that the coaction is a chain map for the
-    Koszul-signed differential on the tensor product.  That ring depends
-    on kappa and the degree s(1 + kappa)/2 of d alone, so it is built and
-    verified once per pair in a process (kappa = -1 gives one ring for
-    both signs); the square law, the comodule and the chain-map check are
-    decided anew for every B.
+    Koszul-signed differential on the tensor product.  That ring is
+    ``two_term_ring`` of d's degree (s(1 + kappa)/2, 1) and kappas
+    (-1, kappa), one per datum in a process (kappa = -1 gives one ring
+    for both signs); the square law, the comodule and the chain-map check
+    are decided anew for every B.
     """
     expected = (0, -1) if kappa == -1 else (-s, -1)
     if B.d2_bidegree != expected:
@@ -832,7 +817,8 @@ def second_differential(B, kappa, s):
         return SecondDifferentialResult(False, violations, None, None)
 
     ddeg = (s * (1 + kappa) // 2, 1)
-    H, dlabel = _second_differential_ring(kappa, ddeg)
+    H = two_term_ring(ddeg, (-1, kappa)).hopf
+    dlabel = atom("d", *ddeg, 0)
     carrier = finite_space(B.name, B.basis())
 
     def coact_fn(label):

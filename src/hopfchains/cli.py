@@ -25,8 +25,8 @@ from .diffhopf import (
 )
 from .grading import Bicharacter, GradedModule, graded_to_comodule, laurent_hopf, sign_coelement
 from .laws import (
-    VALIDATION_WINDOW, Report, check_bialgebra_laws, check_coelement, plain_swap,
-    tensor_comodule,
+    VALIDATION_WINDOW, LawViolation, Report, check_bialgebra_laws, check_coelement,
+    plain_swap, tensor_comodule,
 )
 from .pareigis import (
     chain_to_comodule, chain_to_wcomodule, comodule_to_chain,
@@ -166,7 +166,12 @@ def cmd_build_semidirect(cfg, report):
 
 
 def cmd_verify_pareigis(cfg, report):
-    report.extend(_under("identify[s=%+d]" % cfg.s, identify_semidirect(cfg.s, K=cfg.window)))
+    try:
+        rows = identify_semidirect(cfg.s, K=cfg.window)
+    except LawViolation as err:
+        # the I + D or its product failed a law on the validation window
+        rows = err.results
+    report.extend(_under("identify[s=%+d]" % cfg.s, rows))
 
 
 def cmd_roundtrip(cfg, report):

@@ -12,10 +12,12 @@ with order 0 standing for Z and order 1 for the zero module.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
+from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, comodule_braiding
 from .linalg import (
     UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, _is_int, _json_type,
@@ -246,3 +248,14 @@ def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW):
     coact = LinMap(H, tensor_space(A.carrier, H), coact_fn, name="alpha")
     comodule = Comodule(A, H, coact, check_window=window)
     return ComoduleBimonoid(hopf, comodule, coelement, window=window)
+
+
+@functools.lru_cache(maxsize=None)
+def two_term_ring(degree, kappas, /):
+    """I + D with D = Z on one generator ``atom("d", *degree, 0)``, over
+    ``sign_coelement(Bicharacter(len(degree), kappas))``: one ring per datum
+    in a process, verified when first built, whose memos and semidirect
+    product serve every caller."""
+    gamma = sign_coelement(Bicharacter(len(degree), kappas))
+    dmod = GradedModule.of({degree: 1}, rank=len(degree), name="d")
+    return build_differential_hopf(graded_to_comodule(dmod, gamma.ring), gamma)

@@ -19,18 +19,9 @@ from itertools import product
 
 from .laws import Bimonoid, Coelement, Comodule, IllegalComodule, verify
 from .linalg import (
-    UNIT, UNIT_SPACE, ZERO, LinMap, Space, Vec, atom,
+    UNIT, UNIT_SPACE, ZERO, LinMap, Space, SpaceMismatch, Vec, atom,
     finite_space, pair, split_label, tensor_space,
 )
-
-
-def _laurent_space(r):
-    "The carrier of ``laurent_hopf(r)``, made once with its ring."
-    def window(K):
-        rng = range(-K, K + 1)
-        return [atom("x", *g) for g in product(rng, repeat=r)]
-
-    return Space("Z" if r == 1 else "Z^%d" % r, 1, window)
 
 
 def monomial(*g):
@@ -42,27 +33,30 @@ def degree_of(label):
     return label[2]
 
 
-def laurent_hopf(r=1):
+@functools.lru_cache(maxsize=None)
+def laurent_hopf(r, /):
     """The group ring of Z^r with its Hopf structure.
 
-    There is one ring per rank in a process, however r is passed, so
-    the memos of its pure structure maps serve every caller.
+    There is one ring per rank in a process, so the memos of its pure
+    structure maps serve every caller.  The rank is passed by position,
+    so that one call spelling is one cache key.
 
     >>> Z = laurent_hopf(1)
-    >>> Z is laurent_hopf(r=1)
+    >>> Z is laurent_hopf(1)
     True
+    >>> laurent_hopf(r=1)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    TypeError: laurent_hopf() got some positional-only arguments passed as keyword arguments...
     >>> Z.delta.apply(monomial(3)) == Vec.basis(pair(monomial(3), monomial(3)))
     True
     >>> Z.antipode.apply(monomial(3)) == Vec.basis(monomial(-3))
     True
     """
-    return _laurent_hopf(r)
+    def window(K):
+        rng = range(-K, K + 1)
+        return [atom("x", *g) for g in product(rng, repeat=r)]
 
-
-@functools.lru_cache(maxsize=None)
-def _laurent_hopf(r):
-    "The one ``laurent_hopf(r)``, keyed by r alone."
-    A = _laurent_space(r)
+    A = Space("Z" if r == 1 else "Z^%d" % r, 1, window)
     AA = tensor_space(A, A)
 
     def mu_fn(label):
@@ -162,8 +156,12 @@ def sigma_space(M):
 
 
 def graded_to_comodule(M, ring=None):
-    """The equivalence GAb -> Comod(Z): coaction b |-> x^(deg b) (x) b."""
+    """The equivalence GAb -> Comod(Z): coaction b |-> x^(deg b) (x) b, over
+    ``laurent_hopf(M.rank)``; another ring has no label x^(deg b)."""
     ring = ring or laurent_hopf(M.rank)
+    if ring.carrier is not laurent_hopf(M.rank).carrier:
+        raise SpaceMismatch("a graded module of rank %d is a comodule over laurent_hopf(%d), "
+                            "not over %s" % (M.rank, M.rank, ring.carrier.name))
     carrier = sigma_space(M)
 
     def fn(label):

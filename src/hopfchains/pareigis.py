@@ -19,8 +19,7 @@ import functools
 import json
 
 from .chains import ChainComplex, ChainMap, IllegalChain, _block_at, _column, zeros
-from .diffhopf import build_differential_hopf
-from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
+from .diffhopf import two_term_ring
 from .laws import Bimonoid, Comodule, IllegalComodule, Report
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, Space, Vec, _is_int, _json_type, atom,
@@ -107,15 +106,8 @@ def rewrite_once(word):
     return out
 
 
-def _pareigis_space(s):
-    "The carrier of ``pareigis_ring(s)``, made once with its ring."
-    def window(K):
-        return [monomial(a, k) for a in (0, 1) for k in range(-K, K + 1)]
-
-    return Space("P" if s == -1 else "P+", 1, window)
-
-
-def pareigis_ring(s=-1):
+@functools.lru_cache(maxsize=None)
+def pareigis_ring(s, /):
     """The Hopf ring on normal forms psi^a xi^k.
 
     s = -1 gives the classical presentation (coproduct tail xi^{-1} (x)
@@ -130,17 +122,16 @@ def pareigis_ring(s=-1):
 
     ``normalize_word`` rewrites words independently of them.
     There is one ring per sign in a process: every call returns it, so
-    the memos of its pure structure maps serve every caller.
+    the memos of its pure structure maps serve every caller.  A bad sign
+    raises a ``ValueError`` on every call.
     """
-    return _pareigis_ring(s)
-
-
-@functools.lru_cache(maxsize=None)
-def _pareigis_ring(s):
-    "The one ``pareigis_ring(s)``; a bad sign raises and is not remembered."
     if s not in (-1, 1):
         raise ValueError("s must be +-1")
-    P = _pareigis_space(s)
+
+    def window(K):
+        return [monomial(a, k) for a in (0, 1) for k in range(-K, K + 1)]
+
+    P = Space("P" if s == -1 else "P+", 1, window)
     PP = tensor_space(P, P)
     one = monomial(0, 0)
 
@@ -193,19 +184,7 @@ def ring_by_name(name):
 
 def differential_comodule_bimonoid(s):
     "The two-term Hopf ring I + D over the Laurent ring, D = Z in degree s."
-    gamma = sign_coelement(Bicharacter(1, (-1,)))
-    dmod = GradedModule.of({s: 1}, rank=1, name="d")
-    return build_differential_hopf(graded_to_comodule(dmod, gamma.ring), gamma)
-
-
-@functools.lru_cache(maxsize=None)
-def _identified_bimonoid(s):
-    """The I + D that every ``identify_semidirect`` of sign s shares.
-
-    Building it checks comodule legality and the H suite; the maps are
-    pure, so one build per sign serves every call.
-    """
-    return differential_comodule_bimonoid(s)
+    return two_term_ring((s,), (-1,))
 
 
 def identify_semidirect(s, K):
@@ -213,11 +192,12 @@ def identify_semidirect(s, K):
 
     Transport along the label bijection d^a (x) x^k <-> psi^a xi^k and
     test all five structure maps for window-exact equality; the report
-    carries one verdict per map.  The I + D is built once per sign.
+    carries one verdict per map.  A sign other than +-1 is refused by
+    ``pareigis_ring`` before anything is built.
     """
-    hb = _identified_bimonoid(s)
-    sd = semidirect_product(hb)
     ring = pareigis_ring(s)
+    hb = differential_comodule_bimonoid(s)
+    sd = semidirect_product(hb)
     P = ring.carrier
     Q = sd.carrier
 

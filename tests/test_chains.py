@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfchains
-from hopfchains import chains
+from hopfchains import chains, diffhopf
 from hopfchains.chains import (
     Bicomplex, ChainComplex, ChainMap, IllegalChain, chain_symmetry,
     comonad_comparison, curry_adjunction, disk, evaluation_map, eye,
@@ -22,7 +22,9 @@ from hopfchains.chains import (
     tensor_chain_maps, tensor_chains, triangle_identities_hold, underlying_graded,
     underlying_graded_map, unit_lu, is_zero, zeros,
 )
+from hopfchains.diffhopf import two_term_ring
 from hopfchains.linalg import UNIT, Counterexample, Vec, atom
+from hopfchains.pareigis import differential_comodule_bimonoid, identify_semidirect
 
 DATA = Path(__file__).parent / "data"
 
@@ -271,13 +273,13 @@ def test_identity_square_is_rejected_for_kappa_plus_one():
 
 def test_the_two_term_ring_is_built_once_per_kappa_and_sign(monkeypatch):
     built = []
-    real = chains.build_differential_hopf
+    real = diffhopf.build_differential_hopf
 
     def spy(*args, **kwargs):
-        built.append(args)
+        built.append(args[0].carrier)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(chains, "build_differential_hopf", spy)
+    monkeypatch.setattr(diffhopf, "build_differential_hopf", spy)
     rng = random.Random(5)
     rings = {}
     for kappa in (-1, 1):
@@ -293,7 +295,17 @@ def test_the_two_term_ring_is_built_once_per_kappa_and_sign(monkeypatch):
             rings[kappa, s] = first.comodule.ring
     # d has degree (s(1 + kappa)/2, 1): (0, 1) for both signs when kappa = -1
     assert len(set(rings.values())) == 3
-    assert rings[-1, -1] is rings[-1, 1]
+    assert rings[-1, -1] is rings[-1, 1] is two_term_ring((0, 1), (-1, -1)).hopf
+    # identify_semidirect and differential_comodule_bimonoid share the I + D
+    # of their sign: once it exists, neither builds another
+    for s in (-1, 1):
+        hb = differential_comodule_bimonoid(s)
+        before = len(built)
+        assert identify_semidirect(s, K=1).ok
+        assert differential_comodule_bimonoid(s) is hb is two_term_ring((s,), (-1,))
+        assert len(built) == before
+    # each datum was built at most once, whatever ran before this test
+    assert len(built) == len(set(built)) <= 5
 
 
 def test_a_violating_square_is_rejected_after_its_ring_is_made():

@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfchains import cli, semidirect
+from hopfchains import cli, pareigis, semidirect
 from hopfchains.cli import (
     RunConfig, build_parser, main, render_json, render_text, run_command,
 )
+from hopfchains.diffhopf import two_term_ring
+from hopfchains.laws import VALIDATION_WINDOW, Bimonoid
 from hopfchains.linalg import scale_map
+from hopfchains.semidirect import ComoduleBimonoid
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,6 +112,28 @@ def test_a_failing_product_law_is_a_report_row(monkeypatch, capsys):
         "antipode-left", "antipode-right", "epsilon-mu", "interchange",
         "unit-left", "unit-right")]
     assert rows["semidirect/associativity"]["instances"] == (2 * 5) ** 3
+
+
+@pytest.mark.parametrize("window", [VALIDATION_WINDOW, None])
+def test_a_failing_identification_law_is_a_report_row(monkeypatch, capsys, window):
+    # an I + D of its own with its mu doubled: verified on the validation
+    # window it fails there, unverified its product does; either way
+    # verify-pareigis reports the failing laws as rows and exits 1, with
+    # no LawViolation escaping main
+    def doubled(s):
+        hb = two_term_ring.__wrapped__((s,), (-1,))
+        H = hb.hopf
+        hopf = Bimonoid(H.carrier, scale_map(H.mu, 2), H.eta, H.delta, H.epsilon,
+                        H.antipode)
+        return ComoduleBimonoid(hopf, hb.comodule, hb.coelement, window=window)
+
+    monkeypatch.setattr(pareigis, "differential_comodule_bimonoid", doubled)
+    assert main(["--command", "verify-pareigis", "--s", "1", "--window", "2"]) == 1
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [row["name"] for row in rows] == ["identify[s=+1]/%s" % law for law in (
+        "antipode-left", "antipode-right", "epsilon-mu", "interchange",
+        "unit-left", "unit-right")]
+    assert all(row["verdict"] == "differ" for row in rows)
 
 
 def test_build_semidirect_gives_the_reason_an_even_carrier_is_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -12,10 +13,10 @@ from hopfchains.laws import (
     check_bialgebra_laws,
 )
 from hopfchains.linalg import (
-    LinMap, Vec, atom, equal_on_window, identity_map, pair, finite_space,
-    tensor_maps, tensor_space,
+    LinMap, SpaceMismatch, Vec, atom, equal_on_window, identity_map, pair,
+    finite_space, tensor_maps, tensor_space,
 )
-from hopfchains.pareigis import chain_to_comodule
+from hopfchains.pareigis import chain_to_comodule, pareigis_ring
 
 
 def x(*g):
@@ -188,12 +189,27 @@ def test_sigma_forgets_the_grading():
 
 
 def test_there_is_one_laurent_ring_per_rank():
-    assert laurent_hopf() is laurent_hopf(1) is laurent_hopf(r=1)
+    assert laurent_hopf(1) is laurent_hopf(1)
     assert laurent_hopf(2) is not laurent_hopf(1)
+    # the rank is passed by position only, so one spelling is one cache key
+    for call in (lambda: laurent_hopf(r=1), lambda: laurent_hopf()):
+        with pytest.raises(TypeError):
+            call()
     for kappas in ((1, 1), (1, -1), (-1, -1)):
         assert sign_coelement(Bicharacter(2, kappas)).ring is laurent_hopf(2)
     for M in (GradedModule.of({(1, 0): 2}), GradedModule.of({3: 1})):
         assert graded_to_comodule(M).ring is laurent_hopf(M.rank)
+
+
+def test_a_ring_of_another_rank_is_refused():
+    # x^(deg b) is a basis label of laurent_hopf(M.rank) alone
+    for M, ring in ((GradedModule.of({1: 1}, rank=1), laurent_hopf(2)),
+                    (GradedModule.of({(1, 0): 1}, rank=2), laurent_hopf(1)),
+                    (GradedModule.of({1: 1}, rank=1), pareigis_ring(-1))):
+        with pytest.raises(SpaceMismatch, match=r"rank %d is a comodule over "
+                           r"laurent_hopf\(%d\), not over %s$"
+                           % (M.rank, M.rank, re.escape(ring.carrier.name))):
+            graded_to_comodule(M, ring)
 
 
 def test_dim_at_looks_a_degree_up_however_it_is_spelled():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hopfchains import semidirect
+from hopfchains import diffhopf, semidirect
 from hopfchains.chains import (
     ChainComplex, ChainMap, IllegalChain, eye, mat, random_chain_map, random_complex,
     tensor_chains,
@@ -425,9 +425,28 @@ def test_identify_semidirect_builds_i_plus_d_once_per_sign(monkeypatch):
     assert again.to_json() == first.to_json()
 
 
+@pytest.mark.parametrize("s", [0, 2, 3])
+def test_identify_semidirect_refuses_a_bad_sign_before_building(monkeypatch, s):
+    # 0 and 2 give no admissible I + D, and 3 gives one with no Pareigis
+    # ring to compare with: each is the same ValueError, and nothing is
+    # built for it, neither an I + D nor a product
+    built = []
+    monkeypatch.setattr(diffhopf, "build_differential_hopf",
+                        lambda *args, **kwargs: built.append("I + D"))
+    monkeypatch.setattr(semidirect, "_build_product",
+                        lambda HB: built.append("product"))
+    with pytest.raises(ValueError, match=r"s must be \+-1"):
+        identify_semidirect(s, K=1)
+    assert built == []
+
+
 def test_there_is_one_pareigis_ring_per_sign():
     P = pareigis_ring(-1)
-    assert P is pareigis_ring(-1) is pareigis_ring() is ring_by_name("pareigis")
+    assert P is pareigis_ring(-1) is ring_by_name("pareigis")
+    # the sign is passed by position only, so one spelling is one cache key
+    for call in (lambda: pareigis_ring(s=-1), lambda: pareigis_ring()):
+        with pytest.raises(TypeError):
+            call()
     assert P is not pareigis_ring(1)
     assert pareigis_ring(1) is ring_by_name("pareigis-plus")
     X = ChainComplex({0: 1, 1: 1}, {1: mat([[1]])}, name="e")

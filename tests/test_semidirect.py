@@ -18,7 +18,7 @@ from hopfchains.linalg import (
 )
 from hopfchains.chains import ChainComplex, mat, random_complex
 from hopfchains import laws, linalg, semidirect
-from hopfchains.diffhopf import build_differential_hopf
+from hopfchains.diffhopf import build_differential_hopf, two_term_ring
 from hopfchains.pareigis import chain_to_wcomodule, differential_comodule_bimonoid
 from hopfchains.semidirect import (
     ComoduleBimonoid, SemidirectRing, WComodule, comparison_f,
@@ -42,6 +42,12 @@ def ox(k):
 @pytest.fixture(scope="module", params=[-1, 1])
 def hb(request):
     return differential_comodule_bimonoid(request.param)
+
+
+def unshared(s):
+    """An I + D of sign s of its own: ``differential_comodule_bimonoid(s)``
+    is one ring per process, whose product memo other callers fill."""
+    return two_term_ring.__wrapped__((s,), (-1,))
 
 
 def test_multiplication_braids_with_a_sign(hb):
@@ -289,7 +295,7 @@ def kept(monkeypatch):
 
 @pytest.mark.parametrize("s", [-1, 1])
 def test_every_memoised_composite_agrees_with_its_plain_apply(kept, s):
-    hb = differential_comodule_bimonoid(s)
+    hb = unshared(s)
     sd = semidirect_product(hb, window=None)
     tau = distributive_law_tau(hb.comodule)
     trivial = trivial_comodule(hb.ring, hb.hopf.carrier)
@@ -330,7 +336,7 @@ def product_suites(monkeypatch):
 
 
 def test_product_then_antipode_runs_the_suite_once(product_suites):
-    hb = differential_comodule_bimonoid(-1)
+    hb = unshared(-1)
     sd = semidirect_product(hb, window=6)
     assert semidirect_antipode(hb, window=6) is sd.antipode
     assert semidirect_product(hb, window=6) is sd
@@ -338,7 +344,7 @@ def test_product_then_antipode_runs_the_suite_once(product_suites):
 
 
 def test_a_larger_window_runs_the_suite_again(product_suites):
-    hb = differential_comodule_bimonoid(1)
+    hb = unshared(1)
     sd = semidirect_product(hb)
     assert product_suites == [3]
     assert semidirect_product(hb, window=6) is sd
@@ -351,7 +357,7 @@ def test_a_larger_window_runs_the_suite_again(product_suites):
 
 
 def test_an_unchecked_product_is_verified_when_asked(product_suites):
-    hb = differential_comodule_bimonoid(-1)
+    hb = unshared(-1)
     sd = semidirect_product(hb, window=None)
     assert product_suites == [] and sd.window is None
     assert semidirect_product(hb, window=2) is sd
