@@ -3,11 +3,17 @@
     python3 bench_trajectory.py BASE HEAD PAIRS SEED SECONDS
 
 BASE and HEAD are checkouts of the repository, for example a clone of
-the parent commit and the change.  For each pair and each workload of
-``perfbench``, ``perfbench/run.py --trace 0`` runs once in each
-checkout, the base first in even pairs and the head first in odd ones,
-so that a drift of the machine's speed falls on both alike.  Every
-run must read ``correct: true, failed: 0``.
+the parent commit and the change, and PAIRS is 2 or more.  For each
+pair and each workload of ``perfbench``, ``perfbench/run.py --trace 0``
+runs once in each checkout, the base first in even pairs and the head
+first in odd ones, so that a drift of the machine's speed falls on both
+alike.  Every run must read ``correct: true, failed: 0``.
+
+A run writes no bytecode (``PYTHONDONTWRITEBYTECODE=1``), and the
+script refuses to start while either checkout holds a ``__pycache__``
+under ``src/`` or ``perfbench/``: a child would import that side's
+cached bytecode, or recompile its source if the cache is stale, and
+time and size a different program than the other side's.
 
 The result goes to ``BENCH_<commit>.json`` in this directory, named
 after the head's commit, with a ``+`` when the head has changes that
@@ -27,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
 WORKLOADS = ("laws-window", "semidirect-build", "chain-complexes")
+# where a checkout's children import from: neither may hold bytecode
+SOURCES = ("src", "perfbench")
 
 
 def run(checkout, workload, seed, seconds):
@@ -34,11 +42,17 @@ def run(checkout, workload, seed, seconds):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True).stdout.splitlines()
+        cwd=checkout, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        check=True, capture_output=True, text=True).stdout.splitlines()
     report, result = json.loads(out[-2]), json.loads(out[-1])
     if result["correct"] is not True or result["failed"]:
         sys.exit("%s: %s gave a wrong verdict: %s" % (checkout, workload, report["wrong"]))
     return {k: m["value"] for k, m in result["metrics"].items()}
+
+
+def caches(checkout):
+    "The ``__pycache__`` directories under the checkout's sources."
+    return sorted(c for d in SOURCES for c in (checkout / d).rglob("__pycache__"))
 
 
 def commit(checkout):
@@ -60,6 +74,11 @@ def main(argv):
         sys.exit(__doc__)
     base, head = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     pairs, seed, seconds = int(argv[2]), int(argv[3]), float(argv[4])
+    if pairs < 2:
+        sys.exit(__doc__)
+    found = caches(base) + caches(head)
+    if found:
+        sys.exit("%s holds bytecode that a run would import; delete it first" % found[0])
     runs = {w: {"base": [], "head": []} for w in WORKLOADS}
     for i in range(pairs):
         for w in WORKLOADS:

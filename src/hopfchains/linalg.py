@@ -445,15 +445,17 @@ class LinMap:
     checks every window with one law kernel (see ``_kernel``) made from
     both sides' trees: one nested loop per factor of the domain, in
     which each leaf application is a lookup in a table of the check's
-    own, keyed by numbers the check gives the labels it meets, and a
-    miss there reads the leaf's memo and calls ``apply`` only on a miss
-    in it (a kernel over one part looks up the memo directly).  A
-    lookup is made once per value of the factors it reads, in the loop
-    of the last of them, and once for both sides.  The kernel is made
-    once per law shape in a process and shared by every law of that
-    shape, with the leaves bound per check.  A side whose leaves would
-    nest more loops than CPython allows (``_MAX_LOOPS``, counting the
-    domain's) is one call of its ``apply`` inside the kernel.  The same
+    own, keyed by numbers the check gives the labels it meets, one
+    number per level of rows when the leaf reads two or more factors,
+    and a miss there reads the leaf's memo and calls ``apply`` only on
+    a miss in it (a kernel over one part looks up the memo directly).
+    A lookup, or a row fetch, is made once per value of the factors it
+    reads, in the loop of the last of them, and once for both sides.
+    The kernel is made once per law shape in a process and shared by
+    every law of that shape, with the leaves bound per check.  A side
+    whose leaves would nest more loops than CPython allows
+    (``_MAX_LOOPS``, counting the domain's) is one call of its ``apply``
+    inside the kernel.  The same
     compiler makes a memoised composite's image function (see
     ``memoised``).  Every other caller evaluates any map through
     ``apply``.
@@ -688,28 +690,33 @@ def _kernel(f, g, parts):
     so a kernel over two or more parts works on numbers instead.  On
     entry it numbers the labels it meets in a dict of its own, in
     first-seen order, so that two labels get one number exactly when
-    they are equal.  Each leaf gets a table of its own, keyed by the
-    numbers of its argument's factors (an int for one factor, a tuple of
-    ints for more, ``()`` for none), which holds its image as
-    ``(numbers, coefficient, label)`` terms, or as the one coefficient
-    when its codomain is the unit space; the sides' dicts are keyed by
-    numbers too.  On a miss the kernel builds the label, looks it up
-    in the leaf's memo, and calls ``apply`` only on a miss there, so the
-    memos fill as before.  The numbers and tables die with the call.  A
-    kernel over one part works on labels and looks leaves up in their
-    memos: its window is small in every check the package makes, and a
-    verification on construction runs on window 0, where numbering would
-    cost more than it saves.  So does a law whose two sides are single
-    leaves, which looks each label up once.
+    they are equal.  Each leaf gets a table of its own, which holds its
+    image as ``(numbers, coefficient, label)`` terms, or as the one
+    coefficient when its codomain is the unit space.  The table of a
+    leaf whose argument has one factor or none is keyed by its number
+    or ``()``; for two or more factors it is rows of nested dicts: the
+    first factor's number selects a row, each later number the next
+    row, and the last number the image, so no lookup builds or hashes a
+    tuple.  The sides' dicts are keyed by numbers too (a tuple of them
+    for a codomain of two or more factors).  On a miss the kernel
+    builds the label, looks it up in the leaf's memo, and calls
+    ``apply`` only on a miss there, so the memos fill as before.  The
+    numbers and tables die with the call.  A kernel over one part works
+    on labels and looks leaves up in their memos: its window is small in
+    every check the package makes, and a verification on construction
+    runs on window 0, where numbering would cost more than it saves.  So
+    does a law whose two sides are single leaves, which looks each label
+    up once.
 
-    A lookup is hoisted to the top of the loop that binds the last
-    factor it reads, or to the kernel's top if it reads none, so that
-    ``mu(a0, a1)`` on three parts is looked up once per pair, not once
-    per label; one lookup serves both sides wherever they apply the same
-    leaf to the same factors; and each term loop multiplies the
-    coefficients so far once, before the loop inside it.  A side whose
-    leaves, one loop each, would nest more than ``_MAX_LOOPS`` loops
-    with the domain's is one call of its ``apply``.
+    A lookup, and each row fetch, is hoisted to the top of the loop that
+    binds the last factor it reads, or to the kernel's top if it reads
+    none, so that ``mu(a0, a1)`` on three parts fetches ``a0``'s row
+    once per ``a0`` and looks its image up once per pair, not once per
+    label; one lookup or row serves both sides wherever they apply the
+    same leaf to the same leading factors; and each term loop multiplies
+    the coefficients so far once, before the loop inside it.  A side
+    whose leaves, one loop each, would nest more than ``_MAX_LOOPS``
+    loops with the domain's is one call of its ``apply``.
 
     The function is made from the law's shape alone (``_shape``), once
     per shape in a process (``_kernels``), and serves every law of that
@@ -790,23 +797,26 @@ class _Compiler:
 
     It reads the shape only, never a map.  Leaf i's ``apply`` and memo
     lookup are the parameters ``Li`` and ``Mi``; in a numbered kernel
-    its table is ``Ti``, with its ``get`` in ``Gi``.  While compiling, a
-    label is a tuple of factors, one per tensor factor, and a factor is
-    a triple: an expression for its number (``None`` where the kernel
-    works on labels), an expression for its label, and the depth of the
-    loop that binds it (a domain factor its part's loop, a term of an
-    image its term loop).  A label that a loop binds whole keeps the
+    its table is ``Ti``, with its ``get`` in ``Gi``, and a row of a leaf
+    keyed by two or more factors is a variable ``r<n>``.  While
+    compiling, a label is a tuple of factors, one per tensor factor, and
+    a factor is a triple: an expression for its number (``None`` where
+    the kernel works on labels), an expression for its label, and the
+    depth of the loop that binds it (a domain factor its part's loop, a
+    term of an image its term loop).  A label that a loop binds whole keeps the
     variable that names it, and so do its numbers (``spans``), so a
     stage that needs the whole label or all its numbers takes that
     variable.  Every loop keeps a head, the lines at the top of its
     body.  A lookup goes to the head of the deepest loop its key reads,
-    once per leaf and key expression.
+    once per leaf and key expression, and a row fetch to the head of the
+    deepest loop its leading numbers read, once per leaf and numbers.
     """
 
     def __init__(self):
         self.lines = [[]]    # blocks of lines, a loop's head a block of its own
         self.heads = {}      # depth -> the head of the loop open at that depth
-        self.images = {}     # (leaf index, key expression) -> the variable of its image
+        self.images = {}     # (leaf index, key expression) -> the variable of its image,
+                             # and (leaf index, leading numbers) -> the variable of a row
         self.spans = {}      # factor expressions -> the variable of that label or its numbers
         self.leaves = 0      # how many leaves the kernel's parameters carry
         self.tables = []     # the leaves with a table, in a numbered kernel
@@ -951,11 +961,11 @@ class _Compiler:
         Vec, or in a numbered kernel its terms (its coefficient, if its
         codomain is the unit space).
 
-        In a numbered kernel the leaf's table is read first, and its memo
-        and then ``apply`` on a miss there; otherwise its memo and then
-        ``apply``.  The lookup goes to the head of the deepest loop the
-        label reads, and is made once there for each leaf and key
-        expression.
+        In a numbered kernel the leaf's table is read first (its last row,
+        for two or more factors), and its memo and then ``apply`` on a
+        miss there; otherwise its memo and then ``apply``.  The lookup
+        goes to the head of the deepest loop the label reads, and is made
+        once there for each leaf and key expression.
         """
         i, cod, memo = leaf[0], leaf[2], leaf[3]
         x = self.key(label)
@@ -972,17 +982,40 @@ class _Compiler:
         if self.numbered:
             if i not in self.tables:
                 self.tables.append(i)
+            table, get = "T%d" % i, "G%d" % i
+            if len(label) > 1:
+                # a row per leading factor, each fetched where its last factor is bound
+                for j in range(1, len(label)):
+                    table = self.row(i, label[:j], table, get)
+                    get = "%s.get" % table
+                x = label[-1][0]
             if cod:
-                terms = ["%s = T%d[%s] = []" % (image, i, x),
+                terms = ["%s = %s[%s] = []" % (image, table, x),
                          "for k, c in v.entries.items():",
                          "    %s.append((%s, c, k))" % (image, self.number("k", cod))]
             else:
-                terms = ["%s = T%d[%s] = v.entries.get(%r, 0)" % (image, i, x, UNIT)]
-            read = (["%s = G%d(%s)" % (image, i, x), "if %s is None:" % image]
+                terms = ["%s = %s[%s] = v.entries.get(%r, 0)" % (image, table, x, UNIT)]
+            read = (["%s = %s(%s)" % (image, get, x), "if %s is None:" % image]
                     + ["    " + l for l in read + terms])
-        depth = max((f[2] for f in label), default=0)
-        self.heads[depth] += ["    " * depth + l for l in read]
+        self.head(label, read)
         return image
+
+    def row(self, i, lead, table, get):
+        """The variable of leaf i's row for the numbers of the factors
+        ``lead``, fetched from ``table`` by ``get`` once per leaf and
+        numbers, and made empty on a miss."""
+        nums = tuple(f[0] for f in lead)
+        row = self.images.get((i, nums))
+        if row is None:
+            row = self.images[(i, nums)] = self.fresh("r")
+            self.head(lead, ["%s = %s(%s)" % (row, get, nums[-1]), "if %s is None:" % row,
+                             "    %s = %s[%s] = {}" % (row, table, nums[-1])])
+        return row
+
+    def head(self, label, lines):
+        "Put lines at the head of the deepest loop that binds a factor of the label."
+        depth = max((f[2] for f in label), default=0)
+        self.heads[depth] += ["    " * depth + l for l in lines]
 
     def stage(self, tree, label, coeff, depth, then):
         "Emit a shape tree on a label; ``then(label, coeff, depth)`` emits what takes each term."

@@ -20,6 +20,7 @@ from hopfchains.linalg import (
     pair, perm_map, right, scale_map, split_label, sum_space, swap_map,
     tensor_maps, tensor_space, zero_map,
 )
+from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import (
     Bicharacter, GradedModule, laurent_hopf, monomial, sigma_space, sign_coelement,
 )
@@ -803,21 +804,31 @@ def kernel_source(f, g, parts):
 
 
 def table_lookups(f, g, K):
-    """The result of checking f == g on window K again, and how many
-    times the kernel looked each leaf up in its table, by leaf.
+    """The result of checking f == g on window K again, how many times
+    the kernel looked each leaf's image up, by leaf, and how many times
+    it fetched each leaf's rows, by leaf and level.
 
-    The second check runs under a line tracer, which counts the
-    executions of each line that reads a leaf's table; the first
-    compiles the kernel, so that nothing else runs it while traced."""
+    An image is looked up in the leaf's table, or in the last row of a
+    leaf keyed by two or more factors; that leaf's first row is fetched
+    from its table and each later row from the row before.  The second
+    check runs under a line tracer, which counts the executions of each
+    line that reads a table or a row; the first compiles the kernel, so
+    that nothing else runs it while traced."""
     equal_on_window(f, g, K)
     leaves = {}
     linalg._shape(f, g, f.dom.parts, leaves)
-    reads = {}
+    rows, reads = {}, {}
     for number, text in enumerate(kernel_source(f, g, f.dom.parts).splitlines(), 1):
-        read = re.search(r"= G(\d+)\(", text)
+        read = re.search(r"(\w+) = (?:G(\d+)|(r\d+)\.get)\(", text)
         if read:
-            reads[number] = int(read.group(1))
-    counts = dict.fromkeys(range(len(leaves)), 0)
+            target, table, row = read.groups()
+            leaf, level = (int(table), 0) if table else rows[row]
+            if target.startswith("r"):
+                rows[target] = (leaf, level + 1)
+                reads[number] = (leaf, level + 1)
+            else:
+                reads[number] = (leaf, 0)
+    counts = dict.fromkeys(set(reads.values()), 0)
 
     def trace(frame, event, arg):
         if frame.f_code.co_name != "kernel":
@@ -833,37 +844,66 @@ def table_lookups(f, g, K):
         got = equal_on_window(f, g, K)
     finally:
         sys.settrace(None)
-    return got, {m: counts[i] for m, i in leaves.items()}
+    images = {m: counts.get((i, 0), 0) for m, i in leaves.items()}
+    fetches = {m: [counts[(i, level)] for level in range(1, m.dom.arity)]
+               for m, i in leaves.items() if (i, 1) in counts}
+    return got, images, fetches
+
+
+def mu_associativity(first):
+    "P's associativity with ``first`` in place of the first mu of its left side."
+    P = RINGS["P"]
+    idh = identity_map(P.carrier)
+    return (compose_maps(tensor_maps(first, idh), P.mu),
+            compose_maps(tensor_maps(idh, P.mu), P.mu))
 
 
 def test_a_lookup_is_made_once_per_value_of_the_factors_it_reads():
     P = RINGS["P"]
-    A = P.carrier
-    idh = identity_map(A)
     mu = LinMap(P.mu.dom, P.mu.cod, P.mu.apply, name="mu'")
-    lhs = compose_maps(tensor_maps(mu, idh), P.mu)
-    rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
-    n = len(A.enumerate(1))
-    got, counts = table_lookups(lhs, rhs, 1)
+    n = len(P.carrier.enumerate(1))
+    got, images, rows = table_lookups(*mu_associativity(mu), 1)
     # mu' reads the first two factors: once per pair, not once per label
-    assert got == CheckResult("", "equal", n ** 3) and counts[mu] == n ** 2
+    assert got == CheckResult("", "equal", n ** 3) and images[mu] == n ** 2
+    # and its row for the first factor is fetched once per first factor
+    assert rows[mu] == [n]
 
 
 def test_a_hoisted_leaf_broken_at_a_tail_label_is_reported_as_a_plain_loop_reports_it():
     P = RINGS["P"]
-    A = P.carrier
-    idh = identity_map(A)
-    window = A.enumerate(1)
+    window = P.carrier.enumerate(1)
     bad = pair(window[-1], window[-2])
 
     def fn(label):
         return P.mu.apply(label) + Vec.basis(window[0]) if label == bad else P.mu.apply(label)
-    mutant = LinMap(P.mu.dom, P.mu.cod, fn, name="mu'")
-    lhs = compose_maps(tensor_maps(mutant, idh), P.mu)
-    rhs = compose_maps(tensor_maps(idh, P.mu), P.mu)
+    lhs, rhs = mu_associativity(LinMap(P.mu.dom, P.mu.cod, fn, name="mu'"))
     got = equal_on_window(lhs, rhs, 1)
     assert got == reference_check(lhs, rhs, 1, "")
     assert not got.equal and factors(got.counterexample.label)[:2] == factors(bad)
+
+
+def test_a_four_factor_leaf_broken_at_a_tail_label_is_reported_as_a_plain_loop_reports_it():
+    # the semidirect product's mu reads (H (x) A) (x) (H (x) A): a row for
+    # each of its first three factors; its ring is unshared, so that no
+    # other test's memo is filled here
+    sd = semidirect_product(two_term_ring.__wrapped__((-1,), (-1,)), window=None)
+    idc = identity_map(sd.carrier)
+    window = sd.carrier.enumerate(1)
+    bad = pair(window[-1], window[-2])
+
+    def fn(label):
+        return sd.mu.apply(label) + sd.eta.apply(UNIT) if label == bad else sd.mu.apply(label)
+    mutant = LinMap(sd.mu.dom, sd.mu.cod, fn, name="mu'")
+    lhs = compose_maps(tensor_maps(mutant, idc), sd.mu)
+    rhs = compose_maps(tensor_maps(idc, sd.mu), sd.mu)
+    got, _, rows = table_lookups(lhs, rhs, 1)
+    assert got == reference_check(lhs, rhs, 1, "")
+    assert not got.equal and factors(got.counterexample.label)[:4] == factors(bad)
+    # the check stops under bad, whose first three factors are the last
+    # their loops bind: mu''s first row is fetched once per H label, its
+    # second once per label of the carrier, its third once per both
+    h, n = len(sd.carrier.parts[0].enumerate(1)), len(window)
+    assert rows[mutant] == [h, n, n * h]
 
 
 def test_one_lookup_serves_both_sides():
@@ -875,9 +915,60 @@ def test_one_lookup_serves_both_sides():
     lhs = compose_maps(tensor_maps(delta, idh), after)
     rhs = compose_maps(tensor_maps(delta, idh), memoised(after))
     n = len(A.enumerate(4))
-    got, counts = table_lookups(lhs, rhs, 4)
+    got, images, _ = table_lookups(lhs, rhs, 4)
     # delta' on the first factor, on both sides: once per first factor
-    assert got == CheckResult("", "equal", n ** 2) and counts[delta] == n
+    assert got == CheckResult("", "equal", n ** 2) and images[delta] == n
+
+
+def test_one_row_serves_both_sides():
+    # mu' on (a0, a1) on the left, on a0 and the terms of mu(a1, a2) on
+    # the right: one row for a0, fetched once per a0
+    P = RINGS["P"]
+    idh = identity_map(P.carrier)
+    mu = LinMap(P.mu.dom, P.mu.cod, P.mu.apply, name="mu'")
+    lhs = compose_maps(tensor_maps(mu, idh), P.mu)
+    rhs = compose_maps(tensor_maps(idh, P.mu), mu)
+    n = len(P.carrier.enumerate(1))
+    got, images, rows = table_lookups(lhs, rhs, 1)
+    assert got == CheckResult("", "equal", n ** 3) and rows[mu] == [n]
+
+
+def test_a_row_is_its_leading_factors_not_its_last():
+    # a three-factor leaf applied to (a0, a1, a3) and to (a2, a1, a3):
+    # the two rows of the second level end in one number and differ
+    Z = laurent_hopf(1)
+    A = Z.carrier
+    ida = identity_map(A)
+    triple = compose_maps(tensor_maps(Z.mu, ida), Z.mu)
+    leaf = LinMap(triple.dom, triple.cod, triple.apply, name="abc")
+
+    def side(perm):
+        return compose_maps(perm_map([A] * 4, perm), compose_maps(tensor_maps(leaf, ida), Z.mu))
+    # the ring is commutative: a0 a1 a3 a2 == a2 a1 a3 a0
+    lhs, rhs = side((0, 1, 3, 2)), side((2, 1, 3, 0))
+    assert equal_on_window(lhs, rhs, 1) == CheckResult("", "equal", 3 ** 4)
+
+
+def test_a_table_misses_once_per_key():
+    # a row is kept once made: a check reads the leaf's memo once for
+    # each label it meets, however often the label recurs
+    P = RINGS["P"]
+    reads = []
+
+    class Memo(dict):
+        def get(self, label):
+            reads.append(label)
+            return dict.get(self, label)
+    mu = LinMap(P.mu.dom, P.mu.cod, P.mu.apply, name="mu'")
+    mu._cache = Memo()
+    idh = identity_map(P.carrier)
+    lhs = compose_maps(tensor_maps(mu, idh), mu)
+    rhs = compose_maps(tensor_maps(idh, mu), mu)
+    assert equal_on_window(lhs, rhs, 2)
+    # the memo is full now, so the kernel alone reads it
+    reads.clear()
+    assert equal_on_window(lhs, rhs, 2)
+    assert reads and len(reads) == len(set(reads))
 
 
 def test_a_term_loop_multiplies_two_coefficients_at_most():
