@@ -11,14 +11,14 @@ __version__ = "0.1.0"
 
 from .linalg import (
     UNIT, UNIT_SPACE, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
-    compose_maps, direct_sum_maps, equal_on_window, identity_map, left, pair,
-    right, sum_space, tensor_maps, tensor_space,
+    compose_maps, equal_on_window, identity_map, left, pair, right, sum_space,
+    tensor_maps, tensor_space,
 )
 from .laws import (
     Bimonoid, Coelement, Comodule, IllegalComodule, LawViolation,
     Report, check_bialgebra_laws, check_coelement, check_comodule_morphism,
-    check_distributive_law, comodule_braiding, distributive_law_tau,
-    plain_swap, tensor_comodule, verify,
+    check_distributive_law, check_hopf_morphism, comodule_braiding,
+    distributive_law_tau, plain_swap, tensor_comodule, verify,
 )
 from .grading import (
     Bicharacter, GradedModule, comodule_to_graded_projections,

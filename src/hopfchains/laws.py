@@ -266,6 +266,18 @@ def check_bialgebra_laws(B, braid, K):
     return report
 
 
+def check_hopf_morphism(f, B, C, K):
+    "Rows mu, eta, delta, epsilon, antipode: f : B -> C carries each map of B to C's."
+    ff = f @ f
+    return Report([
+        equal_on_window(B.mu >> f, ff >> C.mu, K, law="mu"),
+        equal_on_window(B.eta >> f, C.eta, K, law="eta"),
+        equal_on_window(B.delta >> ff, f >> C.delta, K, law="delta"),
+        equal_on_window(B.epsilon, f >> C.epsilon, K, law="epsilon"),
+        equal_on_window(B.antipode >> f, f >> C.antipode, K, law="antipode"),
+    ])
+
+
 def check_coelement(c, K):
     """The three coelement axioms, read off the ring's string diagrams.
 

@@ -615,19 +615,6 @@ def tensor_maps(f, g):
                      "(%s@%s)" % (f.name, g.name), ("tensor", f, g))
 
 
-def direct_sum_maps(f, g):
-    "Acts as f on Left labels and g on Right labels."
-    dom = sum_space(f.dom, g.dom)
-    cod = sum_space(f.cod, g.cod)
-
-    def fn(label):
-        if label[0] == _LEFT:
-            return Vec({left(k): c for k, c in f.apply(label[1]).items()})
-        return Vec({right(k): c for k, c in g.apply(label[1]).items()})
-
-    return LinMap(dom, cod, fn, name="(%s(+)%s)" % (f.name, g.name))
-
-
 def swap_map(X, Y):
     "The plain symmetry of Ab: no signs."
     return _permutation([X, Y], (1, 0), "swap")
@@ -1129,7 +1116,8 @@ def equal_on_window(f, g, K, law=""):
     domain of more parts than one kernel may nest loops is listed, and
     its kernel has one loop over that list.  The kernel names the failing
     label, and the counterexample's images are both sides' ``apply``
-    there.  The result records the check's wall time in ``seconds``.
+    there; if they agree, the kernel is wrong and a ``RuntimeError`` is
+    raised.  The result records the check's wall time in ``seconds``.
     """
     if f.dom is not g.dom or f.cod is not g.cod:
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))
@@ -1141,4 +1129,7 @@ def equal_on_window(f, g, K, law=""):
     if label is None:
         return CheckResult(law, "equal", checked, None, time.perf_counter() - started)
     cx = Counterexample(label, f.apply(label), g.apply(label))
+    if cx.lhs == cx.rhs:
+        raise RuntimeError("the law kernel of %r names %s, where both sides are %r"
+                           % (law, show_label(label), cx.lhs))
     return CheckResult(law, "differ", checked, cx, time.perf_counter() - started)

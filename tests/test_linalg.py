@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from hopfchains import laws, linalg
 from hopfchains.linalg import (
     UNIT, UNIT_SPACE, ZERO, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
-    compose_maps, direct_sum_maps, equal_on_window, factors, finite_space,
-    identity_map, label_from_json, label_key, label_to_json, left, memoised,
-    pair, perm_map, right, scale_map, split_label, sum_space, swap_map,
-    tensor_maps, tensor_space, zero_map,
+    compose_maps, equal_on_window, factors, finite_space, identity_map,
+    label_from_json, label_key, label_to_json, left, memoised, pair, perm_map,
+    right, scale_map, split_label, sum_space, swap_map, tensor_maps,
+    tensor_space, zero_map,
 )
 from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import (
@@ -136,19 +136,6 @@ def test_group_like_coproduct_absorbs_unit_leg():
     assert f.apply(pair(x(1), x(1))) == Vec.basis(pair(x(1), x(1)))
 
 
-def test_direct_sum_acts_blockwise():
-    S = finite_space("S", [atom("d")])
-    f = scale_map(identity_map(S), -1)
-    g = identity_map(UNIT_SPACE)
-    s = direct_sum_maps(f, g)
-    assert s.apply(left(atom("d"))) == Vec.basis(left(atom("d")), -1)
-    assert s.apply(right(UNIT)) == Vec.basis(right(UNIT))
-    z = direct_sum_maps(zero_map(S, S), zero_map(S, S))
-    assert z.apply(left(atom("d"))) == Vec.zero()
-    fz = direct_sum_maps(f, zero_map(S, S))
-    assert fz.apply(left(atom("d"))) == Vec.basis(left(atom("d")), -1)
-
-
 def test_equal_on_window_reports_first_counterexample():
     Z = laurent_hopf(1)
     ida = identity_map(Z.carrier)
@@ -157,6 +144,16 @@ def test_equal_on_window_reports_first_counterexample():
     assert not verdict.equal
     assert verdict.counterexample.lhs == Vec.basis(x(-1))
     assert verdict.counterexample.rhs == Vec.basis(x(-1), 2)
+
+
+def test_a_kernel_naming_a_label_where_the_sides_agree_is_refused(monkeypatch):
+    # a planted kernel reports x^2 as failing; both sides' apply agree there,
+    # so the check raises rather than certify a false counterexample
+    Z = laurent_hopf(1)
+    ida = identity_map(Z.carrier)
+    monkeypatch.setattr(linalg, "_kernel", lambda f, g, parts: lambda *windows: (1, x(2)))
+    with pytest.raises(RuntimeError, match=r"'planted' names x\(2\)"):
+        equal_on_window(ida, scale_map(ida, 1), 3, law="planted")
 
 
 def test_tensor_is_functorial_on_windows():

@@ -10,14 +10,15 @@ from hopfchains.chains import (
     ChainComplex, ChainMap, IllegalChain, eye, mat, random_chain_map, random_complex,
     tensor_chains,
 )
+from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import monomial
 from hopfchains.laws import (
     Bimonoid, IllegalComodule, check_bialgebra_laws, check_comodule_morphism,
-    plain_swap, tensor_comodule,
+    check_hopf_morphism, plain_swap, tensor_comodule,
 )
 from hopfchains.linalg import (
-    UNIT, LinMap, Vec, atom, equal_on_window, finite_space, pair, show_label,
-    tensor_maps, tensor_space,
+    UNIT, LinMap, Vec, atom, equal_on_window, finite_space, identity_map, left,
+    pair, show_label, tensor_space,
 )
 from hopfchains.pareigis import (
     ALPHABET, PSI, XI, XI_INV, chain_map_to_linmap, chain_to_comodule,
@@ -107,33 +108,60 @@ def test_the_two_rings_differ_exactly_in_the_coproduct_tail():
     assert P.mu.apply(pair(pm(0, 1), psi)) == Q.mu.apply(pair(pm(0, 1), psi))
 
 
-def hopf_map_verdicts(fn, K):
-    "Which of the five structure maps a label map P -> P+ carries over, on window K."
-    P, Q = pareigis_ring(-1), pareigis_ring(1)
-    phi = LinMap(P.carrier, Q.carrier, fn, name="phi")
-    pp = tensor_maps(phi, phi)
-    return {r.law: r.equal for r in (
-        equal_on_window(P.mu >> phi, pp >> Q.mu, K, law="mu"),
-        equal_on_window(P.eta >> phi, Q.eta, K, law="eta"),
-        equal_on_window(P.delta >> pp, phi >> Q.delta, K, law="delta"),
-        equal_on_window(P.epsilon, phi >> Q.epsilon, K, law="epsilon"),
-        equal_on_window(P.antipode >> phi, phi >> Q.antipode, K, law="antipode"))}
+def inverting_xi(sign):
+    """phi: P -> P+, psi^a xi^k |-> (sign.psi)^a xi^-k, so P+ is P with its
+    grading group turned round by g |-> -g."""
+    def fn(label):
+        a, k = label[2]
+        return Vec.basis(pm(a, -k), sign ** a)
+    return LinMap(pareigis_ring(-1).carrier, pareigis_ring(1).carrier, fn, name="phi")
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_inverting_xi_is_a_hopf_isomorphism_onto_p_plus(sign):
-    # phi: psi^a xi^k |-> (sign.psi)^a xi^-k, so P+ is P with its grading
-    # group turned round by g |-> -g
-    def phi(label):
-        a, k = label[2]
-        return Vec.basis(pm(a, -k), sign ** a)
-    assert hopf_map_verdicts(phi, 6) == dict.fromkeys(
-        ("mu", "eta", "delta", "epsilon", "antipode"), True)
+    report = check_hopf_morphism(inverting_xi(sign), pareigis_ring(-1), pareigis_ring(1), 6)
+    assert [r.law for r in report] == ["mu", "eta", "delta", "epsilon", "antipode"]
+    assert report.ok, report.failures()
 
 
 def test_the_plain_relabelling_of_p_onto_p_plus_is_no_hopf_map():
-    verdicts = hopf_map_verdicts(lambda label: Vec.basis(pm(*label[2])), 6)
-    assert {law for law, equal in verdicts.items() if not equal} == {"delta", "antipode"}
+    P, Q = pareigis_ring(-1), pareigis_ring(1)
+    plain = LinMap(P.carrier, Q.carrier, lambda label: Vec.basis(pm(*label[2])), name="plain")
+    report = check_hopf_morphism(plain, P, Q, 6)
+    assert {r.law for r in report.failures()} == {"delta", "antipode"}
+
+
+def test_every_s_plus_one_coaction_is_its_twin_transported_along_phi():
+    # the complexes of the roundtrip golden's seed: the s = +1 coaction is
+    # the s = -1 one followed by phi (x) 1, and only for phi's sign +1
+    rng = random.Random(42)
+    phi, control = inverting_xi(1), inverting_xi(-1)
+    differ = 0
+    for trial in range(100):
+        X = random_complex(rng, name="rt%d" % trial)
+        plus = chain_to_comodule(X, 1).coaction
+        minus = chain_to_comodule(X, -1).coaction
+        idx = identity_map(X.space())
+        assert equal_on_window(minus >> (phi @ idx), plus, 0), trial
+        differ += not equal_on_window(minus >> (control @ idx), plus, 0)
+    assert differ > 0
+
+
+def test_the_s_plus_one_i_plus_d_is_its_twin_transported_along_inverting_x():
+    # rho: d(1) |-> d(-1) is a Hopf map of the two I + D, and it carries
+    # the coaction across x |-> x^-1, the Laurent antipode
+    plus, minus = two_term_ring((1,), (-1,)), two_term_ring((-1,), (-1,))
+    d = left(atom("d", -1, 0))
+    rho = LinMap(plus.hopf.carrier, minus.hopf.carrier,
+                 lambda label: Vec.basis(d if label[0] == "L" else label), name="rho")
+    report = check_hopf_morphism(rho, plus.hopf, minus.hopf, 0)
+    assert report.ok, report.failures()
+    A = plus.ring
+    assert A is minus.ring
+    transported = rho >> minus.comodule.coaction
+    assert equal_on_window(plus.comodule.coaction >> (A.antipode @ rho), transported, 0)
+    control = plus.comodule.coaction >> (identity_map(A.carrier) @ rho)
+    assert not equal_on_window(control, transported, 0)
 
 
 def test_ring_by_name():

@@ -8,8 +8,8 @@ from hopfchains.grading import (
 )
 from hopfchains.laws import (
     VALIDATION_WINDOW, Coelement, Comodule, IllegalComodule, LawViolation,
-    check_bialgebra_laws, check_coelement, comodule_braiding, distributive_law_tau,
-    plain_swap, tensor_comodule, trivial_comodule, verify,
+    check_bialgebra_laws, check_coelement, check_hopf_morphism, comodule_braiding,
+    distributive_law_tau, plain_swap, tensor_comodule, trivial_comodule, verify,
 )
 from hopfchains.linalg import (
     UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec, atom, equal_on_window,
@@ -138,22 +138,18 @@ def test_full_suite_and_antipode_identities(hb):
 
 
 def test_grading_ring_is_a_sub_bimonoid(hb):
+    # Radford's pair: i(a) = 1 (x) a and pi = epsilon_H (x) 1 are Hopf maps
+    # A -> H >< A -> A, and pi splits i
     sd = semidirect_product(hb)
     A = hb.ring
-    H = hb.hopf
-
-    def incl_fn(label):
-        return Vec.basis(pair(right(UNIT), label))
-
-    incl = LinMap(A.carrier, sd.carrier, incl_fn, name="incl")
-    lhs = tensor_maps(incl, incl) >> sd.mu
-    rhs = A.mu >> incl
-    assert equal_on_window(lhs, rhs, 4)
-    assert equal_on_window(A.eta >> incl, sd.eta, 4)
-    # stripping the H-legs with epsilon_H recovers the group-like coproduct
-    proj = tensor_maps(H.epsilon, identity_map(A.carrier))
-    strip = sd.delta >> tensor_maps(proj, proj)
-    assert equal_on_window(incl >> strip, A.delta, 4)
+    i = LinMap(A.carrier, sd.carrier, lambda label: Vec.basis(pair(right(UNIT), label)),
+               name="i")
+    ida = identity_map(A.carrier)
+    pi = hb.hopf.epsilon @ ida
+    for f, B, C in ((i, A, sd), (pi, sd, A)):
+        report = check_hopf_morphism(f, B, C, 4)
+        assert report.ok, report.failures()
+    assert equal_on_window(i >> pi, ida, 6)
 
 
 def test_trivial_coelement_and_coaction_give_the_plain_tensor_bimonoid():
