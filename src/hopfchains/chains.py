@@ -15,6 +15,8 @@ ints, see ``mat``), so all arithmetic is exact.
 
 from __future__ import annotations
 
+import weakref
+
 from .diffhopf import two_term_ring
 from .laws import Comodule
 from .linalg import (
@@ -32,7 +34,8 @@ class _Matrix:
     """An exact integer matrix: a list of rows of Python ints and a column
     count, so that a matrix with no rows keeps its shape.
 
-    Only ``mat``, ``zeros`` and ``eye`` build one.
+    ``mat`` builds one from plain rows; ``zeros``, ``eye`` and ``_eye_at``
+    build the constant ones.
     """
 
     __slots__ = ("rows", "ncols")
@@ -76,17 +79,22 @@ class _Matrix:
         return _Matrix([[c * a for a in r] for r in self.rows], self.ncols)
 
     def dot(self, other):
-        "The product; each nonzero entry a[i][k] adds a multiple of row k of other."
+        """The product; each nonzero entry a[i][k] adds a multiple of row k of
+        other.  A row starts as a copy of its first term, never as zeros."""
         if self.ncols != len(other.rows):
             raise ValueError("shapes %s and %s not aligned" % (self.shape, other.shape))
         n = other.ncols
         out = []
         for r in self.rows:
-            acc = [0] * n
+            acc = None
             for a, row in zip(r, other.rows):
-                if a:
+                if not a:
+                    continue
+                if acc is None:
+                    acc = row[:] if a == 1 else [a * b for b in row]
+                else:
                     acc = [x + a * b for x, b in zip(acc, row)]
-            out.append(acc)
+            out.append([0] * n if acc is None else acc)
         return _Matrix(out, n)
 
 
@@ -116,14 +124,21 @@ def zeros(m, n):
 
 
 def eye(n):
-    a = zeros(n, n)
-    for i in range(n):
-        a.rows[i][i] = 1
-    return a
+    return _eye_at((n, n), 0, 0, n)
+
+
+def _eye_at(shape, top, left, k):
+    """The matrix of this shape that is zero but for eye(k) with its top-left
+    entry at (top, left), built row by row, with no zero matrix written over."""
+    m, n = shape
+    return _Matrix([[0] * n for _ in range(top)]
+                   + [[0] * (left + i) + [1] + [0] * (n - left - i - 1) for i in range(k)]
+                   + [[0] * n for _ in range(m - top - k)], n)
 
 
 def is_zero(a):
-    return not any(any(r) for r in a.rows)
+    "No nonzero entry; the scan stops at the first nonzero row."
+    return not any(map(any, a.rows))
 
 
 def _product(a, b):
@@ -153,7 +168,13 @@ def _check_shapes(name, blocks, want):
 
 def _nonzero(blocks):
     "The blocks as matrices, dropping those that are zero."
-    return {k: m for k, m in ((k, mat(b)) for k, b in blocks.items()) if not is_zero(m)}
+    out = {}
+    for k, b in blocks.items():
+        if not isinstance(b, _Matrix):
+            b = mat(b)
+        if not is_zero(b):
+            out[k] = b
+    return out
 
 
 def _column(block, i, label):
@@ -266,6 +287,8 @@ class ChainComplex:
         return cls(ranks, diffs, name=name)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ChainComplex):
             return NotImplemented
         if self.ranks != other.ranks or self.diffs.keys() != other.diffs.keys():
@@ -383,12 +406,19 @@ def _block_at(blocks, n, shape):
     return b
 
 
+# the live tensors, keyed by the ids of their two factors; a tensor holds
+# its factors, so the ids in its key name them for as long as it lives
+_TENSORS = weakref.WeakValueDictionary()
+
+
 def tensor_chains(A, B):
     """Componentwise tensor with the Koszul-signed differential.
 
     d(a (x) b) = da (x) b + (-1)^i a (x) db for a of degree i.  The basis
     of degree n lists A_i (x) B_{n-i} by ascending i, each as a_p (x) b_q
-    in (p, q) order (``_offsets``):
+    in (p, q) order (``_offsets``).  There is one live A (x) B per pair
+    of factor objects: it is built, and its d.d = 0 checked, only when
+    none is alive, and freed with its last user:
 
     >>> A = ChainComplex({1: 1, 0: 1}, {1: [[2]]}, name="a")
     >>> B = ChainComplex({1: 1, 0: 2}, {1: [[1], [0]]}, name="b")
@@ -399,7 +429,18 @@ def tensor_chains(A, B):
     [[2], [-1], [0]]
     >>> T.d(1).rows
     [[1, 2, 0], [0, 0, 2]]
+    >>> tensor_chains(A, B) is T
+    True
     """
+    key = id(A), id(B)
+    T = _TENSORS.get(key)
+    if T is None:
+        T = _TENSORS[key] = _tensor_complex(A, B)
+    return T
+
+
+def _tensor_complex(A, B):
+    "A (x) B, built and checked, holding its factors."
     ranks, offset = _offsets(A.ranks, B.ranks)
     diffs = {}
     for (i, j), col in offset.items():
@@ -413,7 +454,9 @@ def tensor_chains(A, B):
         if db is not None:
             sign = -1 if i % 2 else 1
             _place(d, sign * _kron(eye(A.ranks[i]), db), offset[i, j - 1], col)
-    return ChainComplex(ranks, diffs, name="(%s(x)%s)" % (A.name, B.name))
+    T = ChainComplex(ranks, diffs, name="(%s(x)%s)" % (A.name, B.name))
+    T._factors = A, B
+    return T
 
 
 def tensor_chain_maps(f, g):
@@ -534,8 +577,16 @@ def evaluation_map(B, C):
 
 
 def underlying_graded(X):
-    "The forgetful functor: the complex with X's ranks and no differential."
-    return ChainComplex(X.ranks, {}, name=X.name)
+    """The forgetful functor: the complex with X's ranks and no differential.
+
+    There is one live U X per ranks and name, as there is one live L(M)
+    and R(M), so a tensor with U X is found again while it lives.
+    """
+    return _interned(_graded_module, tuple(sorted(X.ranks.items())), X.name)
+
+
+def _graded_module(ranks, name):
+    return ChainComplex(dict(ranks), {}, name=name)
 
 
 def underlying_graded_map(f):
@@ -553,8 +604,7 @@ def _shift_pair_complex(ranks, name, shift):
         out[k + shift] = above + r
         out[k + shift - 1] = r + below
         # d_n for n = k + shift sends the M_k summand of degree n onto that of n - 1
-        d = diffs[k + shift] = zeros(r + below, above + r)
-        _place(d, eye(r), 0, above)
+        diffs[k + shift] = _eye_at((r + below, above + r), 0, above, r)
     return ChainComplex(out, diffs, name=("L(%s)" if shift == 0 else "R(%s)") % name)
 
 
@@ -609,11 +659,11 @@ def unit_ur(X):
     RU = right_adjoint_complex(underlying_graded(X))
     blocks = {}
     for n in X.degrees():
-        m = zeros(X.rank(n) + X.rank(n - 1), X.rank(n))
-        _place(m, eye(X.rank(n)), 0, 0)
+        k = X.rank(n)
+        m = _eye_at((k + X.rank(n - 1), k), 0, 0, k)
         d = X.diffs.get(n)
         if d is not None:
-            _place(m, d, X.rank(n), 0)
+            _place(m, d, k, 0)
         blocks[n] = m
     return ChainMap(X, RU, blocks)
 
@@ -624,9 +674,7 @@ def counit_ur(M):
     blocks = {}
     for n in R.degrees():
         k = M.rank(n)
-        m = zeros(k, R.rank(n))
-        _place(m, eye(k), 0, 0)
-        blocks[n] = m
+        blocks[n] = _eye_at((k, R.rank(n)), 0, 0, k)
     return ChainMap(underlying_graded(R), M, blocks)
 
 
@@ -635,9 +683,7 @@ def unit_lu(M):
     L = left_adjoint_complex(M)
     blocks = {}
     for n, k in M.ranks.items():
-        m = zeros(L.rank(n), k)
-        _place(m, eye(k), M.rank(n + 1), 0)
-        blocks[n] = m
+        blocks[n] = _eye_at((L.rank(n), k), M.rank(n + 1), 0, k)
     return ChainMap(M, underlying_graded(L), blocks)
 
 
@@ -646,11 +692,11 @@ def counit_lu(X):
     LU = left_adjoint_complex(underlying_graded(X))
     blocks = {}
     for n in X.degrees():
-        m = zeros(X.rank(n), X.rank(n + 1) + X.rank(n))
+        k, above = X.rank(n), X.rank(n + 1)
+        m = _eye_at((k, above + k), 0, above, k)
         d = X.diffs.get(n + 1)
         if d is not None:
             _place(m, d, 0, 0)
-        _place(m, eye(X.rank(n)), 0, X.rank(n + 1))
         blocks[n] = m
     return ChainMap(LU, X, blocks)
 
@@ -661,8 +707,9 @@ def triangle_identities_hold(X):
     M = underlying_graded(X)
     idm = identity_chain_map(M)
     # held for the whole check, so that every unit and counit below
-    # finds the one live R(M) and L(M)
+    # finds the one live R(M) and L(M), and their one live U R(M) and U L(M)
     RM, LM = right_adjoint_complex(M), left_adjoint_complex(M)
+    URM, ULM = underlying_graded(RM), underlying_graded(LM)
 
     eta = unit_ur(X)
     ok_ur1 = underlying_graded_map(eta).then(counit_ur(M)) == idm

@@ -9,7 +9,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hopfchains
 from hopfchains import chains, diffhopf
@@ -442,6 +442,24 @@ def test_triangle_identities_build_each_adjoint_complex_once(monkeypatch):
         assert len(built) <= 4 and len(set(built)) == len(built)
 
 
+def test_triangle_identities_build_each_complex_once(monkeypatch):
+    checked = []
+    real = ChainComplex._check
+
+    def spy(self):
+        checked.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(ChainComplex, "_check", spy)
+    rng = random.Random(21)
+    for _ in range(10):
+        X = random_complex(rng, name="x")
+        del checked[:]
+        assert triangle_identities_hold(X)
+        # M = U X, R(M), L(M), U R(M), U L(M), R(U R M), L(U L M)
+        assert sorted(checked) == ["L(L(x))", "L(x)", "L(x)", "R(R(x))", "R(x)", "R(x)", "x"]
+
+
 def test_the_comonad_comparison_builds_one_adjoint_complex(monkeypatch):
     built = _counting_shift_pair_complexes(monkeypatch)
     rng = random.Random(14)
@@ -466,6 +484,108 @@ def test_an_adjoint_complex_is_shared_while_alive_and_freed_after():
     del L
     assert f.src is dead()
     del f
+    assert dead() is None
+
+
+def test_complexes_of_one_name_compare_by_their_differentials():
+    A = ChainComplex({1: 1, 0: 1}, {1: mat([[1]])}, name="a")
+    assert A == A
+    # the same name, ranks and keys, and another differential
+    assert A != ChainComplex({1: 1, 0: 1}, {1: mat([[2]])}, name="a")
+    assert A != ChainComplex({1: 1, 0: 1}, {}, name="a")
+    with pytest.raises(IllegalChain, match="cannot compose"):
+        identity_chain_map(A).then(identity_chain_map(ChainComplex({1: 1, 0: 1}, {}, name="a")))
+
+
+# ---------------------------------------------------------------------------
+# one live tensor per pair of factors, and one live U X per complex
+
+
+def _counting_tensors(monkeypatch):
+    built = []
+    real = chains._tensor_complex
+
+    def spy(A, B):
+        built.append((A.name, B.name))
+        return real(A, B)
+
+    monkeypatch.setattr(chains, "_tensor_complex", spy)
+    return built
+
+
+def test_a_tensor_is_shared_while_alive_and_freed_after():
+    rng = random.Random(5)
+    A = random_complex(rng, name="a", max_window=3, max_rank=2)
+    B = random_complex(rng, name="b", max_window=3, max_rank=2)
+    T = tensor_chains(A, B)
+    assert tensor_chains(A, B) is T
+    assert tensor_chains(B, A) is not T and tensor_chains(B, A).name == "(b(x)a)"
+    # keyed by both factors: another second factor, or an equal first one
+    # that is another object, makes another tensor
+    C = sphere(0, 2, name="c")
+    assert tensor_chains(A, C) is not T
+    assert tensor_chains(A, C).ranks == {n: 2 * r for n, r in A.ranks.items()}
+    twin = ChainComplex(A.ranks, A.diffs, name="a")
+    assert tensor_chains(twin, B) is not T and tensor_chains(twin, B) == T
+    dead = weakref.ref(T)
+    sym = chain_symmetry(A, B)   # a user of A (x) B as its source
+    del T
+    assert sym.src is dead()
+    del sym
+    assert dead() is None
+
+
+def test_the_workload_symmetry_check_builds_two_tensors(monkeypatch):
+    built = _counting_tensors(monkeypatch)
+    rng = random.Random(31)
+    for _ in range(10):
+        A = random_complex(rng, name="a", max_window=5, max_rank=3)
+        B = random_complex(rng, name="b", max_window=5, max_rank=3)
+        del built[:]
+        sym = chain_symmetry(A, B)
+        assert sym.is_chain_map()
+        T = tensor_chains(A, B)
+        assert sym.then(chain_symmetry(B, A)) == identity_chain_map(T)
+        T.to_json()
+        assert sorted(built) == [("a", "b"), ("b", "a")]
+
+
+def test_currying_builds_no_tensor_its_caller_holds(monkeypatch):
+    built = _counting_tensors(monkeypatch)
+    rng = random.Random(12)
+    for _ in range(10):
+        A = random_complex(rng, name="a", max_window=3, max_rank=2)
+        B = random_complex(rng, name="b", max_window=3, max_rank=2)
+        AB = tensor_chains(A, B)
+        phi = random_chain_map(rng, AB)
+        del built[:]
+        curry, uncurry = curry_adjunction(A, B, AB)
+        assert uncurry(curry(phi)) == phi
+        assert built == []
+
+
+def test_the_comonad_comparison_builds_one_tensor(monkeypatch):
+    built = _counting_tensors(monkeypatch)
+    rng = random.Random(14)
+    for _ in range(10):
+        X = random_complex(rng, name="x")
+        f = random_chain_map(rng, X)
+        del built[:]
+        assert comonad_comparison(X, [f]).equal
+        assert built == [("(I+D)", "x")]
+
+
+def test_a_graded_module_is_shared_per_ranks_and_name():
+    X = random_complex(random.Random(9), name="x")
+    M = underlying_graded(X)
+    assert underlying_graded(X) is M and M.diffs == {} and M.ranks == X.ranks
+    # an equal complex built anew finds it; one of other name does not
+    assert underlying_graded(random_complex(random.Random(9), name="x")) is M
+    N = underlying_graded(random_complex(random.Random(9), name="y"))
+    assert N is not M and N.name == "y" and N.ranks == M.ranks
+    assert [label[1] for label in N.basis()] == ["y"] * len(N.basis())
+    dead = weakref.ref(M)
+    del M
     assert dead() is None
 
 
@@ -1037,6 +1157,48 @@ def test_matrix_arithmetic_matches_the_reference(abc, c):
     assert (A == A2) == (a == a2)
     assert (A == zeros(len(a), q)) == is_zero(A)
     assert A != zeros(len(a), q + 1)
+
+
+@st.composite
+def _sparse_product(draw):
+    "A p x q and a q x r matrix, mostly zero, whose rows often hold a single 1."
+    p, q, r = (draw(st.integers(0, 4)) for _ in range(3))
+    entries = st.sampled_from((0, 0, 0, 1, 1, -1, 2))
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    return block(p, q), block(q, r), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_product())
+@example(([[0, 1], [0, 1], [0, 0]], [[3, 4], [5, 6]], 2))
+def test_the_product_matches_the_per_entry_reference_and_owns_its_rows(ab):
+    a, b, r = ab
+    A, B = _mat(a, len(b)), _mat(b, r)
+    AB = A.dot(B)
+    want = _ref_dot(a, b, r)
+    assert AB.shape == (len(a), r) and _listed(AB) == want
+    # a product's rows are its own: writing into them changes neither
+    # operand, nor another row of the product
+    for row in AB.rows:
+        for j in range(r):
+            row[j] += 7
+    assert _listed(A) == a and _listed(B) == b
+    assert _listed(AB) == [[x + 7 for x in row] for row in want]
+
+
+@given(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2))
+def test_identities_match_the_per_entry_reference(k, top, left, below, right):
+    assert _listed(eye(k)) == [[int(i == j) for j in range(k)] for i in range(k)]
+    # eye(k) placed at (top, left) in a zero matrix with room below and right
+    m, w = top + k + below, left + k + right
+    placed = chains._eye_at((m, w), top, left, k)
+    assert placed.shape == (m, w)
+    assert _listed(placed) == [[int(0 <= i - top == j - left < k) for j in range(w)]
+                               for i in range(m)]
 
 
 def test_empty_products_keep_their_shapes():

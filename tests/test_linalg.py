@@ -648,6 +648,34 @@ def test_a_memoised_composite_deeper_than_the_loop_limit_is_evaluated_by_apply(l
         assert m.apply(label) == want.apply(label)
 
 
+@pytest.mark.parametrize("stages", [200, 1500])
+def test_a_deep_composite_is_answered_by_both_paths_or_by_neither(stages):
+    # apply nests a call per stage, and the kernel's walk of the stage tree
+    # one per level: at 1,500 stages both pass CPython's recursion limit.
+    # Neither may answer where the other raises.
+    S = RINGS["P"].antipode
+    deep = S
+    for _ in range(stages - 1):
+        deep = compose_maps(deep, S)
+
+    def reference(label):
+        v = Vec.basis(label)
+        for _ in range(stages):
+            v = S(v)
+        return v
+
+    flat = LinMap(deep.dom, deep.cod, reference, name="S^%d" % stages)
+    outcomes = []
+    for answer in (lambda: all(deep.apply(label) == reference(label)
+                               for label in deep.dom.enumerate(1)),
+                   lambda: equal_on_window(deep, flat, 1).equal):
+        try:
+            outcomes.append(answer())
+        except RecursionError:
+            outcomes.append(RecursionError)
+    assert outcomes in ([True, True], [RecursionError, RecursionError])
+
+
 def spy_apply(monkeypatch):
     "The maps whose ``apply`` is called from now on."
     applied = []
