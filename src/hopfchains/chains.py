@@ -406,9 +406,20 @@ def _block_at(blocks, n, shape):
     return b
 
 
-# the live tensors, keyed by the ids of their two factors; a tensor holds
-# its factors, so the ids in its key name them for as long as it lives
-_TENSORS = weakref.WeakValueDictionary()
+# the live tensors and internal homs, keyed by their maker and the ids of
+# their two factors; each holds its factors, so the ids in its key name
+# them for as long as it lives
+_BY_FACTORS = weakref.WeakValueDictionary()
+
+
+def _of_factors(make, A, B):
+    "The one live ``make(A, B)``, built and checked only when none is alive."
+    key = make, id(A), id(B)
+    T = _BY_FACTORS.get(key)
+    if T is None:
+        T = _BY_FACTORS[key] = make(A, B)
+        T._factors = A, B
+    return T
 
 
 def tensor_chains(A, B):
@@ -432,15 +443,11 @@ def tensor_chains(A, B):
     >>> tensor_chains(A, B) is T
     True
     """
-    key = id(A), id(B)
-    T = _TENSORS.get(key)
-    if T is None:
-        T = _TENSORS[key] = _tensor_complex(A, B)
-    return T
+    return _of_factors(_tensor_complex, A, B)
 
 
 def _tensor_complex(A, B):
-    "A (x) B, built and checked, holding its factors."
+    "A (x) B, built and checked."
     ranks, offset = _offsets(A.ranks, B.ranks)
     diffs = {}
     for (i, j), col in offset.items():
@@ -454,9 +461,7 @@ def _tensor_complex(A, B):
         if db is not None:
             sign = -1 if i % 2 else 1
             _place(d, sign * _kron(eye(A.ranks[i]), db), offset[i, j - 1], col)
-    T = ChainComplex(ranks, diffs, name="(%s(x)%s)" % (A.name, B.name))
-    T._factors = A, B
-    return T
+    return ChainComplex(ranks, diffs, name="(%s(x)%s)" % (A.name, B.name))
 
 
 def tensor_chain_maps(f, g):
@@ -502,8 +507,14 @@ def internal_hom(B, C):
     (df)_j b = d(f_j b) - (-1)^n f_{j-1}(db).
 
     On the row-major basis of ``_hom_offsets``, f |-> dc f is dc (x) 1
-    and f |-> f db is 1 (x) db^T.
+    and f |-> f db is 1 (x) db^T.  There is one live [B, C] per pair of
+    factor objects, as there is one live B (x) C.
     """
+    return _of_factors(_hom_complex, B, C)
+
+
+def _hom_complex(B, C):
+    "[B, C], built and checked."
     ranks, offset = _hom_offsets(B.ranks, C.ranks)
     diffs = {}
     for (j, k), col in offset.items():

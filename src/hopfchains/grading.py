@@ -20,7 +20,7 @@ from itertools import product
 from .laws import Bimonoid, Coelement, Comodule, IllegalComodule, verify
 from .linalg import (
     UNIT, UNIT_SPACE, ZERO, LinMap, Space, SpaceMismatch, Vec, atom,
-    finite_space, pair, split_label, tensor_space,
+    finite_space, monomial_map, pair, split_label, tensor_space,
 )
 
 
@@ -68,13 +68,12 @@ def laurent_hopf(r, /):
         return Vec.basis(pair(label, label))
 
     zero = atom("x", *([0] * r))
-    mu = LinMap(AA, A, mu_fn, name="mu")
-    eta = LinMap(UNIT_SPACE, A, lambda l: Vec.basis(zero), name="eta")
-    delta = LinMap(A, AA, delta_fn, name="delta")
-    epsilon = LinMap(A, UNIT_SPACE, lambda l: Vec.basis(UNIT), name="epsilon")
-    antipode = LinMap(
-        A, A, lambda l: Vec.basis(atom("x", *[-i for i in degree_of(l)])),
-        name="antipode")
+    mu = monomial_map(AA, A, mu_fn, "mu")
+    eta = monomial_map(UNIT_SPACE, A, lambda l: Vec.basis(zero), "eta")
+    delta = monomial_map(A, AA, delta_fn, "delta")
+    epsilon = monomial_map(A, UNIT_SPACE, lambda l: Vec.basis(UNIT), "epsilon")
+    antipode = monomial_map(
+        A, A, lambda l: Vec.basis(atom("x", *[-i for i in degree_of(l)])), "antipode")
     return Bimonoid(A, mu, eta, delta, epsilon, antipode)
 
 

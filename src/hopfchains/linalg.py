@@ -335,8 +335,9 @@ class Space:
         return "Space(%r)" % self.name
 
 
-# every live interned space, keyed by its maker and generating data
-_SPACES = weakref.WeakValueDictionary()
+# every live interned space, keyed by its maker and generating data, as a
+# weak reference whose callback removes the entry when the space dies
+_SPACES = {}
 
 
 def _interned(make, *data):
@@ -346,10 +347,20 @@ def _interned(make, *data):
     user and the table does not grow with the spaces a run throws away.
     """
     key = (make,) + data
-    space = _SPACES.get(key)
-    if space is None:
-        space = _SPACES[key] = make(*data)
+    ref = _SPACES.get(key)
+    if ref is not None:
+        space = ref()
+        if space is not None:
+            return space
+    space = make(*data)
+    _SPACES[key] = weakref.ref(space, functools.partial(_forget, key))
     return space
+
+
+def _forget(key, ref):
+    "A dead space's callback: drop its entry, unless a later space holds the key."
+    if _SPACES.get(key) is ref:
+        del _SPACES[key]
 
 
 def finite_space(name, basis):
@@ -426,7 +437,9 @@ class LinMap:
 
     * a leaf, built directly from a label function (a structure map, a
       coaction, a braiding), memoises its value per label; the map is
-      pure, so this is observationally transparent;
+      pure, so this is observationally transparent; a leaf made by
+      ``monomial_map`` promises an image of at most one term per label,
+      which the law kernel keeps as one term (see ``_kernel``);
     * a composite, built by ``compose_maps`` and ``tensor_maps``, holds
       no memo and its ``apply`` is the plain definition: f's image put
       through g, or the tensor of the images of a label's two parts, so
@@ -448,7 +461,8 @@ class LinMap:
     own, keyed by numbers the check gives the labels it meets, one
     number per level of rows when the leaf reads two or more factors,
     and a miss there reads the leaf's memo and calls ``apply`` only on
-    a miss in it (a kernel over one part looks up the memo directly).
+    a miss in it (a kernel over one part looks up the memo directly); a
+    monomial leaf's image there is one term, not a loop over terms.
     A lookup, or a row fetch, is made once per value of the factors it
     reads, in the loop of the last of them, and once for both sides.
     The kernel is made once per law shape in a process and shared by
@@ -463,7 +477,7 @@ class LinMap:
     ``f >> g`` is "f then g", ``f @ g`` the tensor product.
     """
 
-    __slots__ = ("dom", "cod", "fn", "name", "_cache", "_stages")
+    __slots__ = ("dom", "cod", "fn", "name", "_cache", "_stages", "_monomial")
 
     def __init__(self, dom, cod, fn, name=""):
         self.dom = dom
@@ -472,6 +486,7 @@ class LinMap:
         self.name = name
         self._cache = {}
         self._stages = None
+        self._monomial = False
 
     def apply(self, label):
         cache = self._cache
@@ -568,6 +583,22 @@ def _streamed(dom, cod, fn, name, stages):
     m = LinMap(dom, cod, fn, name)
     m._cache = None
     m._stages = stages
+    return m
+
+
+def monomial_map(dom, cod, fn, name):
+    """A leaf like ``LinMap(dom, cod, fn, name)`` that promises each basis
+    label an image of at most one term: a multiple of one basis label,
+    or zero.
+
+    A law kernel over two or more parts keeps such a leaf's image as one
+    term, not a list of them, and checks the promise as it fills its
+    table: an image of two terms there raises a ``RuntimeError`` naming
+    the label, and no verdict is given.  ``apply`` and the memo are any
+    leaf's.
+    """
+    m = LinMap(dom, cod, fn, name)
+    m._monomial = True
     return m
 
 
@@ -671,7 +702,8 @@ def _kernel(f, g, parts):
     and tensor cuts and joins are worked out on the label's factors
     while compiling, so at run time they are tuple slots, and a label
     is only built where a leaf needs it.  Each side's terms are summed
-    into one dict, or into an int when the codomain is the unit space.
+    into one dict, or into an int when the codomain is the unit space; a
+    side whose leaves are all monomial keeps its one term (see below).
 
     Labels are nested tuples, and CPython does not cache a tuple's hash,
     so a kernel over two or more parts works on numbers instead.  On
@@ -694,6 +726,16 @@ def _kernel(f, g, parts):
     runs on window 0, where numbering would cost more than it saves.  So
     does a law whose two sides are single leaves, which looks each label
     up once.
+
+    A monomial leaf (``monomial_map``) keeps one ``(numbers,
+    coefficient, label)`` triple in its table, or ``()`` for zero, and
+    the kernel unpacks it under ``if e:`` where it loops over another
+    leaf's terms.  Filling its table checks the promise: an image of two
+    terms raises a ``RuntimeError`` naming the leaf and the label, so a
+    wrong declaration never gives a verdict.  When every leaf of both
+    sides is monomial (wires, and leaves into the unit space, count as
+    monomial), each side is ``None`` or one ``(key, coefficient)`` pair,
+    and the kernel compares the pairs instead of building two dicts.
 
     A lookup, and each row fetch, is hoisted to the top of the loop that
     binds the last factor it reads, or to the kernel's top if it reads
@@ -745,9 +787,10 @@ def _shape(f, g, parts, leaves):
     It is the parts' arities, the codomain's arity and the stage tree of
     each side, with each wire replaced by ``("wire", picks)``, each
     composite by ``(kind, dom arity of its first map, shape, shape)`` and
-    each leaf by ``(index, dom arity, cod arity, has a memo)``.  The
-    index is the leaf's place in order of first use across both sides,
-    so laws whose leaves repeat differently have different shapes;
+    each leaf by ``(index, dom arity, cod arity, has a memo, is
+    monomial)``.  The index is the leaf's place in order of first use
+    across both sides, so laws whose leaves repeat differently have
+    different shapes;
     ``leaves`` maps each leaf met to its index.  A side whose leaves,
     one loop each, would nest more than ``_MAX_LOOPS`` loops with the
     domain's stands as a leaf itself, after the leaves it holds (whose
@@ -775,7 +818,8 @@ def _tree(m, leaves):
 
 def _leaf(m, leaves):
     "m as a leaf of a shape; ``leaves`` gives it its index at its first use."
-    return leaves.setdefault(m, len(leaves)), m.dom.arity, m.cod.arity, m._cache is not None
+    return (leaves.setdefault(m, len(leaves)), m.dom.arity, m.cod.arity, m._cache is not None,
+            m._monomial)
 
 
 class _Compiler:
@@ -785,7 +829,9 @@ class _Compiler:
     It reads the shape only, never a map.  Leaf i's ``apply`` and memo
     lookup are the parameters ``Li`` and ``Mi``; in a numbered kernel
     its table is ``Ti``, with its ``get`` in ``Gi``, and a row of a leaf
-    keyed by two or more factors is a variable ``r<n>``.  While
+    keyed by two or more factors is a variable ``r<n>``.  A monomial
+    leaf's term is unpacked in an ``if`` block that the compiler opens
+    and heads as it would a term loop.  While
     compiling, a label is a tuple of factors, one per tensor factor, and
     a factor is a triple: an expression for its number (``None`` where
     the kernel works on labels), an expression for its label, and the
@@ -808,12 +854,14 @@ class _Compiler:
         self.leaves = 0      # how many leaves the kernel's parameters carry
         self.tables = []     # the leaves with a table, in a numbered kernel
         self.numbered = False
+        self.one_term = False  # does each side have one term at most?
         self.count = 0
 
     def kernel(self, shape):
         arities, cod, f, g = shape
         # one part, or two single leaves: the kernel works on labels
         self.numbered = len(arities) > 1 and (type(f[0]) is not int or type(g[0]) is not int)
+        self.one_term = self.numbered and _one_term(f) and _one_term(g)
         windows = ["W%d" % i for i in range(len(arities))]
         if self.numbered:
             self.line(0, "ids = {}")
@@ -853,7 +901,7 @@ class _Compiler:
         params = ["L%d, M%d" % (i, i) for i in range(self.leaves)] + params
         source = "def %s(%s):\n%s\n" % (
             name, ", ".join(params), "\n".join("    " + l for b in self.lines for l in b))
-        env = {"_vec": _vec}
+        env = {"_vec": _vec, "_broken": _broken}
         exec(compile(source, "<%s>" % name, "exec"), env)
         # taken out of the globals it was defined in, so that only the
         # table keeps the function alive, and no cycle does
@@ -868,9 +916,17 @@ class _Compiler:
             return
         if self.numbered and cod == 0:
             self.line(depth, "%s = 0" % out)
+            op = "=" if self.one_term else "+="
             self.stage(tree, label, None, depth,
                        lambda label, coeff, depth: self.line(
-                           depth, "%s += %s" % (out, coeff or "1")))
+                           depth, "%s %s %s" % (out, op, coeff or "1")))
+            return
+        if self.one_term:
+            # None, or the one term as a (key, coefficient) pair
+            self.line(depth, "%s = None" % out)
+            self.stage(tree, label, None, depth,
+                       lambda label, coeff, depth: self.line(
+                           depth, "%s = %s, %s" % (out, self.key(label), coeff or "1")))
             return
 
         def collect(label, coeff, depth):
@@ -945,8 +1001,9 @@ class _Compiler:
 
     def call(self, leaf, label):
         """Apply a leaf to a label; the variable that holds its image: the
-        Vec, or in a numbered kernel its terms (its coefficient, if its
-        codomain is the unit space).
+        Vec, or in a numbered kernel its terms (its one term or ``()``,
+        if it is monomial; its coefficient, if its codomain is the unit
+        space).
 
         In a numbered kernel the leaf's table is read first (its last row,
         for two or more factors), and its memo and then ``apply`` on a
@@ -976,7 +1033,15 @@ class _Compiler:
                     table = self.row(i, label[:j], table, get)
                     get = "%s.get" % table
                 x = label[-1][0]
-            if cod:
+            if cod and leaf[4]:
+                # a monomial leaf's one term, or (); a second term breaks its promise
+                terms = ["%s = ()" % image,
+                         "for k, c in v.entries.items():",
+                         "    if %s:" % image,
+                         "        _broken(L%d, %s)" % (i, whole),
+                         "    %s = (%s, c, k)" % (image, self.number("k", cod)),
+                         "%s[%s] = %s" % (table, x, image)]
+            elif cod:
                 terms = ["%s = %s[%s] = []" % (image, table, x),
                          "for k, c in v.entries.items():",
                          "    %s.append((%s, c, k))" % (image, self.number("k", cod))]
@@ -1032,7 +1097,12 @@ class _Compiler:
                 then((), image if coeff is None else "%s * %s" % (coeff, image), depth + 1)
                 return
             k, c = self.fresh("k"), self.fresh("c")
-            if self.numbered:
+            if self.numbered and tree[4]:
+                # a monomial leaf's image is one term or none
+                numbers = self.fresh("n")
+                self.line(depth, "if %s:" % image)
+                self.line(depth + 1, "%s, %s, %s = %s" % (numbers, c, k, image))
+            elif self.numbered:
                 numbers = self.fresh("n")
                 self.line(depth, "for %s, %s, %s in %s:" % (numbers, c, k, image))
             else:
@@ -1041,6 +1111,24 @@ class _Compiler:
             self.open(depth + 1)
             then(self.factors(numbers, k, tree[2], depth + 1),
                  c if coeff is None else "%s * %s" % (coeff, c), depth + 1)
+
+
+def _one_term(tree):
+    "Has a shape tree one term at most on each label: is its every leaf monomial?"
+    kind = tree[0]
+    if kind == "wire":
+        return True
+    if kind in ("compose", "tensor"):
+        return _one_term(tree[2]) and _one_term(tree[3])
+    # a leaf into the unit space has one term at most, its coefficient
+    return tree[4] or not tree[2]
+
+
+def _broken(apply, label):
+    "Raise for a monomial leaf whose image of ``label`` has two terms or more."
+    image = apply(label)
+    raise RuntimeError("the monomial map %s has %d terms at %s: %r"
+                       % (apply.__self__.name, len(image.entries), show_label(label), image))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from .laws import Bimonoid, Comodule, IllegalComodule, check_hopf_morphism
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, Space, Vec, _is_int, _json_type, atom,
     equal_on_window, finite_space, identity_map, label_from_json, label_key,
-    label_to_json, left, pair, right, show_label, split_label, tensor_space,
+    label_to_json, left, monomial_map, pair, right, show_label, split_label,
+    tensor_space,
 )
 from .semidirect import WComodule, semidirect_product
 
@@ -159,11 +160,11 @@ def pareigis_ring(s, /):
 
     ring = Bimonoid(
         P,
-        LinMap(PP, P, mu_fn, name="mu"),
-        LinMap(UNIT_SPACE, P, lambda l: Vec.basis(one), name="eta"),
+        monomial_map(PP, P, mu_fn, "mu"),
+        monomial_map(UNIT_SPACE, P, lambda l: Vec.basis(one), "eta"),
         LinMap(P, PP, delta_fn, name="delta"),
-        LinMap(P, UNIT_SPACE, epsilon_fn, name="epsilon"),
-        LinMap(P, P, antipode_fn, name="antipode"),
+        monomial_map(P, UNIT_SPACE, epsilon_fn, "epsilon"),
+        monomial_map(P, P, antipode_fn, "antipode"),
     )
     ring.s = s
     return ring

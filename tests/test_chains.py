@@ -138,6 +138,24 @@ def test_evaluation_is_a_chain_map():
     assert evaluation_map(B, C).is_chain_map()
 
 
+def test_the_evaluation_map_builds_each_complex_once(monkeypatch):
+    checked = []
+    real = ChainComplex._check
+
+    def spy(self):
+        checked.append(self.name)
+        return real(self)
+
+    rng = random.Random(4)
+    B = random_complex(rng, name="b", max_window=3, max_rank=2)
+    C = random_complex(rng, name="c", max_window=3, max_rank=2)
+    monkeypatch.setattr(ChainComplex, "_check", spy)
+    ev = evaluation_map(B, C)
+    # [B, C] once, though both evaluation_map and curry_adjunction ask for it
+    assert checked == ["[b,c]", "([b,c](x)b)"]
+    assert internal_hom(B, C) is ev.src._factors[0]
+
+
 def test_curry_uncurry_round_trip_on_samples():
     rng = random.Random(12)
     for _ in range(25):

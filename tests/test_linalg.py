@@ -12,13 +12,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfchains import laws, linalg
+from hopfchains import grading, laws, linalg, pareigis
 from hopfchains.linalg import (
     UNIT, UNIT_SPACE, ZERO, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
     compose_maps, equal_on_window, factors, finite_space, identity_map,
-    label_from_json, label_key, label_to_json, left, memoised, pair, perm_map,
-    right, scale_map, split_label, sum_space, swap_map, tensor_maps,
-    tensor_space, zero_map,
+    label_from_json, label_key, label_to_json, left, memoised, monomial_map, pair,
+    perm_map, right, scale_map, show_label, split_label, sum_space, swap_map,
+    tensor_maps, tensor_space, zero_map,
 )
 from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import (
@@ -1095,3 +1095,147 @@ def test_a_check_keeps_its_wall_time_out_of_its_verdict():
     assert got == CheckResult("", "equal", got.instances)
     assert repr(got) == repr(CheckResult("", "equal", got.instances))
     assert "seconds" not in got.to_json()
+
+
+# ---------------------------------------------------------------------------
+# monomial leaves: one term at most per label
+
+
+STRUCTURE_MAPS = ("mu", "eta", "delta", "epsilon", "antipode")
+
+
+def plain(ring):
+    "The ring with each monomial leaf replaced by a plain leaf of the same label function."
+    def leaf(f):
+        return LinMap(f.dom, f.cod, f.fn, f.name) if f._monomial else f
+    return Bimonoid(ring.carrier, *(leaf(getattr(ring, m)) for m in STRUCTURE_MAPS))
+
+
+def two_term_mu(promised):
+    "P's mu with a second term at one label; declared monomial or not."
+    P = RINGS["P"]
+    window = P.carrier.enumerate(1)
+    bad = pair(window[-1], window[0])
+
+    def fn(label):
+        return P.mu.apply(label) + Vec.basis(window[0]) if label == bad else P.mu.apply(label)
+    make = monomial_map if promised else LinMap
+    return make(P.mu.dom, P.mu.cod, fn, "mu'"), bad
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_monomial_leaf_of_two_terms_raises_and_gives_no_verdict(warm):
+    P = RINGS["P"]
+    idh = identity_map(P.carrier)
+    broken, bad = two_term_mu(True)
+    twin, _ = two_term_mu(False)
+    if warm:
+        broken.apply(bad)   # the kernel then reads the two terms from the memo
+    lhs = compose_maps(tensor_maps(broken, idh), P.mu)
+    # by apply the first law holds and the second fails, first under bad
+    for rhs in (compose_maps(tensor_maps(twin, idh), P.mu),
+                compose_maps(tensor_maps(idh, P.mu), P.mu)):
+        with pytest.raises(RuntimeError) as raised:
+            equal_on_window(lhs, rhs, 1)
+        assert str(raised.value).startswith("the monomial map mu' has 2 terms at %s:"
+                                            % show_label(bad))
+
+
+def test_a_plain_leaf_does_not_share_a_monomial_leafs_kernel():
+    # associativity of P's monomial mu, then of a plain leaf with two
+    # terms at one label in each of its places: one shape but for the
+    # promise, so the second law has a kernel of its own
+    P = RINGS["P"]
+    idh = identity_map(P.carrier)
+    for mu in (P.mu, two_term_mu(False)[0]):
+        lhs = compose_maps(tensor_maps(mu, idh), mu)
+        rhs = compose_maps(tensor_maps(idh, mu), mu)
+        got = equal_on_window(lhs, rhs, 1)
+        assert got == reference_check(lhs, rhs, 1, "")
+        assert got.equal == (mu is P.mu)
+
+
+def _built_with_monomial_map(module, make):
+    "The maps ``make()`` builds through ``module.monomial_map``, by name."
+    built = {}
+
+    def spy(dom, cod, fn, name):
+        built[name] = m = linalg.monomial_map(dom, cod, fn, name)
+        return m
+    with mock.patch.object(module, "monomial_map", spy):
+        ring = make()
+    return ring, built
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z^2", "P", "P+"])
+def test_every_monomial_map_of_a_ring_has_one_term_at_most(ring):
+    module, make = {"Z": (grading, lambda: grading.laurent_hopf.__wrapped__(1)),
+                    "Z^2": (grading, lambda: grading.laurent_hopf.__wrapped__(2)),
+                    "P": (pareigis, lambda: pareigis.pareigis_ring.__wrapped__(-1)),
+                    "P+": (pareigis, lambda: pareigis.pareigis_ring.__wrapped__(1))}[ring]
+    B, built = _built_with_monomial_map(module, make)
+    # the Laurent ring is group-like: all five; P's delta(psi) has two terms
+    want = STRUCTURE_MAPS if ring.startswith("Z") else ("mu", "eta", "epsilon", "antipode")
+    assert sorted(built) == sorted(want)
+    for name, f in built.items():
+        assert getattr(B, name) is f
+        for label in f.dom.enumerate(4):
+            assert len(f.apply(label).entries) <= 1, (ring, name, show_label(label))
+
+
+def _tail_flip(kappas, W):
+    "laws-window's rank-1 sign coelement with gamma(x^W, x^W) negated."
+    base, tail = sign_coelement(Bicharacter(1, kappas)), monomial(W)
+    return lambda a, b: -base.gamma(a, b) if a == tail == b else base.gamma(a, b)
+
+
+def _antipode_tail(ring, W):
+    "laws-window's ring with an extra term in the antipode of psi xi^W."
+    anti, tail, extra = ring.antipode, pm(1, W), Vec.basis(pm(0, 1), -2)
+    broken = LinMap(anti.dom, anti.cod,
+                    lambda l: anti.apply(l) + extra if l == tail else anti.apply(l),
+                    name="antipode")
+    return Bimonoid(ring.carrier, ring.mu, ring.eta, ring.delta, ring.epsilon, broken)
+
+
+def _signed_mu(ring, W):
+    "The ring with its mu negated at xi^W (x) xi^W, still monomial."
+    mu, tail = ring.mu, pair(pm(0, W), pm(0, W))
+    flipped = monomial_map(mu.dom, mu.cod, lambda l: -mu.apply(l) if l == tail else mu.apply(l),
+                           "mu")
+    return Bimonoid(ring.carrier, flipped, ring.eta, ring.delta, ring.epsilon, ring.antipode)
+
+
+def _differential_cases():
+    "name -> report of a ring (or coelement) -> its Report, and the ring."
+    cases = {}
+    for s in (-1, 1):
+        cases["P s=%+d" % s] = (
+            lambda B: check_bialgebra_laws(B, plain_swap(), 3), pareigis_ring(s))
+        cases["antipode-tail P s=%+d" % s] = (
+            lambda B: check_bialgebra_laws(B, plain_swap(), 3),
+            _antipode_tail(pareigis_ring(s), 3))
+    for kappas in itertools.product((1, -1), repeat=2):
+        gamma = sign_coelement(Bicharacter(2, kappas)).gamma
+        cases["coelement%s" % (kappas,)] = (
+            lambda B, gamma=gamma: check_coelement(Coelement(B, gamma), 2), laurent_hopf(2))
+    for kappas in ((1,), (-1,)):
+        flip = _tail_flip(kappas, 4)
+        cases["tail-flip%s" % (kappas,)] = (
+            lambda B, flip=flip: check_coelement(Coelement(B, flip), 4), laurent_hopf(1))
+    # sides that differ by their coefficients alone
+    cases["signed-mu P"] = (
+        lambda B: check_bialgebra_laws(B, plain_swap(), 3), _signed_mu(pareigis_ring(-1), 3))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_differential_cases()))
+def test_monomial_leaves_give_the_reports_of_plain_leaves(case):
+    report, ring = _differential_cases()[case]
+    assert any(getattr(ring, m)._monomial for m in STRUCTURE_MAPS)
+    got = report(ring)
+    want = report(plain(ring))
+    # every row alike: law, verdict, labels checked and counterexample
+    assert got == want
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
