@@ -193,7 +193,8 @@ def _place(m, block, top, left):
 
 
 def _by_degree(doc, key):
-    "doc[key], an object keyed by degree, with integer keys; else a ValueError."
+    """doc[key], an object keyed by degree; else a ValueError.  A key must be
+    an integer as str writes it, so that no two keys name one degree."""
     if key not in doc:
         raise ValueError('the complex has no "%s" key' % key)
     table = doc[key]
@@ -202,9 +203,12 @@ def _by_degree(doc, key):
     out = {}
     for n, value in table.items():
         try:
-            out[int(n)] = value
+            canonical = str(int(n)) == n
         except ValueError:
-            raise ValueError('"%s" has the key %r, not an integer degree' % (key, n)) from None
+            canonical = False
+        if not canonical:
+            raise ValueError('"%s" has the key %r, not an integer degree' % (key, n))
+        out[int(n)] = value
     return out
 
 
@@ -260,7 +264,8 @@ class ChainComplex:
         """Read ``{"ranks": {"n": r, ...}, "differentials": {"n": rows, ...}}``,
         the form ``to_json`` writes (its ``window`` is not read).
 
-        A document of another shape raises a ``ValueError`` naming the
+        A document of another shape, or a degree key other than the
+        integer as ``str`` writes it, raises a ``ValueError`` naming the
         key, the degree or the expected shape; blocks of the wrong shape
         and d.d != 0 stay ``IllegalChain``.
         """
@@ -322,12 +327,6 @@ class ChainMap:
         _check_shapes("f", self.blocks, lambda n: (tgt.rank(n), src.rank(n)))
         if check and not self.is_chain_map():
             raise IllegalChain("blocks do not commute with the differentials")
-
-    def block(self, n):
-        b = self.blocks.get(n)
-        if b is None:
-            return zeros(self.tgt.rank(n), self.src.rank(n))
-        return b
 
     def is_chain_map(self):
         f, dx, dy = self.blocks.get, self.src.diffs.get, self.tgt.diffs.get
@@ -484,9 +483,9 @@ def tensor_chain_maps(f, g):
 def chain_symmetry(A, B):
     """The signed swap a (x) b |-> (-1)^(ij) b (x) a, a chain map.
 
-    On A_i (x) B_j it is the commutation matrix, the sum over q of
-    e_q (x) 1 (x) e_q^T with e_q the q-th unit vector of B_j: row block q
-    of its image is 1 (x) e_q^T.
+    On A_i (x) B_j it is a signed permutation, written entry by entry
+    from the two ``_offsets`` tables: a_p (x) b_q, column p * rank(B_j) + q
+    of the block, goes to b_q (x) a_p, row q * rank(A_i) + p of B_j (x) A_i.
     """
     AB = tensor_chains(A, B)
     BA = tensor_chains(B, A)
@@ -494,11 +493,12 @@ def chain_symmetry(A, B):
     _, tgt = _offsets(B.ranks, A.ranks)
     blocks = {n: zeros(BA.rank(n), r) for n, r in AB.ranks.items()}
     for (i, j), col in src.items():
-        ra, units = A.ranks[i], eye(B.ranks[j]).rows
+        ra, rb, top = A.ranks[i], B.ranks[j], tgt[j, i]
+        rows = blocks[i + j].rows
         sign = -1 if (i * j) % 2 else 1
-        for q, unit in enumerate(units):
-            _place(blocks[i + j], sign * _kron(eye(ra), _Matrix([unit], len(unit))),
-                   tgt[j, i] + q * ra, col)
+        for p in range(ra):
+            for q in range(rb):
+                rows[top + q * ra + p][col + p * rb + q] = sign
     return ChainMap(AB, BA, blocks)
 
 
@@ -796,17 +796,6 @@ class Bicomplex:
     def rank(self, cell):
         return self.ranks.get(cell, 0)
 
-    def vertical(self, cell):
-        n, m = cell
-        d = self.d1.get(cell)
-        return d if d is not None else zeros(self.rank((n - 1, m)), self.rank(cell))
-
-    def second(self, cell):
-        n, m = cell
-        dn, dm = self.d2_bidegree
-        d = self.d2.get(cell)
-        return d if d is not None else zeros(self.rank((n + dn, m + dm)), self.rank(cell))
-
     def cells(self):
         return sorted(self.ranks)
 
@@ -975,11 +964,7 @@ def random_complex(rng, name="c", max_window=7, max_rank=4):
         diffs[n] = d
     X = ChainComplex(ranks, diffs, name=name)
     us = {n: random_unimodular(rng, X.rank(n)) for n in X.degrees()}
-    conj = {}
-    for n in list(X.diffs):
-        um, _ = us.get(n - 1, (eye(0), eye(0)))
-        _, uinv = us[n]
-        conj[n] = um.dot(X.d(n)).dot(uinv)
+    conj = {n: us[n - 1][0].dot(d).dot(us[n][1]) for n, d in X.diffs.items()}
     return ChainComplex(ranks, conj, name=name)
 
 
@@ -999,24 +984,15 @@ def random_chain_map(rng, X, Y=None):
     multiple of the identity when the endpoints coincide."""
     Y = Y if Y is not None else X
     g = random_graded_map(rng, X, Y, shift=1)
+    lam = rng.choice((0, 1, -1, 2)) if Y is X else 0
     blocks = {}
     for n in set(X.degrees()) | set(Y.degrees()):
-        b = zeros(Y.rank(n), X.rank(n))
-        gn = g.get(n)
-        if gn is not None:
-            b = b + Y.d(n + 1).dot(gn)
-        gn1 = g.get(n - 1)
-        if gn1 is not None and gn1.shape[0] == Y.rank(n):
-            b = b + gn1.dot(X.d(n))
-        blocks[n] = b
-    f = ChainMap(X, Y, blocks, check=False)
-    if Y is X:
-        lam = rng.choice((0, 1, -1, 2))
-        if lam:
-            ident = identity_chain_map(X)
-            f = ChainMap(X, Y, {n: f.block(n) + lam * ident.block(n)
-                                for n in X.degrees()}, check=False)
-    return f
+        parts = [_product(Y.diffs.get(n + 1), g.get(n)), _product(g.get(n - 1), X.diffs.get(n)),
+                 lam * eye(X.rank(n)) if lam else None]
+        parts = [b for b in parts if b is not None]
+        if parts:
+            blocks[n] = sum(parts[1:], parts[0])
+    return ChainMap(X, Y, blocks, check=False)
 
 
 def random_bicomplex(rng, kappa, s):
@@ -1050,21 +1026,15 @@ def random_bicomplex(rng, kappa, s):
             cell = cell_of(u, m)
             if not ranks.get(cell):
                 continue
-            if P.rank(u - 1):
+            p, q = P.diffs.get(u), Q.diffs.get(m)
+            if p is not None:
                 sign = -1 if (kappa == 1 and m % 2) else 1
-                d1[cell] = sign * _kron(P.d(u), eye(Q.rank(m)))
-            if Q.rank(m - 1):
-                d2[cell] = _kron(eye(P.rank(u)), Q.d(m))
+                d1[cell] = sign * _kron(p, eye(Q.rank(m)))
+            if q is not None:
+                d2[cell] = _kron(eye(P.rank(u)), q)
     B = Bicomplex(ranks, d1, d2, (dn, -1))
 
     us = {cell: random_unimodular(rng, B.rank(cell)) for cell in B.cells()}
-    c1, c2 = {}, {}
-    for (n, m) in B.cells():
-        _, uinv = us[(n, m)]
-        if B.rank((n - 1, m)):
-            um, _ = us[(n - 1, m)]
-            c1[(n, m)] = um.dot(B.vertical((n, m))).dot(uinv)
-        if B.rank((n + dn, m - 1)):
-            um, _ = us[(n + dn, m - 1)]
-            c2[(n, m)] = um.dot(B.second((n, m))).dot(uinv)
+    c1 = {(n, m): us[n - 1, m][0].dot(d).dot(us[n, m][1]) for (n, m), d in B.d1.items()}
+    c2 = {(n, m): us[n + dn, m - 1][0].dot(d).dot(us[n, m][1]) for (n, m), d in B.d2.items()}
     return Bicomplex(ranks, c1, c2, (dn, -1))

@@ -61,9 +61,9 @@ def test_symmetry_signs_and_involution():
     A, B = two_step(), two_step()
     sym = chain_symmetry(A, B)
     # degree 2 holds a1 (x) b1: sign (-1)^{1.1} = -1
-    assert sym.block(2)[0, 0] == -1
+    assert sym.blocks[2][0, 0] == -1
     # degree 0 holds a0 (x) b0: sign +1
-    assert sym.block(0)[0, 0] == 1
+    assert sym.blocks[0][0, 0] == 1
     assert sym.is_chain_map()
     back = chain_symmetry(B, A)
     assert sym.then(back) == identity_chain_map(tensor_chains(A, B))
@@ -77,6 +77,22 @@ def test_symmetry_is_natural_on_random_pairs():
         sym = chain_symmetry(A, B)
         assert sym.is_chain_map()
         assert sym.then(chain_symmetry(B, A)) == identity_chain_map(tensor_chains(A, B))
+
+
+def test_a_symmetry_on_held_tensors_builds_no_kronecker_block_or_identity(monkeypatch):
+    rng = random.Random(32)
+    A = random_complex(rng, name="a", max_window=4, max_rank=3)
+    B = random_complex(rng, name="b", max_window=4, max_rank=3)
+    AB, BA = tensor_chains(A, B), tensor_chains(B, A)
+    want = chain_symmetry(A, B)
+
+    def refuse(*args):
+        raise AssertionError("the symmetry built a block it only writes entries of")
+
+    monkeypatch.setattr(chains, "_kron", refuse)
+    monkeypatch.setattr(chains, "eye", refuse)
+    got = chain_symmetry(A, B)
+    assert (got.src, got.tgt) == (AB, BA) and got.blocks == want.blocks
 
 
 def test_tensor_is_associative_after_flattening():
@@ -628,9 +644,13 @@ def _dense_complex_error(ranks, diffs):
     return None
 
 
+def _dense_block(f, n):
+    return _dense(f.blocks, n, f.tgt.rank(n), f.src.rank(n))
+
+
 def _dense_is_chain_map(f):
     for n in set(f.src.degrees()) | set(f.tgt.degrees()):
-        if f.block(n - 1).dot(f.src.d(n)) != f.tgt.d(n).dot(f.block(n)):
+        if _dense_block(f, n - 1).dot(f.src.d(n)) != f.tgt.d(n).dot(_dense_block(f, n)):
             return False
     return True
 
@@ -651,12 +671,22 @@ def _dense_bicomplex_error(ranks, d1, d2, bidegree):
     return None
 
 
+def _dense_vertical(B, cell):
+    n, m = cell
+    return _dense(B.d1, cell, B.rank((n - 1, m)), B.rank(cell))
+
+
+def _dense_second(B, cell):
+    (n, m), (dn, dm) = cell, B.d2_bidegree
+    return _dense(B.d2, cell, B.rank((n + dn, m + dm)), B.rank(cell))
+
+
 def _dense_violations(B, kappa, s):
     dn = 0 if kappa == -1 else -s
     out = []
     for (n, m) in B.cells():
-        after_d = B.second((n - 1, m)).dot(B.vertical((n, m)))
-        after_d2 = B.vertical((n + dn, m - 1)).dot(B.second((n, m)))
+        after_d = _dense_second(B, (n - 1, m)).dot(_dense_vertical(B, (n, m)))
+        after_d2 = _dense_vertical(B, (n + dn, m - 1)).dot(_dense_second(B, (n, m)))
         if after_d != (after_d2 if kappa == -1 else -after_d2):
             out.append((n, m))
     return tuple(out)
@@ -1054,6 +1084,18 @@ def test_ragged_rows_are_an_illegal_chain():
 ])
 def test_a_malformed_complex_document_names_what_is_wrong(doc, message):
     with pytest.raises(ValueError, match=message):
+        ChainComplex.from_json(doc)
+
+
+@pytest.mark.parametrize("table", ["ranks", "differentials"])
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "0_1", "-0"])
+def test_a_degree_key_is_an_integer_as_str_writes_it(table, key):
+    # each of these keys names degree 1 (or 0) to int(), beside the key
+    # str writes for that degree, so reading it would drop one of the two
+    doc = {"ranks": {"1": 1, "0": 1}, "differentials": {"1": [[1]]}}
+    doc[table][key] = 2 if table == "ranks" else [[1]]
+    with pytest.raises(ValueError, match=r'"%s" has the key %s, not an integer degree'
+                       % (table, re.escape(repr(key)))):
         ChainComplex.from_json(doc)
 
 

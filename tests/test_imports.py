@@ -12,10 +12,12 @@ are all in one place.  A top-level ``def``, ``class`` or assignment
 whose name starts with one underscore is not exported, so a module of
 the package must load it (as a name or an attribute) or it is dead.
 The parameters with a default, over every function and lambda of the
-package, are counted, and the count may not rise above its bound.
+package, are counted, and the count may not rise above its bound.  The
+package's code lines are counted too, and the count is pinned exactly.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopfchains"
@@ -136,6 +138,10 @@ def test_every_private_top_level_name_is_read_in_the_package():
 # knob raises the count, so it must lower this bound in the same change
 DEFAULTED_PARAMETERS = 33
 
+# the package's code lines, as grep -cvE '^\s*(#|$)' counts them: pinned
+# exactly, so that every change shows its code-line delta in its own diff
+CODE_LINES = 3319
+
 
 def defaulted_parameters(source):
     "How many parameters of the source's functions and lambdas have a default."
@@ -162,3 +168,22 @@ def test_no_parameter_with_a_default_is_added():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     assert sum(defaulted_parameters(p.read_text()) for p in modules) <= DEFAULTED_PARAMETERS
+
+
+_NOT_CODE = re.compile(r"\s*(#|$)", re.ASCII)
+
+
+def code_lines(source):
+    "The lines that are neither blank nor a comment (a docstring is code)."
+    return sum(not _NOT_CODE.match(line) for line in source.split("\n"))
+
+
+def test_the_code_line_count_skips_blanks_and_comments_only():
+    source = 'x = 1\n\n  # note\n\t \ny = 2  # note\n"""doc"""\n'
+    assert code_lines(source) == 3
+
+
+def test_the_code_lines_are_pinned():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert sum(code_lines(p.read_text()) for p in modules) == CODE_LINES

@@ -8,7 +8,7 @@ import pytest
 from hopfchains import diffhopf, semidirect
 from hopfchains.chains import (
     ChainComplex, ChainMap, IllegalChain, eye, mat, random_chain_map, random_complex,
-    tensor_chains,
+    tensor_chains, zeros,
 )
 from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import monomial
@@ -282,6 +282,13 @@ MALFORMED_COMODULES = {
                    _K1: [(pm(0, 1), _K1, 1), (pm(1, 0), _K0, 1)],
                    _K0: [(pm(0, 0), _K0, 1)]},
                   "d.d != 0 at degree 2"),
+    # a skipped term on the first basis vector and d.d != 0: the complex's
+    # own check comes first
+    "d-squared-and-skipped": ({_K2: [(pm(0, 2), _K2, 1), (pm(1, 1), _K1, 1),
+                                     (pm(1, 5), _K0, 1)],
+                               _K1: [(pm(0, 1), _K1, 1), (pm(1, 0), _K0, 1)],
+                               _K0: [(pm(0, 0), _K0, 1)]},
+                              "d.d != 0 at degree 2"),
 }
 
 
@@ -301,6 +308,25 @@ def test_comodule_to_chain_refuses_a_malformed_coaction(case):
 
 
 @pytest.mark.parametrize("s", [-1, 1])
+def test_comodule_to_chain_splits_each_coaction_term_once(monkeypatch, s):
+    from hopfchains import pareigis
+
+    X = random_complex(random.Random(9), name="r", max_window=4, max_rank=3)
+    com = chain_to_comodule(X, s)
+    terms = sum(len(list(com.coaction.apply(b).items())) for b in com.carrier.enumerate(0))
+    calls = []
+    real = pareigis.split_label
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pareigis, "split_label", spy)
+    assert comodule_to_chain(com) == X
+    assert len(calls) == terms
+
+
+@pytest.mark.parametrize("s", [-1, 1])
 def test_a_chain_map_between_two_complexes_transports_to_a_comodule_morphism(s):
     # Y is X under another name, and f the identity plus a null-homotopic
     # map: the image of a label of X is a vector of Y's basis, named by Y
@@ -309,7 +335,8 @@ def test_a_chain_map_between_two_complexes_transports_to_a_comodule_morphism(s):
         X = random_complex(rng, name="x%d" % trial, max_window=4, max_rank=3)
         Y = ChainComplex(X.ranks, X.diffs, name="y%d" % trial)
         h = random_chain_map(rng, X, Y)
-        f = ChainMap(X, Y, {n: eye(X.rank(n)) + h.block(n) for n in X.degrees()})
+        f = ChainMap(X, Y, {n: eye(X.rank(n)) + h.blocks.get(n, zeros(X.rank(n), X.rank(n)))
+                            for n in X.degrees()})
         cx, cy = chain_to_comodule(X, s), chain_to_comodule(Y, s)
         lf = chain_map_to_linmap(f, cx, cy)
         for b in X.basis():
@@ -415,6 +442,9 @@ def _malform_comodule(doc, how):
         doc["coaction"][key][0][2] = ["a", "nowhere", [0]]
     elif how == "basis a number":
         doc["basis"] = 3
+    elif how == "key twice":
+        # the same label, JSON-encoded without spaces
+        doc["coaction"][json.dumps(json.loads(key), separators=(",", ":"))] = doc["coaction"][key]
     return doc
 
 
@@ -428,6 +458,7 @@ def _malform_comodule(doc, how):
     ("stray key", r'the coaction key \["a", "nowhere", \[0\]\] is not a basis label'),
     ("stray label", r'label \["a", "nowhere", \[0\]\] under basis key .* is not a basis label'),
     ("basis a number", r'"basis" is a list, not a number'),
+    ("key twice", r'the coaction key \["a","j",\[-?\d,0\]\] names a label that another key names'),
 ])
 def test_a_malformed_comodule_document_names_what_is_wrong(how, message):
     from hopfchains.pareigis import comodule_from_json, comodule_to_json
