@@ -10,8 +10,8 @@ so the braiding is never implicit.
 from __future__ import annotations
 
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, SpaceMismatch, Vec,
-    compose_maps, equal_on_window, identity_map, memoised, pair, perm_map,
+    UNIT_SPACE, LinMap, SpaceMismatch, Vec,
+    compose_maps, equal_on_window, identity_map, memoised, pair, pairing_map, perm_map,
     split_label, swap_map, tensor_maps, tensor_space,
 )
 
@@ -78,13 +78,7 @@ class Coelement:
 
     def as_map(self):
         "Bilinear extension A (x) A -> I."
-        A = self.ring.carrier
-
-        def fn(label):
-            a, b = split_label(A, A, label)
-            return Vec.basis(UNIT, self.gamma(a, b))
-
-        return LinMap(tensor_space(A, A), UNIT_SPACE, fn, name=self.name)
+        return pairing_map(self.ring.carrier, self.gamma, self.name)
 
 
 class IllegalComodule(Exception):

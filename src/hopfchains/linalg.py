@@ -439,7 +439,8 @@ class LinMap:
       coaction, a braiding), memoises its value per label; the map is
       pure, so this is observationally transparent; a leaf made by
       ``monomial_map`` promises an image of at most one term per label,
-      which the law kernel keeps as one term (see ``_kernel``);
+      which the law kernel keeps as one term, and one made by
+      ``pairing_map`` is a bilinear form, which it calls (see ``_kernel``);
     * a composite, built by ``compose_maps`` and ``tensor_maps``, holds
       no memo and its ``apply`` is the plain definition: f's image put
       through g, or the tensor of the images of a label's two parts, so
@@ -462,7 +463,8 @@ class LinMap:
     number per level of rows when the leaf reads two or more factors,
     and a miss there reads the leaf's memo and calls ``apply`` only on
     a miss in it (a kernel over one part looks up the memo directly); a
-    monomial leaf's image there is one term, not a loop over terms.
+    monomial leaf's image there is one term, not a loop over terms, and
+    a pairing leaf's miss calls its bilinear form, never its memo.
     A lookup, or a row fetch, is made once per value of the factors it
     reads, in the loop of the last of them, and once for both sides.
     The kernel is made once per law shape in a process and shared by
@@ -477,7 +479,7 @@ class LinMap:
     ``f >> g`` is "f then g", ``f @ g`` the tensor product.
     """
 
-    __slots__ = ("dom", "cod", "fn", "name", "_cache", "_stages", "_monomial")
+    __slots__ = ("dom", "cod", "fn", "name", "_cache", "_stages", "_monomial", "_pairing")
 
     def __init__(self, dom, cod, fn, name=""):
         self.dom = dom
@@ -487,6 +489,7 @@ class LinMap:
         self._cache = {}
         self._stages = None
         self._monomial = False
+        self._pairing = None
 
     def apply(self, label):
         cache = self._cache
@@ -599,6 +602,20 @@ def monomial_map(dom, cod, fn, name):
     """
     m = LinMap(dom, cod, fn, name)
     m._monomial = True
+    return m
+
+
+def pairing_map(X, gamma, name):
+    """The leaf ``X (x) X -> I`` sending ``x (x) y`` to ``gamma(x, y)``
+    times the unit label.  ``apply`` and the memo are any leaf's; a law
+    kernel that numbers its labels calls ``gamma`` instead (``_kernel``).
+    """
+    def fn(label):
+        x, y = split_label(X, X, label)
+        return Vec.basis(UNIT, gamma(x, y))
+
+    m = LinMap(tensor_space(X, X), UNIT_SPACE, fn, name)
+    m._pairing = gamma
     return m
 
 
@@ -719,8 +736,9 @@ def _kernel(f, g, parts):
     tuple.  The sides' dicts are keyed by numbers too (a tuple of them
     for a codomain of two or more factors).  On a miss the kernel
     builds the label, looks it up in the leaf's memo, and calls
-    ``apply`` only on a miss there, so the memos fill as before.  The
-    numbers and tables die with the call.  A kernel over one part works
+    ``apply`` only on a miss there, so the memos fill as before, but
+    for a pairing leaf's (see below).  The numbers and tables die with
+    the call.  A kernel over one part works
     on labels and looks leaves up in their memos: its window is small in
     every check the package makes, and a verification on construction
     runs on window 0, where numbering would cost more than it saves.  So
@@ -737,6 +755,11 @@ def _kernel(f, g, parts):
     monomial), each side is ``None`` or one ``(key, coefficient)`` pair,
     and the kernel compares the pairs instead of building two dicts.
 
+    A pairing leaf (``pairing_map``) fills its table on a miss with its
+    bilinear form called on the label's two halves, with no memo,
+    ``apply`` or ``Vec``, so only ``apply`` fills its memo.  A kernel
+    that works on labels looks it up in its memo, as any leaf.
+
     A lookup, and each row fetch, is hoisted to the top of the loop that
     binds the last factor it reads, or to the kernel's top if it reads
     none, so that ``mu(a0, a1)`` on three parts fetches ``a0``'s row
@@ -750,8 +773,9 @@ def _kernel(f, g, parts):
     The function is made from the law's shape alone (``_shape``), once
     per shape in a process (``_kernels``), and serves every law of that
     shape.  Its first parameters are each leaf's ``apply`` and memo
-    lookup, in the leaves' order of first use; they are bound here, for
-    this one law.
+    lookup (a pairing leaf's bilinear form, where the kernel numbers
+    its labels), in the leaves' order of first use; they are bound
+    here, for this one law.
     """
     leaves = {}
     return _compiled("kernel", _shape(f, g, parts, leaves), leaves)
@@ -771,14 +795,27 @@ def _image(f):
 
 def _compiled(kind, shape, leaves):
     """The ``kind`` function (kernel or image) of ``shape``, bound to each
-    leaf's ``apply`` and memo lookup, in the leaves' order of first use."""
+    leaf's ``apply`` and memo lookup, in the leaves' order of first use;
+    a function that numbers its labels gets a pairing leaf's bilinear
+    form in place of its memo lookup."""
     made = _kernels.get(shape)
     if made is None:
         made = _kernels[shape] = getattr(_Compiler(), kind)(shape)
     args = []
     for m in leaves:
-        args += (m.apply, None if m._cache is None else m._cache.get)
+        if m._pairing is not None and _numbered(shape):
+            args += (m.apply, m._pairing)
+        else:
+            args += (m.apply, None if m._cache is None else m._cache.get)
     return functools.partial(made, *args)
+
+
+def _numbered(shape):
+    "Does a law kernel of this shape number its labels?  An image function's never does."
+    if type(shape[0]) is int:
+        return False
+    arities, cod, f, g = shape
+    return len(arities) > 1 and (type(f[0]) is not int or type(g[0]) is not int)
 
 
 def _shape(f, g, parts, leaves):
@@ -788,9 +825,9 @@ def _shape(f, g, parts, leaves):
     each side, with each wire replaced by ``("wire", picks)``, each
     composite by ``(kind, dom arity of its first map, shape, shape)`` and
     each leaf by ``(index, dom arity, cod arity, has a memo, is
-    monomial)``.  The index is the leaf's place in order of first use
-    across both sides, so laws whose leaves repeat differently have
-    different shapes;
+    monomial, is a pairing)``.  The index is the leaf's place in order
+    of first use across both sides, so laws whose leaves repeat
+    differently have different shapes;
     ``leaves`` maps each leaf met to its index.  A side whose leaves,
     one loop each, would nest more than ``_MAX_LOOPS`` loops with the
     domain's stands as a leaf itself, after the leaves it holds (whose
@@ -819,7 +856,7 @@ def _tree(m, leaves):
 def _leaf(m, leaves):
     "m as a leaf of a shape; ``leaves`` gives it its index at its first use."
     return (leaves.setdefault(m, len(leaves)), m.dom.arity, m.cod.arity, m._cache is not None,
-            m._monomial)
+            m._monomial, m._pairing is not None)
 
 
 class _Compiler:
@@ -828,8 +865,9 @@ class _Compiler:
 
     It reads the shape only, never a map.  Leaf i's ``apply`` and memo
     lookup are the parameters ``Li`` and ``Mi``; in a numbered kernel
-    its table is ``Ti``, with its ``get`` in ``Gi``, and a row of a leaf
-    keyed by two or more factors is a variable ``r<n>``.  A monomial
+    ``Mi`` of a pairing leaf is its bilinear form, its table is ``Ti``,
+    with its ``get`` in ``Gi``, and a row of a leaf keyed by two or more
+    factors is a variable ``r<n>``.  A monomial
     leaf's term is unpacked in an ``if`` block that the compiler opens
     and heads as it would a term loop.  While
     compiling, a label is a tuple of factors, one per tensor factor, and
@@ -860,7 +898,7 @@ class _Compiler:
     def kernel(self, shape):
         arities, cod, f, g = shape
         # one part, or two single leaves: the kernel works on labels
-        self.numbered = len(arities) > 1 and (type(f[0]) is not int or type(g[0]) is not int)
+        self.numbered = _numbered(shape)
         self.one_term = self.numbered and _one_term(f) and _one_term(g)
         windows = ["W%d" % i for i in range(len(arities))]
         if self.numbered:
@@ -1007,7 +1045,8 @@ class _Compiler:
 
         In a numbered kernel the leaf's table is read first (its last row,
         for two or more factors), and its memo and then ``apply`` on a
-        miss there; otherwise its memo and then ``apply``.  The lookup
+        miss there, or a pairing leaf's bilinear form on the label's two
+        halves; otherwise its memo and then ``apply``.  The lookup
         goes to the head of the deepest loop the label reads, and is made
         once there for each leaf and key expression.
         """
@@ -1033,7 +1072,12 @@ class _Compiler:
                     table = self.row(i, label[:j], table, get)
                     get = "%s.get" % table
                 x = label[-1][0]
-            if cod and leaf[4]:
+            if leaf[5]:
+                # a pairing leaf's coefficient, its bilinear form on the two halves
+                half = len(label) // 2
+                read, terms = [], ["%s = %s[%s] = M%d(%s, %s)" % (
+                    image, table, x, i, self.whole(label[:half]), self.whole(label[half:]))]
+            elif cod and leaf[4]:
                 # a monomial leaf's one term, or (); a second term breaks its promise
                 terms = ["%s = ()" % image,
                          "for k, c in v.entries.items():",
@@ -1205,7 +1249,9 @@ def equal_on_window(f, g, K, law=""):
     its kernel has one loop over that list.  The kernel names the failing
     label, and the counterexample's images are both sides' ``apply``
     there; if they agree, the kernel is wrong and a ``RuntimeError`` is
-    raised.  The result records the check's wall time in ``seconds``.
+    raised.  A check fills each leaf's memo as ``apply`` would, but for
+    a pairing leaf's, which a kernel that numbers labels never touches.
+    The result records the check's wall time in ``seconds``.
     """
     if f.dom is not g.dom or f.cod is not g.cod:
         raise SpaceMismatch("cannot compare %r with %r" % (f, g))

@@ -140,7 +140,7 @@ DEFAULTED_PARAMETERS = 33
 
 # the package's code lines, as grep -cvE '^\s*(#|$)' counts them: pinned
 # exactly, so that every change shows its code-line delta in its own diff
-CODE_LINES = 3319
+CODE_LINES = 3354
 
 
 def defaulted_parameters(source):

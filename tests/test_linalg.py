@@ -546,13 +546,17 @@ def test_compiled_wiring_agrees_with_apply(ring_name, p4, p3a, p3b, seed):
             assert image(pair(*labels)) == m.apply(pair(*labels)), (case, labels)
 
 
+def p_parity(a, b):
+    "A pairing on P that is not symmetric: swapping its arguments changes it."
+    return -1 if (a[2][0] + a[2][1] * b[2][1]) % 2 else 1
+
+
 def _law_sides():
     "Both sides of every law the bialgebra and coelement suites build over Z^2 and P."
     sides = {}
     coelements = {
         "Z^2": sign_coelement(Bicharacter(2, (-1, 1))),
-        "P": Coelement(RINGS["P"], lambda a, b: -1 if (a[2][0] + a[2][1] * b[2][1]) % 2
-                       else 1, name="parity"),
+        "P": Coelement(RINGS["P"], p_parity, name="parity"),
     }
     for name, ring in RINGS.items():
         def run(ring=ring, name=name):
@@ -1239,3 +1243,112 @@ def test_monomial_leaves_give_the_reports_of_plain_leaves(case):
     assert got == want
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
 
+
+# ---------------------------------------------------------------------------
+# pairing leaves: a coelement's bilinear form, called by the law kernel
+
+
+class PlainPairing(Coelement):
+    "A coelement whose form is a plain leaf of the same label function."
+
+    def as_map(self):
+        f = super().as_map()
+        return LinMap(f.dom, f.cod, f.fn, f.name)
+
+
+def one_sided(a, b):
+    """A pairing on Z that is a character in its first argument only: it
+    fails axiom 2 and holds axiom 3, and its transpose the other way round."""
+    return -1 if a[2][0] * (b[2][0] // 2) % 2 else 1
+
+
+def _semidirect_sign(flip_tail):
+    """The sign coelement of Z (kappa = -1) pulled back to (I+D) >< Z
+    along epsilon (x) id, whose carrier has two factors; with
+    ``flip_tail``, negated at the last pair of window 3."""
+    sd = semidirect_product(differential_comodule_bimonoid(-1))
+    tail = sd.carrier.enumerate(3)[-1]
+
+    def gamma(a, b):
+        if a[1][0] == "L" or b[1][0] == "L":
+            return 0
+        sign = -1 if a[2][2][0] * b[2][2][0] % 2 else 1
+        return -sign if flip_tail and a == tail == b else sign
+    return Coelement(sd, gamma, name="pulled-back")
+
+
+def _pairing_cases():
+    "name -> a coelement, its window and its pinned report (or None)."
+    cases = {}
+    for kappa in (1, -1):
+        cases["sign(%d,)" % kappa] = (sign_coelement(Bicharacter(1, (kappa,))), 4, None)
+    for kappas in itertools.product((1, -1), repeat=2):
+        cases["sign%s" % (kappas,)] = (sign_coelement(Bicharacter(2, kappas)), 2, None)
+    # acceptance criterion 2's parity pairing, with its stored counterexample
+    pinned = json.loads((DATA / "failing-verdicts.json").read_text())["parity-coelement-K8"]
+    cases["parity"] = (Coelement(laurent_hopf(1), lambda a, b: -1 if (a[2][0] + b[2][0]) % 2
+                                 else 1), 8, pinned)
+    cases["tail-flip"] = (Coelement(laurent_hopf(1), _tail_flip((-1,), 4)), 4, None)
+    cases["asymmetric P"] = (Coelement(RINGS["P"], p_parity, name="parity"), 3, None)
+    cases["one-sided"] = (Coelement(laurent_hopf(1), one_sided, name="one-sided"), 3, None)
+    for flip in (False, True):
+        cases["semidirect%s" % (" tail-flip" if flip else "")] = (_semidirect_sign(flip), 3, None)
+    return cases
+
+
+PAIRING_CASES = _pairing_cases()
+
+
+@pytest.mark.parametrize("case", sorted(PAIRING_CASES))
+def test_pairing_leaves_give_the_reports_of_plain_leaves(case):
+    c, K, pinned = PAIRING_CASES[case]
+    assert c.as_map()._pairing is c.gamma
+    got = check_coelement(c, K)
+    want = check_coelement(PlainPairing(c.ring, c.gamma, c.name), K)
+    # every row alike: law, verdict, labels checked and counterexample
+    assert got == want
+    assert got.to_json() == want.to_json()
+    if pinned is not None:
+        assert got.to_json() == pinned
+
+
+def test_a_pairing_leaf_is_called_with_no_apply_and_no_memo():
+    c = sign_coelement(Bicharacter(2, (-1, 1)))
+    made, applied = [], []
+    as_map, apply = Coelement.as_map, LinMap.apply
+
+    def spy_as_map(self):
+        made.append(as_map(self))
+        return made[-1]
+
+    def spy_apply(self, label):
+        applied.append(self)
+        return apply(self, label)
+    with mock.patch.object(Coelement, "as_map", spy_as_map), \
+            mock.patch.object(LinMap, "apply", spy_apply):
+        assert check_coelement(c, 2).ok
+    g, = made
+    assert all(m is not g for m in applied) and g._cache == {}
+    # apply stays the reference, and memoises as any leaf's
+    a, b = monomial(1, 1), monomial(1, 0)
+    label = pair(a, b)
+    image = g.apply(label)
+    assert image == Vec.basis(UNIT, c.gamma(a, b)) == Vec.basis(UNIT, -1)
+    assert g._cache == {label: image}
+
+
+def test_a_plain_leaf_does_not_share_a_pairing_leafs_kernel():
+    # coelement axiom 2 with the sign form as a pairing leaf, then with a
+    # plain leaf of the tail-flipped form: one shape but for the flag, so
+    # the second law has a kernel of its own
+    sign = sign_coelement(Bicharacter(1, (-1,)))
+    A, mu, delta = sign.ring.carrier, sign.ring.mu, sign.ring.delta
+    ida = identity_map(A)
+    flipped = PlainPairing(sign.ring, _tail_flip((-1,), 2), name=sign.name)
+    for g in (sign.as_map(), flipped.as_map()):
+        lhs = tensor_maps(ida, mu) >> g
+        rhs = (tensor_maps(delta, tensor_maps(ida, ida))
+               >> perm_map([A, A, A, A], (0, 3, 1, 2)) >> tensor_maps(g, g))
+        got = equal_on_window(lhs, rhs, 2)
+        assert got == reference_check(lhs, rhs, 2, "")
+        assert got.equal == (g._pairing is not None)
