@@ -304,10 +304,6 @@ class ChainComplex:
         return "ChainComplex(%s: %s)" % (self.name, self.ranks)
 
 
-def sphere(n, rank=1, name="s"):
-    return ChainComplex({n: rank}, {}, name=name)
-
-
 def disk(n):
     "The contractible complex d: Z at degrees n, n-1 with identity differential."
     return ChainComplex({n: 1, n - 1: 1}, {n: eye(1)}, name="d")
@@ -574,13 +570,6 @@ def curry_adjunction(A, B, C):
         return ChainMap(AB, C, out)
 
     return curry, uncurry
-
-
-def evaluation_map(B, C):
-    "uncurry of the identity on [B, C]: the map [B, C] (x) B -> C."
-    H = internal_hom(B, C)
-    _, uncurry = curry_adjunction(H, B, C)
-    return uncurry(identity_chain_map(H))
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,8 @@ def laurent_hopf(r, /):
     AA = tensor_space(A, A)
 
     def mu_fn(label):
-        a, b = split_label(A, A, label)
-        g = tuple(i + j for i, j in zip(degree_of(a), degree_of(b)))
+        # a label of A (x) A is ("t", x^g, x^h)
+        g = tuple(i + j for i, j in zip(degree_of(label[1]), degree_of(label[2])))
         return Vec.basis(atom("x", *g))
 
     def delta_fn(label):
@@ -79,7 +79,8 @@ def laurent_hopf(r, /):
 
 @dataclass(frozen=True)
 class Bicharacter:
-    """Diagonal sign bicharacter on Z^r: gamma(g, h) = prod kappa_c^(g_c h_c)."""
+    """Diagonal sign bicharacter on Z^r: gamma(g, h) = prod kappa_c^(g_c h_c),
+    which is -1 when g_c h_c summed over the odd coordinates (kappa_c = -1) is odd."""
     rank: int
     kappas: tuple
 
@@ -88,19 +89,27 @@ class Bicharacter:
             raise ValueError("need one kappa per grading coordinate")
         if any(k not in (1, -1) for k in self.kappas):
             raise ValueError("kappas must be +-1")
+        # the odd coordinates; not a field, so it is left out of ==, hash and repr
+        object.__setattr__(self, "_odd", tuple(c for c, k in enumerate(self.kappas) if k == -1))
 
     def pairing(self, g, h):
         parity = 0
-        for k, gc, hc in zip(self.kappas, g, h):
-            if k == -1:
-                parity += gc * hc
+        for c in self._odd:
+            parity += g[c] * h[c]
         return -1 if parity % 2 else 1
 
 
 def sign_coelement(bich):
-    "The coelement gamma(x^g, x^h) = prod kappa_c^(g_c h_c) on ``laurent_hopf(bich.rank)``."
+    """The coelement gamma(x^g, x^h) = prod kappa_c^(g_c h_c) on ``laurent_hopf(bich.rank)``:
+    g_c h_c summed over the odd coordinates, with g and h read from the labels."""
+    odd = bich._odd
+
     def gamma(a, b):
-        return bich.pairing(degree_of(a), degree_of(b))
+        g, h = a[2], b[2]
+        parity = 0
+        for c in odd:
+            parity += g[c] * h[c]
+        return -1 if parity % 2 else 1
 
     return Coelement(laurent_hopf(bich.rank), gamma, name="gamma%s" % (bich.kappas,))
 

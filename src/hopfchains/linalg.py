@@ -573,10 +573,6 @@ def identity_map(X):
     return _wire(X, X, tuple(range(X.arity)), "id")
 
 
-def zero_map(X, Y):
-    return LinMap(X, Y, lambda l: ZERO, name="0")
-
-
 def scale_map(f, c):
     return LinMap(f.dom, f.cod, lambda l: c * f.apply(l), name="%d*%s" % (c, f.name))
 

@@ -136,9 +136,9 @@ def pareigis_ring(s, /):
     one = monomial(0, 0)
 
     def mu_fn(label):
-        # psi^a xi^k . psi^b xi^l: psi^b moves past xi^k with sign (-1)^(b.k)
-        l1, l2 = split_label(P, P, label)
-        (a, k), (b, l) = l1[2], l2[2]
+        # psi^a xi^k . psi^b xi^l: psi^b moves past xi^k with sign (-1)^(b.k);
+        # a label of P (x) P is ("t", psi^a xi^k, psi^b xi^l)
+        (a, k), (b, l) = label[1][2], label[2][2]
         if a and b:
             return Vec.zero()
         return Vec.basis(monomial(a + b, k + l), -1 if b and k % 2 else 1)

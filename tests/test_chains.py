@@ -15,10 +15,10 @@ import hopfchains
 from hopfchains import chains, diffhopf
 from hopfchains.chains import (
     Bicomplex, ChainComplex, ChainMap, IllegalChain, chain_symmetry,
-    comonad_comparison, curry_adjunction, disk, evaluation_map, eye,
+    comonad_comparison, curry_adjunction, disk, eye,
     identity_chain_map, internal_hom, left_adjoint_complex, left_adjoint_map,
     mat, random_bicomplex, random_chain_map, random_complex, random_graded_map,
-    random_unimodular, right_adjoint_complex, second_differential, sphere,
+    random_unimodular, right_adjoint_complex, second_differential,
     tensor_chain_maps, tensor_chains, triangle_identities_hold, underlying_graded,
     underlying_graded_map, unit_lu, is_zero, zeros,
 )
@@ -27,6 +27,18 @@ from hopfchains.linalg import UNIT, Counterexample, Vec, atom
 from hopfchains.pareigis import differential_comodule_bimonoid, identify_semidirect
 
 DATA = Path(__file__).parent / "data"
+
+
+def sphere(n, rank=1, name="s"):
+    "The complex Z^rank at degree n, with no differential."
+    return ChainComplex({n: rank}, {}, name=name)
+
+
+def evaluation_map(B, C):
+    "uncurry of the identity on [B, C]: the map [B, C] (x) B -> C."
+    H = internal_hom(B, C)
+    _, uncurry = curry_adjunction(H, B, C)
+    return uncurry(identity_chain_map(H))
 
 
 def two_step():

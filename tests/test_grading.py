@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -51,6 +52,30 @@ def test_sign_coelement_values():
     assert g1.gamma(x(1), x(1)) == -1
     g2 = sign_coelement(Bicharacter(2, (-1, 1)))
     assert g2.gamma(x(1, 1), x(1, 1)) == -1
+
+
+def test_sign_coelement_is_the_product_of_its_kappas():
+    # every kappas vector of ranks 1 to 3, on every g and h in [-3, 3]^r
+    for r in (1, 2, 3):
+        exponents = list(itertools.product(range(-3, 4), repeat=r))
+        labels = [x(*g) for g in exponents]
+        for kappas in itertools.product((1, -1), repeat=r):
+            b = Bicharacter(r, kappas)
+            gamma = sign_coelement(b).gamma
+            for g, xg in zip(exponents, labels):
+                for h, xh in zip(exponents, labels):
+                    want = 1
+                    for k, gc, hc in zip(kappas, g, h):
+                        if k == -1:
+                            want *= (-1) ** ((gc * hc) % 2)
+                    assert gamma(xg, xh) == b.pairing(g, h) == want, (kappas, g, h)
+
+
+def test_a_bicharacter_compares_hashes_and_prints_by_its_fields_only():
+    b, c = Bicharacter(3, (-1, 1, -1)), Bicharacter(3, (-1, 1, -1))
+    assert b == c and hash(b) == hash(c)
+    assert b != Bicharacter(3, (-1, -1, 1))
+    assert repr(b) == "Bicharacter(rank=3, kappas=(-1, 1, -1))"
 
 
 def test_all_sign_vectors_up_to_rank_two_pass_the_axioms():

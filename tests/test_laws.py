@@ -24,6 +24,10 @@ def x(k):
     return monomial(k)
 
 
+def zero_map(X, Y):
+    return LinMap(X, Y, lambda l: Vec.zero(), name="0")
+
+
 def d_comodule(s, ring):
     return graded_to_comodule(GradedModule.of({s: 1}, name="d"), ring)
 
@@ -228,7 +232,7 @@ def test_tensor_comodule_multiplies_the_ring_legs():
 def test_bimonoid_rejects_maps_on_a_namesake_carrier():
     from hopfchains.grading import sigma_space
     from hopfchains.laws import Bimonoid
-    from hopfchains.linalg import UNIT_SPACE, SpaceMismatch, zero_map
+    from hopfchains.linalg import UNIT_SPACE, SpaceMismatch
 
     def zero_structure(H):
         HH = tensor_space(H, H)

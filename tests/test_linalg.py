@@ -18,7 +18,7 @@ from hopfchains.linalg import (
     compose_maps, equal_on_window, factors, finite_space, identity_map,
     label_from_json, label_key, label_to_json, left, memoised, monomial_map, pair,
     perm_map, right, scale_map, show_label, split_label, sum_space, swap_map,
-    tensor_maps, tensor_space, zero_map,
+    tensor_maps, tensor_space,
 )
 from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import (
@@ -38,6 +38,10 @@ DATA = Path(__file__).parent / "data"
 
 def x(k):
     return monomial(k)
+
+
+def zero_map(X, Y):
+    return LinMap(X, Y, lambda l: ZERO, name="0")
 
 
 def test_pair_is_strictly_associative_and_unital():
