@@ -459,12 +459,13 @@ class LinMap:
     checks every window with one law kernel (see ``_kernel``) made from
     both sides' trees: one nested loop per factor of the domain, in
     which each leaf application is a lookup in a table of the check's
-    own, keyed by numbers the check gives the labels it meets, one
-    number per level of rows when the leaf reads two or more factors,
-    and a miss there reads the leaf's memo and calls ``apply`` only on
-    a miss in it (a kernel over one part looks up the memo directly); a
-    monomial leaf's image there is one term, not a loop over terms, and
-    a pairing leaf's miss calls its bilinear form, never its memo.
+    own, a list indexed by numbers the check gives the labels it meets,
+    one number per level of rows (lists too) when the leaf reads two or
+    more factors, and a miss there reads the leaf's memo and calls
+    ``apply`` only on a miss in it (a kernel over one part looks up the
+    memo directly); a monomial leaf's image there is one term, not a
+    loop over terms, and a pairing leaf's miss calls its bilinear form,
+    never its memo.
     A lookup, or a row fetch, is made once per value of the factors it
     reads, in the loop of the last of them, and once for both sides.
     The kernel is made once per law shape in a process and shared by
@@ -724,13 +725,19 @@ def _kernel(f, g, parts):
     first-seen order, so that two labels get one number exactly when
     they are equal.  Each leaf gets a table of its own, which holds its
     image as ``(numbers, coefficient, label)`` terms, or as the one
-    coefficient when its codomain is the unit space.  The table of a
-    leaf whose argument has one factor or none is keyed by its number
-    or ``()``; for two or more factors it is rows of nested dicts: the
-    first factor's number selects a row, each later number the next
-    row, and the last number the image, so no lookup builds or hashes a
-    tuple.  The sides' dicts are keyed by numbers too (a tuple of them
-    for a codomain of two or more factors).  On a miss the kernel
+    coefficient when its codomain is the unit space.  A table is a list
+    indexed by number, ``None`` where the image is missing (no image is
+    ``None``).  The table of a leaf whose argument has one factor is
+    indexed by its number; for two or more factors it is rows of nested
+    lists: the first factor's number selects a row, each later number
+    the next row, and the last number the image, so a lookup is a list
+    subscript that builds and hashes nothing.  A leaf of no factors is
+    read once, at the kernel's top, and keeps no table.  Tables and rows
+    are made as long as the labels numbered so far; a term's label may
+    be numbered after a row was made, so a read at a term's number past
+    a row's end grows the row to the numbers there are.  The sides'
+    dicts are keyed by numbers too (a tuple of them for a codomain of
+    two or more factors).  On a miss the kernel
     builds the label, looks it up in the leaf's memo, and calls
     ``apply`` only on a miss there, so the memos fill as before, but
     for a pairing leaf's (see below).  The numbers and tables die with
@@ -768,10 +775,10 @@ def _kernel(f, g, parts):
 
     The function is made from the law's shape alone (``_shape``), once
     per shape in a process (``_kernels``), and serves every law of that
-    shape.  Its first parameters are each leaf's ``apply`` and memo
-    lookup (a pairing leaf's bilinear form, where the kernel numbers
-    its labels), in the leaves' order of first use; they are bound
-    here, for this one law.
+    shape.  Its first parameters are each leaf's ``apply`` and memo dict
+    (a pairing leaf's bilinear form, where the kernel numbers its
+    labels), in the leaves' order of first use; they are bound here, for
+    this one law.
     """
     leaves = {}
     return _compiled("kernel", _shape(f, g, parts, leaves), leaves)
@@ -791,9 +798,10 @@ def _image(f):
 
 def _compiled(kind, shape, leaves):
     """The ``kind`` function (kernel or image) of ``shape``, bound to each
-    leaf's ``apply`` and memo lookup, in the leaves' order of first use;
-    a function that numbers its labels gets a pairing leaf's bilinear
-    form in place of its memo lookup."""
+    leaf's ``apply`` and memo dict (``None`` for a leaf without one), in
+    the leaves' order of first use; the function reads a memo with the
+    dict's own ``get``.  A function that numbers its labels gets a
+    pairing leaf's bilinear form in place of its memo."""
     made = _kernels.get(shape)
     if made is None:
         made = _kernels[shape] = getattr(_Compiler(), kind)(shape)
@@ -802,7 +810,7 @@ def _compiled(kind, shape, leaves):
         if m._pairing is not None and _numbered(shape):
             args += (m.apply, m._pairing)
         else:
-            args += (m.apply, None if m._cache is None else m._cache.get)
+            args += (m.apply, m._cache)
     return functools.partial(made, *args)
 
 
@@ -860,10 +868,14 @@ class _Compiler:
     the image function of one map's shape (see ``_image``).
 
     It reads the shape only, never a map.  Leaf i's ``apply`` and memo
-    lookup are the parameters ``Li`` and ``Mi``; in a numbered kernel
-    ``Mi`` of a pairing leaf is its bilinear form, its table is ``Ti``,
-    with its ``get`` in ``Gi``, and a row of a leaf keyed by two or more
-    factors is a variable ``r<n>``.  A monomial
+    dict are the parameters ``Li`` and ``Mi``; in a numbered kernel
+    ``Mi`` of a pairing leaf is its bilinear form, its table is the list
+    ``Ti``, and a row of a leaf keyed by two or more factors is a list
+    in a variable ``r<n>``.  A read at a domain factor's number is a
+    plain subscript, as every table and row is made after the windows
+    are numbered; a read at a term's number catches the ``IndexError``
+    of a row made before the term's label was numbered, and grows the
+    row (``fetch``).  A monomial
     leaf's term is unpacked in an ``if`` block that the compiler opens
     and heads as it would a term loop.  While
     compiling, a label is a tuple of factors, one per tensor factor, and
@@ -888,6 +900,7 @@ class _Compiler:
         self.leaves = 0      # how many leaves the kernel's parameters carry
         self.tables = []     # the leaves with a table, in a numbered kernel
         self.numbered = False
+        self.parts = 0       # the depth of the innermost domain loop
         self.one_term = False  # does each side have one term at most?
         self.count = 0
 
@@ -895,6 +908,7 @@ class _Compiler:
         arities, cod, f, g = shape
         # one part, or two single leaves: the kernel works on labels
         self.numbered = _numbered(shape)
+        self.parts = len(arities)
         self.one_term = self.numbered and _one_term(f) and _one_term(g)
         windows = ["W%d" % i for i in range(len(arities))]
         if self.numbered:
@@ -920,7 +934,7 @@ class _Compiler:
         self.line(depth + 1, "return n, %s" % self.whole(label))
         self.line(0, "return n, None")
         for i in self.tables:
-            self.lines[0] += ["T%d = {}" % i, "G%d = T%d.get" % (i, i)]
+            self.lines[0].append("T%d = [None] * len(ids)" % i)
         return self.made("kernel", windows)
 
     def image(self, shape):
@@ -1057,52 +1071,65 @@ class _Compiler:
         vec = "v" if self.numbered else image
         read = ["%s = L%d(%s)" % (vec, i, whole)]
         if memo:
-            read = ["%s = M%d(%s)" % (vec, i, whole), "if %s is None:" % vec, "    " + read[0]]
+            read = ["%s = M%d.get(%s)" % (vec, i, whole), "if %s is None:" % vec, "    " + read[0]]
         if self.numbered:
-            if i not in self.tables:
-                self.tables.append(i)
-            table, get = "T%d" % i, "G%d" % i
-            if len(label) > 1:
+            # a leaf of no factors is read once, at the kernel's top: it keeps no table
+            store = ""
+            if label:
+                if i not in self.tables:
+                    self.tables.append(i)
+                table = "T%d" % i
                 # a row per leading factor, each fetched where its last factor is bound
                 for j in range(1, len(label)):
-                    table = self.row(i, label[:j], table, get)
-                    get = "%s.get" % table
-                x = label[-1][0]
+                    table = self.row(i, label[:j], table)
+                store = "%s[%s] = " % (table, label[-1][0])
             if leaf[5]:
                 # a pairing leaf's coefficient, its bilinear form on the two halves
                 half = len(label) // 2
-                read, terms = [], ["%s = %s[%s] = M%d(%s, %s)" % (
-                    image, table, x, i, self.whole(label[:half]), self.whole(label[half:]))]
+                read, terms = [], ["%s = %sM%d(%s, %s)" % (
+                    image, store, i, self.whole(label[:half]), self.whole(label[half:]))]
             elif cod and leaf[4]:
                 # a monomial leaf's one term, or (); a second term breaks its promise
                 terms = ["%s = ()" % image,
                          "for k, c in v.entries.items():",
                          "    if %s:" % image,
                          "        _broken(L%d, %s)" % (i, whole),
-                         "    %s = (%s, c, k)" % (image, self.number("k", cod)),
-                         "%s[%s] = %s" % (table, x, image)]
+                         "    %s = (%s, c, k)" % (image, self.number("k", cod))]
+                if store:
+                    terms.append(store + image)
             elif cod:
-                terms = ["%s = %s[%s] = []" % (image, table, x),
+                terms = ["%s = %s[]" % (image, store),
                          "for k, c in v.entries.items():",
                          "    %s.append((%s, c, k))" % (image, self.number("k", cod))]
             else:
-                terms = ["%s = %s[%s] = v.entries.get(%r, 0)" % (image, table, x, UNIT)]
-            read = (["%s = %s(%s)" % (image, get, x), "if %s is None:" % image]
-                    + ["    " + l for l in read + terms])
+                terms = ["%s = %sv.entries.get(%r, 0)" % (image, store, UNIT)]
+            read += terms
+            if label:
+                read = (self.fetch(image, table, label[-1]) + ["if %s is None:" % image]
+                        + ["    " + l for l in read])
         self.head(label, read)
         return image
 
-    def row(self, i, lead, table, get):
+    def row(self, i, lead, table):
         """The variable of leaf i's row for the numbers of the factors
-        ``lead``, fetched from ``table`` by ``get`` once per leaf and
-        numbers, and made empty on a miss."""
+        ``lead``, fetched from ``table`` once per leaf and numbers, and
+        made on a miss."""
         nums = tuple(f[0] for f in lead)
         row = self.images.get((i, nums))
         if row is None:
             row = self.images[(i, nums)] = self.fresh("r")
-            self.head(lead, ["%s = %s(%s)" % (row, get, nums[-1]), "if %s is None:" % row,
-                             "    %s = %s[%s] = {}" % (row, table, nums[-1])])
+            self.head(lead, self.fetch(row, table, lead[-1]) + [
+                "if %s is None:" % row, "    %s = %s[%s] = [None] * len(ids)" % (row, table, nums[-1])])
         return row
+
+    def fetch(self, var, table, factor):
+        """Lines reading a table or row at a factor's number into ``var``, ``None``
+        if missing; a term's number may be past its end, which then grows."""
+        read = "%s = %s[%s]" % (var, table, factor[0])
+        if factor[2] <= self.parts:
+            return [read]
+        return ["try:", "    " + read, "except IndexError:",
+                "    %s += [None] * (len(ids) - len(%s))" % (table, table), "    %s = None" % var]
 
     def head(self, label, lines):
         "Put lines at the head of the deepest loop that binds a factor of the label."

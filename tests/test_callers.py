@@ -1,0 +1,141 @@
+"""Every public name of the package is referred to outside the tests,
+or it is on a pinned list with the reason it stays.
+
+A public name is a top-level ``def``, ``class`` or assignment of a module
+of ``src/hopfchains`` whose name does not start with an underscore, and
+each such method of a public class (``Class.method``).  ``__init__.py``
+is left out, because it imports names to export them.  The sources that
+may refer to them are the package's other modules, ``perfbench/`` and
+``bench_trajectory.py``.  A reference is a loaded name, an attribute, or
+a string that is a dotted name (``perfbench``'s tracer wraps functions by
+their dotted names); a class or static method must be named with its
+class, or through ``cls``.  A method is matched by its name alone, so a
+method named like one that has a caller counts as called.
+
+The list is compared exactly: a name that loses its last caller, and a
+listed name that gets one, both show in the diff that does it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hopfchains"
+
+# module.name -> why it stays without a caller outside the tests
+UNCALLED = {
+    "chains.ChainComplex.from_json": "the reader of complex documents; a transport command "
+                                     "becomes its caller, or it goes (ROADMAP item 20)",
+    "chains.disk": "the contractible complex, a building block the chain tests use",
+    "grading.comodule_to_graded_projections": "the comodule-to-graded direction of the "
+                                              "paper's equivalence, exported",
+    "laws.check_distributive_law": "the axioms of the semidirect product's tau; verification "
+                                   "on construction checks them, or it goes (item 20)",
+    "linalg.Vec.coefficient": "reads one coefficient of a vector, exported with Vec",
+    "pareigis.ALPHABET": "the letters of P's words, which the rewriting tests enumerate",
+    "pareigis.chain_map_to_linmap": "the equivalence on morphisms; a roundtrip row, or it "
+                                    "goes (item 20)",
+    "pareigis.linmap_to_chain_map": "the equivalence on morphisms, its inverse direction "
+                                    "(item 20)",
+    "pareigis.comodule_to_json": "writes comodule documents; goes with their reader (item 20)",
+    "pareigis.comodule_from_json": "the reader of comodule documents; a transport command "
+                                   "becomes its caller, or it goes (item 20)",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*\Z")
+
+
+def public_names(source):
+    """The public names a module defines, each with whether it must be named
+    with its class (a class or static method)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, False
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, False
+        for sub in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                bound = {d.id for d in sub.decorator_list if isinstance(d, ast.Name)}
+                yield "%s.%s" % (node.name, sub.name), bool(bound & {"classmethod", "staticmethod"})
+
+
+def references(source):
+    "The names the source refers to, bare and, for attributes, also after their owner's name."
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+            owner = node.value
+            owner = getattr(owner, "id", None) or getattr(owner, "attr", None)
+            if owner:
+                yield "%s.%s" % (owner, node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.match(node.value)):
+            yield node.value.rsplit(".", 1)[-1]
+
+
+def uncalled(modules, callers):
+    """The public names of ``modules`` ({module name: source}) that no source
+    in ``callers`` refers to, as ``module.name``, sorted."""
+    found = set()
+    for source in callers:
+        found.update(references(source))
+    names = []
+    for module, source in modules.items():
+        for name, qualified in public_names(source):
+            cls, _, method = name.rpartition(".")
+            if qualified:
+                called = name in found or "cls." + method in found
+            else:
+                called = method in found
+            if not called:
+                names.append("%s.%s" % (module, name))
+    return sorted(names)
+
+
+def test_the_scan_sees_each_kind_of_reference():
+    first = ("LIMIT = 3\n"
+             "def used():\n"
+             "    pass\n"
+             "def by_name():\n"
+             "    pass\n"
+             "def unused():\n"
+             "    return used()\n"
+             "class Thing:\n"
+             "    @classmethod\n"
+             "    def make(cls):\n"
+             "        return cls.build()\n"
+             "    @classmethod\n"
+             "    def build(cls):\n"
+             "        return cls()\n"
+             "    @classmethod\n"
+             "    def read(cls):\n"
+             "        pass\n"
+             "    def show(self):\n"
+             "        pass\n"
+             "def _private():\n"
+             "    pass\n")
+    second = ("x = first.Thing.make()\n"
+              "y = other.read()\n"
+              "trace = ['first.by_name']\n")
+    modules = {"first": first}
+    assert uncalled(modules, [first, second]) == [
+        "first.LIMIT", "first.Thing.read", "first.Thing.show", "first.unused"]
+    assert uncalled(modules, [second]) == [
+        "first.LIMIT", "first.Thing.build", "first.Thing.read", "first.Thing.show",
+        "first.unused", "first.used"]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests_or_a_reason():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    callers = list(modules.values()) + [p.read_text() for p in sorted(
+        [*(ROOT / "perfbench").glob("*.py"), ROOT / "bench_trajectory.py"])]
+    assert len(modules) > 5 and len(callers) > len(modules)
+    assert uncalled(modules, callers) == sorted(UNCALLED)
+    assert all(UNCALLED.values())

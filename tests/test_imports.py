@@ -140,7 +140,7 @@ DEFAULTED_PARAMETERS = 31
 
 # the package's code lines, as grep -cvE '^\s*(#|$)' counts them: pinned
 # exactly, so that every change shows its code-line delta in its own diff
-CODE_LINES = 3350
+CODE_LINES = 3375
 
 
 def defaulted_parameters(source):

@@ -843,7 +843,9 @@ def table_lookups(f, g, K):
 
     An image is looked up in the leaf's table, or in the last row of a
     leaf keyed by two or more factors; that leaf's first row is fetched
-    from its table and each later row from the row before.  The second
+    from its table and each later row from the row before.  A lookup or
+    fetch is a line ``x = T<i>[...]`` or ``x = r<n>[...]`` that ends at
+    the subscript; ``x = T<i>[k] = ...`` stores.  The second
     check runs under a line tracer, which counts the executions of each
     line that reads a table or a row; the first compiles the kernel, so
     that nothing else runs it while traced."""
@@ -852,7 +854,7 @@ def table_lookups(f, g, K):
     linalg._shape(f, g, f.dom.parts, leaves)
     rows, reads = {}, {}
     for number, text in enumerate(kernel_source(f, g, f.dom.parts).splitlines(), 1):
-        read = re.search(r"(\w+) = (?:G(\d+)|(r\d+)\.get)\(", text)
+        read = re.search(r"(\w+) = (?:T(\d+)|(r\d+))\[[^=]+\]$", text)
         if read:
             target, table, row = read.groups()
             leaf, level = (int(table), 0) if table else rows[row]
@@ -964,6 +966,37 @@ def test_one_row_serves_both_sides():
     n = len(P.carrier.enumerate(1))
     got, images, rows = table_lookups(lhs, rhs, 1)
     assert got == CheckResult("", "equal", n ** 3) and rows[mu] == [n]
+
+
+def test_a_row_grows_to_a_label_numbered_after_it_was_made():
+    # on window 1 P's mu reaches xi^2 and xi^-2, which are numbered after
+    # the tables and rows are made; mu is then read from the row of such a
+    # first factor on the left, and from a0's row at such a label on the right
+    P = RINGS["P"]
+    window = P.carrier.enumerate(1)
+    bad = pair(pm(1, 2), window[0])
+    assert pm(1, 2) not in window
+    idh = identity_map(P.carrier)
+
+    def associativity(fn):
+        mu = LinMap(P.mu.dom, P.mu.cod, fn, name="mu'")
+        return compose_maps(tensor_maps(mu, idh), mu), compose_maps(tensor_maps(idh, mu), mu)
+    lhs, rhs = associativity(P.mu.apply)
+    assert "except IndexError:" in kernel_source(lhs, rhs, lhs.dom.parts)
+    n = len(window)
+    assert equal_on_window(lhs, rhs, 1) == reference_check(lhs, rhs, 1, "") == CheckResult(
+        "", "equal", n ** 3)
+    # a defect that only a grown row reaches
+    lhs, rhs = associativity(
+        lambda l: P.mu.apply(l) + Vec.basis(window[0]) if l == bad else P.mu.apply(l))
+    got = equal_on_window(lhs, rhs, 1)
+    assert got == reference_check(lhs, rhs, 1, "") and not got.equal
+    # a leaf across two spaces: its row for a Laurent label is read at the
+    # numbers of P's labels, which come after the Laurent window's
+    Z = laurent_hopf(1)
+    eps2 = tensor_maps(Z.epsilon, P.epsilon)
+    leaf = LinMap(eps2.dom, eps2.cod, eps2.apply, name="eps2'")
+    assert equal_on_window(leaf, eps2, 1) == CheckResult("", "equal", 3 * n)
 
 
 def test_a_row_is_its_leading_factors_not_its_last():
