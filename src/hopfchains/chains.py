@@ -20,9 +20,8 @@ import weakref
 from .diffhopf import two_term_ring
 from .laws import Comodule
 from .linalg import (
-    UNIT, CheckResult, Counterexample, LinMap, Vec, _interned, _is_int, _json_type,
-    atom, equal_on_window, finite_space, left, pair, right, split_label,
-    tensor_space,
+    UNIT, CheckResult, Counterexample, LinMap, Vec, _interned, atom, equal_on_window,
+    finite_space, left, pair, right, split_label, tensor_space,
 )
 
 
@@ -192,26 +191,6 @@ def _place(m, block, top, left):
         m.rows[i][left:left + block.ncols] = r
 
 
-def _by_degree(doc, key):
-    """doc[key], an object keyed by degree; else a ValueError.  A key must be
-    an integer as str writes it, so that no two keys name one degree."""
-    if key not in doc:
-        raise ValueError('the complex has no "%s" key' % key)
-    table = doc[key]
-    if not isinstance(table, dict):
-        raise ValueError('"%s" is an object keyed by degree, not %s' % (key, _json_type(table)))
-    out = {}
-    for n, value in table.items():
-        try:
-            canonical = str(int(n)) == n
-        except ValueError:
-            canonical = False
-        if not canonical:
-            raise ValueError('"%s" has the key %r, not an integer degree' % (key, n))
-        out[int(n)] = value
-    return out
-
-
 class ChainComplex:
     """A bounded complex: ranks per degree and differentials d_n: B_n -> B_{n-1}.
 
@@ -259,38 +238,6 @@ class ChainComplex:
                 "differentials": {str(n): [list(row) for row in d]
                                   for n, d in sorted(self.diffs.items())}}
 
-    @classmethod
-    def from_json(cls, doc, name="c"):
-        """Read ``{"ranks": {"n": r, ...}, "differentials": {"n": rows, ...}}``,
-        the form ``to_json`` writes (its ``window`` is not read).
-
-        A document of another shape, or a degree key other than the
-        integer as ``str`` writes it, raises a ``ValueError`` naming the
-        key, the degree or the expected shape; blocks of the wrong shape
-        and d.d != 0 stay ``IllegalChain``.
-        """
-        if not isinstance(doc, dict):
-            raise ValueError('a complex is a JSON object with "ranks" and "differentials", '
-                             'not %s' % _json_type(doc))
-        ranks = _by_degree(doc, "ranks")
-        for n, r in ranks.items():
-            if not _is_int(r) or r < 0:
-                raise ValueError("the rank at degree %d is %r, not an integer >= 0" % (n, r))
-        diffs = {}
-        for n, rows in _by_degree(doc, "differentials").items():
-            if not isinstance(rows, list):
-                raise ValueError("the differential at degree %d is a list of rows, not %s"
-                                 % (n, _json_type(rows)))
-            for i, row in enumerate(rows):
-                if not isinstance(row, list):
-                    raise ValueError("row %d of the differential at degree %d is a list, "
-                                     "not %s" % (i, n, _json_type(row)))
-            try:
-                diffs[n] = mat(rows)
-            except ValueError as err:
-                raise ValueError("the differential at degree %d: %s" % (n, err)) from None
-        return cls(ranks, diffs, name=name)
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -302,11 +249,6 @@ class ChainComplex:
 
     def __repr__(self):
         return "ChainComplex(%s: %s)" % (self.name, self.ranks)
-
-
-def disk(n):
-    "The contractible complex d: Z at degrees n, n-1 with identity differential."
-    return ChainComplex({n: 1, n - 1: 1}, {n: eye(1)}, name="d")
 
 
 class ChainMap:

@@ -87,11 +87,6 @@ class GradedCarrier:
                 raise ValueError("degree %s has wrong rank" % (deg,))
         return cls(rank, tuple(cleaned))
 
-    def to_json(self):
-        return {"rank": self.rank,
-                "summands": [{"degree": list(d), "order": n}
-                             for d, n in self.summands]}
-
     @classmethod
     def from_json(cls, doc):
         """Read ``{"rank": r, "summands": [{"degree": [...], "order": n}, ...]}``.

@@ -121,7 +121,7 @@ def show_label(label):
 
 
 def label_to_json(label):
-    "JSON-friendly encoding; ``label_from_json`` inverts it exactly."
+    "JSON-friendly encoding: distinct labels encode to distinct JSON values."
     if label == UNIT:
         return ["1"]
     tag = label[0]
@@ -130,20 +130,6 @@ def label_to_json(label):
     if tag in (_LEFT, _RIGHT):
         return [tag, label_to_json(label[1])]
     return ["t"] + [label_to_json(f) for f in label[1:]]
-
-
-def label_from_json(data):
-    """The label that ``label_to_json`` encodes as ``data``; data that is
-    no such encoding is a ValueError."""
-    try:
-        label = _label_from_json(data)
-        hash(label)
-        ok = label_to_json(label) == data
-    except (IndexError, KeyError, TypeError):
-        ok = False
-    if not ok:
-        raise ValueError("%r does not encode a label" % (data,))
-    return label
 
 
 def _is_int(value):
@@ -158,17 +144,6 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a bool
 def _json_type(value):
     "How a parsed JSON value reads in a message, e.g. ``a list``."
     return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
-def _label_from_json(data):
-    tag = data[0]
-    if tag == "1":
-        return UNIT
-    if tag == "a":
-        return (_ATOM, data[1], tuple(data[2]))
-    if tag in (_LEFT, _RIGHT):
-        return (tag, _label_from_json(data[1]))
-    return (_TENSOR,) + tuple(_label_from_json(f) for f in data[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -16,23 +16,19 @@ checks the label bijection between the two is a Hopf map.
 from __future__ import annotations
 
 import functools
-import json
 
 from .chains import ChainComplex, ChainMap, IllegalChain, _block_at, _column, zeros
 from .diffhopf import two_term_ring
 from .laws import Bimonoid, Comodule, IllegalComodule, check_hopf_morphism
 from .linalg import (
-    UNIT, UNIT_SPACE, LinMap, Space, Vec, _is_int, _json_type, atom,
-    equal_on_window, finite_space, identity_map, label_from_json, label_key,
-    label_to_json, left, monomial_map, pair, right, show_label, split_label,
-    tensor_space,
+    UNIT, UNIT_SPACE, LinMap, Space, Vec, atom, equal_on_window, identity_map, left,
+    monomial_map, pair, right, show_label, split_label, tensor_space,
 )
 from .semidirect import WComodule, semidirect_product
 
 XI = "xi"
 XI_INV = "xi'"
 PSI = "psi"
-ALPHABET = (XI, XI_INV, PSI)
 
 _FAMILY = "pareigis"
 
@@ -354,91 +350,3 @@ def chain_to_wcomodule(X, s, hb):
     alpha = LinMap(carrier, tensor_space(A.carrier, carrier), alpha_fn, name="alpha")
     chi = LinMap(carrier, tensor_space(H.carrier, carrier), chi_fn, name="chi")
     return WComodule(hb, carrier, alpha, chi, window=0)
-
-
-def comodule_to_json(B):
-    """Serialize a finite comodule: ring name, basis, coaction terms.
-
-    Coaction values are triples [coeff, ring label, carrier label]; keys
-    are the JSON encodings of the basis labels.
-    """
-    ring_name = "pareigis" if B.ring.s == -1 else "pareigis-plus"
-    P = B.ring.carrier
-    basis = B.carrier.enumerate(0)
-    coaction = {}
-    for b in basis:
-        terms = []
-        items = sorted(B.coaction.apply(b).items(),
-                       key=lambda kv: label_key(kv[0]))
-        for t, c in items:
-            r, x = split_label(P, B.carrier, t)
-            terms.append([c, label_to_json(r), label_to_json(x)])
-        coaction[json.dumps(label_to_json(b))] = terms
-    return {"ring": ring_name,
-            "basis": [label_to_json(b) for b in basis],
-            "coaction": coaction}
-
-
-def comodule_from_json(doc):
-    """Inverse of comodule_to_json; every coefficient must be a JSON integer.
-
-    A document of another shape, or two coaction keys that encode one
-    label, raises a ``ValueError`` naming the key, the label or the
-    expected shape; a coaction that breaks a comodule law raises
-    ``IllegalComodule``.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError('a comodule is a JSON object with "ring", "basis" and "coaction", '
-                         'not %s' % _json_type(doc))
-    for key, kind in (("ring", str), ("basis", list), ("coaction", dict)):
-        if key not in doc:
-            raise ValueError('the comodule has no "%s" key' % key)
-        if not isinstance(doc[key], kind):
-            raise ValueError('"%s" is %s, not %s'
-                             % (key, _json_type(kind()), _json_type(doc[key])))
-    try:
-        ring = ring_by_name(doc["ring"])
-    except KeyError:
-        raise ValueError("unknown ring %r (try pareigis, pareigis-plus)" % doc["ring"]) from None
-    basis = [label_from_json(b) for b in doc["basis"]]
-    if len(set(basis)) != len(basis):
-        raise ValueError("the basis lists a label twice")
-    members = set(basis)
-    table = {}
-    for key, terms in doc["coaction"].items():
-        try:
-            b = label_from_json(json.loads(key))
-        except ValueError:
-            raise ValueError("the coaction key %r does not encode a label" % key) from None
-        if b not in members:
-            raise ValueError("the coaction key %s is not a basis label" % key)
-        if b in table:
-            raise ValueError("the coaction key %s names a label that another key names" % key)
-        if not isinstance(terms, list):
-            raise ValueError("the coaction under basis key %s is a list, not %s"
-                             % (key, _json_type(terms)))
-        out = {}
-        for term in terms:
-            if not (isinstance(term, list) and len(term) == 3):
-                raise ValueError("a term under basis key %s is a [coefficient, ring label, "
-                                 "basis label] triple, not %r" % (key, term))
-            c, rdata, xdata = term
-            if not _is_int(c):
-                raise ValueError("coefficient %r under basis key %s is not an integer"
-                                 % (c, key))
-            r, x = label_from_json(rdata), label_from_json(xdata)
-            if not _is_monomial(r):
-                raise ValueError("ring label %s under basis key %s is not psi^a xi^k"
-                                 % (json.dumps(rdata), key))
-            if x not in members:
-                raise ValueError("label %s under basis key %s is not a basis label"
-                                 % (json.dumps(xdata), key))
-            out[pair(r, x)] = out.get(pair(r, x), 0) + c
-        table[b] = Vec(out)
-    for b, data in zip(basis, doc["basis"]):
-        if b not in table:
-            raise ValueError("basis label %s has no coaction entry" % json.dumps(data))
-    carrier = finite_space("comodule", basis)
-    coaction = LinMap(carrier, tensor_space(ring.carrier, carrier),
-                      lambda l: table[l], name="beta")
-    return Comodule(ring, carrier, coaction, check_window=0)

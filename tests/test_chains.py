@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import random
@@ -15,7 +14,7 @@ import hopfchains
 from hopfchains import chains, diffhopf
 from hopfchains.chains import (
     Bicomplex, ChainComplex, ChainMap, IllegalChain, chain_symmetry,
-    comonad_comparison, curry_adjunction, disk, eye,
+    comonad_comparison, curry_adjunction, eye,
     identity_chain_map, internal_hom, left_adjoint_complex, left_adjoint_map,
     mat, random_bicomplex, random_chain_map, random_complex, random_graded_map,
     random_unimodular, right_adjoint_complex, second_differential,
@@ -27,6 +26,11 @@ from hopfchains.linalg import UNIT, Counterexample, Vec, atom
 from hopfchains.pareigis import differential_comodule_bimonoid, identify_semidirect
 
 DATA = Path(__file__).parent / "data"
+
+
+def disk(n):
+    "The contractible complex d: Z at degrees n, n-1 with identity differential."
+    return ChainComplex({n: 1, n - 1: 1}, {n: eye(1)}, name="d")
 
 
 def sphere(n, rank=1, name="s"):
@@ -375,16 +379,6 @@ def test_random_bicomplexes_satisfy_their_square_law():
             res = second_differential(B, kappa, s)
             assert res.accepted, res.violations
             assert res.chain_compat.equal
-
-
-def test_chain_complex_json_round_trip():
-    X = two_step()
-    doc = json.loads(json.dumps(X.to_json()))
-    assert ChainComplex.from_json(doc, name="t") == X
-    rng = random.Random(44)
-    for _ in range(10):
-        Y = random_complex(rng, name="y")
-        assert ChainComplex.from_json(json.loads(json.dumps(Y.to_json())), name="y") == Y
 
 
 def test_disk_and_sphere_shapes():
@@ -1064,9 +1058,10 @@ def test_tensor_and_hom_blocks_match_the_per_entry_reference(A, B, C, seed):
 
 
 def test_fractional_entry_is_rejected_with_its_position():
-    doc = {"ranks": {"1": 1, "0": 1}, "differentials": {"1": [[2.7]]}}
     with pytest.raises(ValueError, match=r"\(0, 0\)"):
-        ChainComplex.from_json(doc)
+        ChainComplex({1: 1, 0: 1}, {1: [[2.7]]})
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        mat([[2.7]])
 
 
 def test_boolean_entry_is_rejected_with_its_position():
@@ -1077,110 +1072,6 @@ def test_boolean_entry_is_rejected_with_its_position():
 def test_ragged_rows_are_an_illegal_chain():
     with pytest.raises(IllegalChain):
         ChainComplex({1: 1, 0: 1}, {1: [[1], [2, 3]]})
-
-
-@pytest.mark.parametrize("doc, message", [
-    ([], r"a complex is a JSON object .*, not a list"),
-    ({"differentials": {}}, r'no "ranks" key'),
-    ({"ranks": {}}, r'no "differentials" key'),
-    ({"ranks": [1], "differentials": {}}, r'"ranks" is an object keyed by degree, not a list'),
-    ({"ranks": {"x": 1}, "differentials": {}}, r"\"ranks\" has the key 'x'"),
-    ({"ranks": {"1": "x"}, "differentials": {}}, r"rank at degree 1 is 'x'"),
-    ({"ranks": {"1": -1}, "differentials": {}}, r"rank at degree 1 is -1"),
-    ({"ranks": {"1": 1, "0": 1}, "differentials": {"1": 2}},
-     r"differential at degree 1 is a list of rows, not a number"),
-    ({"ranks": {"1": 1, "0": 1}, "differentials": {"1": [2]}},
-     r"row 0 of the differential at degree 1 is a list, not a number"),
-    ({"ranks": {"1": 1, "0": 1}, "differentials": {"1": [[2.5]]}},
-     r"differential at degree 1: entry \(0, 0\) is 2.5"),
-])
-def test_a_malformed_complex_document_names_what_is_wrong(doc, message):
-    with pytest.raises(ValueError, match=message):
-        ChainComplex.from_json(doc)
-
-
-@pytest.mark.parametrize("table", ["ranks", "differentials"])
-@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "0_1", "-0"])
-def test_a_degree_key_is_an_integer_as_str_writes_it(table, key):
-    # each of these keys names degree 1 (or 0) to int(), beside the key
-    # str writes for that degree, so reading it would drop one of the two
-    doc = {"ranks": {"1": 1, "0": 1}, "differentials": {"1": [[1]]}}
-    doc[table][key] = 2 if table == "ranks" else [[1]]
-    with pytest.raises(ValueError, match=r'"%s" has the key %s, not an integer degree'
-                       % (table, re.escape(repr(key)))):
-        ChainComplex.from_json(doc)
-
-
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                 max_size=3),
-    max_leaves=6)
-
-
-def _paths(doc, here=()):
-    "Every place in a JSON document, the root first."
-    yield here
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
-        if isinstance(doc, list) else ()
-    for k, v in items:
-        yield from _paths(v, here + (k,))
-
-
-@st.composite
-def _malformed(draw, doc):
-    "A well-formed document with one to three places replaced, dropped or renamed."
-    doc = json.loads(json.dumps(doc))
-    for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(doc))))
-        if not path:
-            doc = draw(_JSON)
-            continue
-        parent = doc
-        for k in path[:-1]:
-            parent = parent[k]
-        kind = draw(st.sampled_from(("replace", "drop", "rename")))
-        if kind == "replace":
-            parent[path[-1]] = draw(_JSON)
-        elif kind == "drop":
-            del parent[path[-1]]
-        elif isinstance(parent, dict):
-            parent[draw(st.text(max_size=3))] = parent.pop(path[-1])
-    return doc
-
-
-def _complex_document(seed):
-    rng = random.Random(seed)
-    return random_complex(rng, name="x", max_window=3, max_rank=2).to_json()
-
-
-@functools.lru_cache(maxsize=None)
-def _comodule_document(seed):
-    from hopfchains.pareigis import chain_to_comodule, comodule_to_json
-    rng = random.Random(seed)
-    X = random_complex(rng, name="x", max_window=3, max_rank=2)
-    return comodule_to_json(chain_to_comodule(X, rng.choice((-1, 1))))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 20).flatmap(lambda seed: _malformed(_complex_document(seed))))
-def test_a_malformed_complex_document_raises_only_a_named_error(doc):
-    from hopfchains.laws import IllegalComodule
-    try:
-        ChainComplex.from_json(doc)
-    except (ValueError, IllegalChain, IllegalComodule) as err:
-        assert str(err)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda seed: _malformed(_comodule_document(seed))))
-def test_a_malformed_comodule_document_raises_only_a_named_error(doc):
-    from hopfchains.laws import IllegalComodule
-    from hopfchains.pareigis import comodule_from_json
-    try:
-        comodule_from_json(doc)
-    except (ValueError, IllegalChain, IllegalComodule) as err:
-        assert str(err)
 
 
 # ---------------------------------------------------------------------------

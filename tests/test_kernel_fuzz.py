@@ -25,7 +25,7 @@ are made.
 
 import itertools
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from hopfchains import linalg
 from hopfchains.grading import Bicharacter, laurent_hopf, sign_coelement
@@ -235,7 +235,10 @@ COMMUTED = ("Z^2", 3, ("diagram", ()), "permuted",
             ("diagram", ()))
 
 
-@settings(deadline=None, max_examples=60, derandomize=True)
+# no shrinking: a failing recipe is reported as drawn, as shrinking one
+# whose every kernel fails can take minutes
+@settings(deadline=None, max_examples=60, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
 @given(law())
 @example(COMMUTED)
 def test_a_law_kernel_answers_as_a_plain_loop_of_apply(drawn):

@@ -16,7 +16,7 @@ from hopfchains import grading, laws, linalg, pareigis
 from hopfchains.linalg import (
     UNIT, UNIT_SPACE, ZERO, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
     compose_maps, equal_on_window, factors, finite_space, identity_map,
-    label_from_json, label_key, label_to_json, left, memoised, monomial_map, pair,
+    label_key, label_to_json, left, memoised, monomial_map, pair,
     perm_map, right, scale_map, show_label, split_label, sum_space, swap_map,
     tensor_maps, tensor_space,
 )
@@ -69,11 +69,17 @@ def random_label(rng, depth=0):
 
 
 def test_label_encoding_round_trips_on_random_corpus():
+    # a report's counterexample names its label by this encoding alone, so
+    # the encoding must survive JSON and tell distinct labels apart
     rng = random.Random(2024)
+    seen = {}
     for _ in range(10_000):
         lbl = random_label(rng)
-        assert label_from_json(label_to_json(lbl)) == lbl
+        text = json.dumps(label_to_json(lbl))
+        assert json.loads(text) == label_to_json(lbl)
+        assert seen.setdefault(text, lbl) == lbl
         label_key(lbl)  # total order key never raises on mixed shapes
+    assert len(seen) > 1000
 
 
 def test_vec_arithmetic_is_exact_and_structural():
