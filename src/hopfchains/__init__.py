@@ -17,12 +17,12 @@ from .linalg import (
 from .laws import (
     Bimonoid, Coelement, Comodule, IllegalComodule, LawViolation,
     Report, check_bialgebra_laws, check_coelement, check_comodule_morphism,
-    check_distributive_law, check_hopf_morphism, comodule_braiding,
-    distributive_law_tau, plain_swap, tensor_comodule, verify,
+    check_hopf_morphism, comodule_braiding, distributive_law_tau, plain_swap,
+    tensor_comodule, verify,
 )
 from .grading import (
-    Bicharacter, GradedModule, comodule_to_graded_projections,
-    graded_to_comodule, laurent_hopf, sigma_space, sign_coelement,
+    Bicharacter, GradedModule, graded_to_comodule, laurent_hopf, sigma_space,
+    sign_coelement,
 )
 from .diffhopf import (
     GradedCarrier, NotAdmissible, RankMismatch, brute_force_carrier_check,

@@ -276,7 +276,7 @@ def run_command(cfg):
     del echo["output"]  # destination, not input: keep reports reproducible
     results = [{"name": r.law, "verdict": r.verdict, "instances": r.instances,
                 "counterexample": counterexample_json(r.counterexample),
-                "millis": int(r.seconds * 1000)}
+                "millis": r.seconds * 1000}
                for r in sorted(rows, key=lambda r: r.law)]
     report = {"version": __version__, "config": echo, "results": results}
     return (0 if rows.ok else 1), report
@@ -294,7 +294,7 @@ def render_json(report):
 def render_text(report):
     lines = ["hopfchains %s: %s" % (report["version"], report["config"]["command"])]
     for row in report["results"]:
-        lines.append("%-40s %-7s instances=%-6d millis=%d"
+        lines.append("%-40s %-7s instances=%-6d millis=%.3f"
                      % (row["name"], row["verdict"], row["instances"], row["millis"]))
         if row["counterexample"]:
             lines.append("    counterexample: %s" % json.dumps(row["counterexample"]))

@@ -1,11 +1,9 @@
 """The grading Hopf ring: Laurent monomials in r commuting variables.
 
 The ring ``laurent_hopf(r)`` has basis x^g for g in Z^r, with every x^g
-group-like and the antipode inverting exponents.  Comodules over it are
-exactly Z^r-graded free modules: ``graded_to_comodule`` sends a degree-g
-basis vector b to x^g (x) b, and ``comodule_to_graded_projections``
-recovers the degree decomposition of any legal comodule as a family of
-idempotent projections (no integer column reduction is ever needed).
+group-like and the antipode inverting exponents.  A Z^r-graded free
+module is a comodule over it: ``graded_to_comodule`` sends a degree-g
+basis vector b to x^g (x) b, and its laws are verified on construction.
 
 Sign bicharacters supply the braiding coelements: gamma(x^g, x^h) is a
 product of kappa_c^(g_c h_c) over the grading coordinates.
@@ -17,10 +15,10 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 
-from .laws import Bimonoid, Coelement, Comodule, IllegalComodule, verify
+from .laws import Bimonoid, Coelement, Comodule
 from .linalg import (
-    UNIT, UNIT_SPACE, ZERO, LinMap, Space, SpaceMismatch, Vec, atom,
-    finite_space, monomial_map, pair, split_label, tensor_space,
+    UNIT, UNIT_SPACE, LinMap, Space, SpaceMismatch, Vec, atom, finite_space,
+    monomial_map, pair, tensor_space,
 )
 
 
@@ -178,26 +176,3 @@ def graded_to_comodule(M, ring=None):
 
     coact = LinMap(carrier, tensor_space(ring.carrier, carrier), fn, name="beta")
     return Comodule(ring, carrier, coact, check_window=0)
-
-
-def comodule_to_graded_projections(X):
-    """Degree projections of a legal comodule over a Laurent ring.
-
-    Returns {degree: p_g}, the nonzero p_g of the coaction
-    b |-> sum_g x^g (x) p_g(b), once its laws pass on window 0 and its ring
-    terms are group-like (else IllegalComodule): then the counit law says
-    they sum to 1, and coassociativity that they are orthogonal idempotents.
-    """
-    verify(X, 0)
-    columns = {}
-    for b in X.carrier.enumerate(0):
-        for a_x, c in X.coaction.apply(b).items():
-            a, x0 = split_label(X.ring.carrier, X.carrier, a_x)
-            if X.ring.delta.apply(a) != Vec.basis(pair(a, a)):
-                raise IllegalComodule("ring term %s of the coaction is not group-like" % (a,))
-            columns.setdefault(degree_of(a), {}).setdefault(b, {})[x0] = c
-
-    def projection(deg, col):
-        col = {b: Vec(v) for b, v in col.items()}
-        return LinMap(X.carrier, X.carrier, lambda l: col.get(l, ZERO), name="p%s" % (deg,))
-    return {deg: projection(deg, col) for deg, col in sorted(columns.items())}

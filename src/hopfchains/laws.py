@@ -316,41 +316,6 @@ def distributive_law_tau(X):
     return tau
 
 
-def check_distributive_law(tau, X, K, comonoid=None):
-    """The comonad distributive-law axioms for tau : X (x) A -> A (x) X.
-
-    The two A-side axioms need only the ring; the two X-side axioms need
-    a comonoid structure on X, supplied via ``comonoid`` (e.g. the
-    bimonoid H when X is its carrier).  Omitted when absent.
-    """
-    A = X.ring
-    idx = identity_map(X.carrier)
-    ida = identity_map(A.carrier)
-    if (tau.dom is not tensor_space(X.carrier, A.carrier)
-            or tau.cod is not tensor_space(A.carrier, X.carrier)):
-        raise SpaceMismatch("tau has shape %s -> %s" % (tau.dom.name, tau.cod.name))
-    report = Report()
-
-    report.append(equal_on_window(
-        tau >> tensor_maps(A.epsilon, idx), tensor_maps(idx, A.epsilon),
-        K, law="tau-counit-A"))
-    lhs = tau >> tensor_maps(A.delta, idx)
-    rhs = (tensor_maps(idx, A.delta) >> tensor_maps(tau, ida)
-           >> tensor_maps(ida, tau))
-    report.append(equal_on_window(lhs, rhs, K, law="tau-comultiplication-A"))
-
-    if comonoid is not None:
-        eps_x, delta_x = comonoid.epsilon, comonoid.delta
-        report.append(equal_on_window(
-            tau >> tensor_maps(ida, eps_x), tensor_maps(eps_x, ida),
-            K, law="tau-counit-X"))
-        lhs = tau >> tensor_maps(ida, delta_x)
-        rhs = (tensor_maps(delta_x, ida) >> tensor_maps(idx, tau)
-               >> tensor_maps(tau, idx))
-        report.append(equal_on_window(lhs, rhs, K, law="tau-comultiplication-X"))
-    return report
-
-
 def check_comodule_morphism(f, X, Y, K):
     "Verdict of (1 (x) f) . alpha_X = alpha_Y . f on the window."
     if X.ring.carrier is not Y.ring.carrier:

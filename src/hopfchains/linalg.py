@@ -255,9 +255,6 @@ class Vec:
         return text[1:] if text.startswith("+") else text
 
 
-ZERO = Vec.zero()
-
-
 # ---------------------------------------------------------------------------
 # spaces
 

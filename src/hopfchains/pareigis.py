@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 
-from .chains import ChainComplex, ChainMap, IllegalChain, _block_at, _column, zeros
+from .chains import ChainComplex, IllegalChain, _block_at, _column
 from .diffhopf import two_term_ring
 from .laws import Bimonoid, Comodule, IllegalComodule, check_hopf_morphism
 from .linalg import (
     UNIT, UNIT_SPACE, LinMap, Space, Vec, atom, equal_on_window, identity_map, left,
-    monomial_map, pair, right, show_label, split_label, tensor_space,
+    monomial_map, pair, right, split_label, tensor_space,
 )
 from .semidirect import WComodule, semidirect_product
 
@@ -294,33 +294,6 @@ def comodule_to_chain(B):
         raise IllegalComodule("round trip does not reproduce the coaction of %s"
                               % (skipped[0],))
     return X
-
-
-def chain_map_to_linmap(f, src_comodule, tgt_comodule):
-    "Transport a chain map to a map of the underlying based spaces."
-    def fn(label):
-        n, i = label[2]
-        return Vec(_column(f.blocks.get(n), i, lambda j: atom(f.tgt.name, n, j)))
-
-    return LinMap(src_comodule.carrier, tgt_comodule.carrier, fn,
-                  name="chainmap")
-
-
-def linmap_to_chain_map(g, X, Y):
-    """Read a based-space map back into degree-wise matrices; an image
-    label outside Y's basis in its source's degree is IllegalChain."""
-    blocks = {}
-    for n in X.degrees():
-        b = zeros(Y.rank(n), X.rank(n))
-        rows = {atom(Y.name, n, j): j for j in range(Y.rank(n))}
-        for i in range(X.rank(n)):
-            for lbl, c in g.apply(atom(X.name, n, i)).items():
-                if lbl not in rows:
-                    raise IllegalChain("image label %s is not in the degree-%d basis of %s"
-                                       % (show_label(lbl), n, Y.name))
-                b[rows[lbl], i] = c
-        blocks[n] = b
-    return ChainMap(X, Y, blocks)
 
 
 def chain_to_wcomodule(X, s, hb):

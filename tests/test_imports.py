@@ -136,11 +136,11 @@ def test_every_private_top_level_name_is_read_in_the_package():
 
 # the parameters with a default in the package: a new default, option or
 # knob raises the count, so it must lower this bound in the same change
-DEFAULTED_PARAMETERS = 30
+DEFAULTED_PARAMETERS = 29
 
 # the package's code lines, as grep -cvE '^\s*(#|$)' counts them: pinned
 # exactly, so that every change shows its code-line delta in its own diff
-CODE_LINES = 3212
+CODE_LINES = 3138
 
 
 def defaulted_parameters(source):

@@ -1,5 +1,6 @@
 """A differential fuzz of the law-kernel compiler: Hypothesis draws
-law-shaped pairs of maps over ``P``, ``P+`` and ``laurent_hopf(2)``, and
+law-shaped pairs of maps over ``P``, ``P+``, ``laurent_hopf(2)`` and the
+semidirect product ``(I + D) >< Z``, a carrier of two tensor factors, and
 each law kernel's verdict must be the one a plain loop of ``apply``
 gives.
 
@@ -16,24 +17,29 @@ diagram that both sides share.  The kinds are
 
 So both sides apply the same leaves, often on overlapping factors, and
 the first three kinds are equal maps.  The leaves are the rings' own
-monomial leaves, ``P``'s coproduct (a plain leaf), a pairing leaf, and
-plain copies of the others.  Each part's window holds six labels, more
-than the conftest's check of a newly compiled shape cuts to, and the
-products reach labels outside it, which a kernel numbers after its rows
-are made.
+monomial leaves, ``P``'s coproduct (a plain leaf), the product's
+memoised composites, a pairing leaf, and plain copies of the others.
+A part is a primitive factor of the domain.  Its window holds six labels
+on the first three rings, more than the conftest's check of a newly
+compiled shape cuts to, and two or three on the product, whose parts
+``I + D`` and ``Z`` differ in size; the products reach labels outside
+the windows, which a kernel numbers after its rows are made.
 """
 
+import functools
 import itertools
 
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from hopfchains import linalg
+from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import Bicharacter, laurent_hopf, sign_coelement
 from hopfchains.linalg import (
     LinMap, UNIT_SPACE, compose_maps, factors, identity_map, monomial_map, pair,
     pairing_map, perm_map, tensor_maps, tensor_space,
 )
 from hopfchains.pareigis import pareigis_ring
+from hopfchains.semidirect import semidirect_product
 
 LABELS = 6      # labels per part of the domain
 MAX_ARITY = 3   # tensor factors between two layers of a diagram
@@ -44,8 +50,23 @@ def parity(a, b):
     return -1 if (a[2][0] + a[2][1] * b[2][1]) % 2 else 1
 
 
-RINGS = {"P": (pareigis_ring(-1), parity), "P+": (pareigis_ring(1), parity),
-         "Z^2": (laurent_hopf(2), sign_coelement(Bicharacter(2, (-1, 1))).gamma)}
+def product_parity(a, b):
+    "A pairing on the labels h (x) x^k of (I + D) >< Z that is not symmetric."
+    return -1 if ((a[1][0] == "L") + a[2][2][0] * b[2][2][0]) % 2 else 1
+
+
+def product():
+    """(I + D) >< Z, unverified: it is built at its first recipe, so that a
+    broken kernel fails this test, not its import."""
+    return semidirect_product(two_term_ring((1,), (-1,)), None)
+
+
+# name -> (the ring, built when first drawn, and a pairing on its labels)
+RINGS = {"P": (functools.partial(pareigis_ring, -1), parity),
+         "P+": (functools.partial(pareigis_ring, 1), parity),
+         "Z^2": (functools.partial(laurent_hopf, 2),
+                 sign_coelement(Bicharacter(2, (-1, 1))).gamma),
+         "(I+D)><Z": (product, product_parity)}
 
 # a leaf's (inputs, outputs) in tensor factors of the carrier
 ARITIES = {"mu": (2, 1), "eta": (0, 1), "delta": (1, 2), "epsilon": (1, 0),
@@ -121,7 +142,8 @@ class Builder:
     "Builds maps from recipes over one ring; a leaf and its plain copy are made once."
 
     def __init__(self, name):
-        self.ring, gamma = RINGS[name]
+        ring, gamma = RINGS[name]
+        self.ring = ring()
         self.A = self.ring.carrier
         self.leaves = {("gamma", False): pairing_map(self.A, gamma, "gamma")}
         self.planted = {}
@@ -149,18 +171,21 @@ class Builder:
         return compose_maps(perm_map([self.A] * k, perm), f) if k > 1 else f
 
     def plant(self, key, bad):
-        """Double the leaf ``key`` on every label holding the factor ``bad``,
-        keeping the leaf's kind."""
+        """Double the leaf ``key`` on every label holding the carrier label
+        ``bad`` as one of its carrier factors, keeping the leaf's kind."""
         m = self.leaf(*key)
         if m._pairing is not None:
             gamma = m._pairing
             self.planted[key] = pairing_map(
                 self.A, lambda x, y: 2 * gamma(x, y) if bad in (x, y) else gamma(x, y), "gamma~")
             return
+        a = self.A.arity
 
         def fn(label):
             image = m.apply(label)
-            return 2 * image if bad in factors(label) else image
+            fs = factors(label)
+            held = [pair(*fs[i:i + a]) for i in range(0, len(fs), a)]
+            return 2 * image if bad in held else image
         make = monomial_map if m._monomial else LinMap
         self.planted[key] = make(m.dom, m.cod, fn, name=m.name + "~")
 
@@ -177,7 +202,7 @@ def sides(name, m, prefix, kind, middle, suffix):
     b = Builder(name)
     A = b.A
     head = b.build(prefix, m)
-    k = head.cod.arity
+    k = head.cod.arity // A.arity   # in factors of the carrier
     if kind in ("interchange", "symmetry"):
         (a, p, q), (c, r, s) = middle
         fa, fc = b.build(a, p), b.build(c, r)
@@ -197,7 +222,7 @@ def sides(name, m, prefix, kind, middle, suffix):
         lhs = rhs = b.build(middle[0], k)
     else:
         lhs = b.build(middle[0] if kind == "defect" else middle, k)
-    tail = b.build(suffix, lhs.cod.arity)
+    tail = b.build(suffix, lhs.cod.arity // A.arity)
     f = compose_maps(compose_maps(head, lhs), tail)
     if kind == "opaque":
         return f, LinMap(f.dom, f.cod, f.apply, name="opaque")
@@ -211,7 +236,7 @@ def sides(name, m, prefix, kind, middle, suffix):
         window = A.enumerate(2)
         b.plant(keys[middle[1] % len(keys)], window[middle[2] % len(window)])
         return f, compose_maps(compose_maps(b.build(prefix, m), b.build(middle[0], k)),
-                               b.build(suffix, lhs.cod.arity))
+                               b.build(suffix, lhs.cod.arity // A.arity))
     return f, compose_maps(compose_maps(head, rhs), tail)
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfchains import grading, laws, linalg, pareigis
 from hopfchains.linalg import (
-    UNIT, UNIT_SPACE, ZERO, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
+    UNIT, UNIT_SPACE, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
     compose_maps, equal_on_window, factors, finite_space, identity_map,
     label_key, label_to_json, left, memoised, monomial_map, pair,
     perm_map, right, scale_map, show_label, split_label, sum_space, swap_map,
@@ -41,7 +41,7 @@ def x(k):
 
 
 def zero_map(X, Y):
-    return LinMap(X, Y, lambda l: ZERO, name="0")
+    return LinMap(X, Y, lambda l: Vec.zero(), name="0")
 
 
 def test_pair_is_strictly_associative_and_unital():
@@ -312,7 +312,7 @@ def test_applying_a_map_to_cancelling_terms_stores_no_zero():
     f = LinMap(S, S, images.__getitem__)
     collapse = LinMap(S, S, lambda l: Vec.basis(g))
     gone = collapse(Vec.basis(g) - Vec.basis(h))
-    assert gone == ZERO and gone.entries == {}
+    assert gone == Vec.zero() and gone.entries == {}
     left_over = f(Vec.basis(g) - Vec.basis(h))
     assert left_over.entries == {h: 1}
 
@@ -764,7 +764,7 @@ def test_a_part_of_two_factors_is_cut_into_them():
     flip = LinMap(D, swap.cod, lambda l: Vec.basis(pair(*factors(l)[1:], factors(l)[0])))
     assert equal_on_window(swap, flip, 40) == CheckResult("", "equal", len(want))
     bad = want[100]
-    wrong = LinMap(D, swap.cod, lambda l: ZERO if l == bad else flip.apply(l))
+    wrong = LinMap(D, swap.cod, lambda l: Vec.zero() if l == bad else flip.apply(l))
     got = equal_on_window(swap, wrong, 40)
     assert got == reference_check(swap, wrong, 40, "") and got.counterexample.label == bad
 
@@ -1078,7 +1078,8 @@ def test_a_unit_codomain_leaf_compares_with_a_summed_composite():
     assert equal_on_window(eps2, leaf, 1) == CheckResult("", "equal", n)
     # a failing law reports both images from apply: {} against {"1": c}
     bad = [l for l in D.enumerate(1) if eps2.apply(l)][-1]
-    planted = LinMap(D, UNIT_SPACE, lambda l: ZERO if l == bad else eps2.apply(l), name="eps2'")
+    planted = LinMap(D, UNIT_SPACE, lambda l: Vec.zero() if l == bad else eps2.apply(l),
+                     name="eps2'")
     got = equal_on_window(eps2, planted, 1)
     assert got == reference_check(eps2, planted, 1, "")
     assert json.dumps(got.counterexample.to_json()) == json.dumps(

@@ -6,8 +6,8 @@ import pytest
 
 from hopfchains import diffhopf, semidirect
 from hopfchains.chains import (
-    ChainComplex, ChainMap, IllegalChain, eye, mat, random_chain_map, random_complex,
-    tensor_chains, zeros,
+    ChainComplex, ChainMap, IllegalChain, _column, eye, mat, random_chain_map,
+    random_complex, tensor_chains, zeros,
 )
 from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import monomial
@@ -20,14 +20,40 @@ from hopfchains.linalg import (
     pair, show_label, tensor_space,
 )
 from hopfchains.pareigis import (
-    PSI, XI, XI_INV, chain_map_to_linmap, chain_to_comodule,
-    comodule_to_chain, identify_semidirect,
-    linmap_to_chain_map, monomial as pm, normalize_word, pareigis_ring,
-    rewrite_once, ring_by_name, word_of,
+    PSI, XI, XI_INV, chain_to_comodule, comodule_to_chain, identify_semidirect,
+    monomial as pm, normalize_word, pareigis_ring, rewrite_once, ring_by_name,
+    word_of,
 )
 
 # the letters of P's words
 ALPHABET = (XI, XI_INV, PSI)
+
+
+def chain_map_to_linmap(f, src_comodule, tgt_comodule):
+    "Transport a chain map to a map of the underlying based spaces."
+    def fn(label):
+        n, i = label[2]
+        return Vec(_column(f.blocks.get(n), i, lambda j: atom(f.tgt.name, n, j)))
+
+    return LinMap(src_comodule.carrier, tgt_comodule.carrier, fn,
+                  name="chainmap")
+
+
+def linmap_to_chain_map(g, X, Y):
+    """Read a based-space map back into degree-wise matrices; an image
+    label outside Y's basis in its source's degree is IllegalChain."""
+    blocks = {}
+    for n in X.degrees():
+        b = zeros(Y.rank(n), X.rank(n))
+        rows = {atom(Y.name, n, j): j for j in range(Y.rank(n))}
+        for i in range(X.rank(n)):
+            for lbl, c in g.apply(atom(X.name, n, i)).items():
+                if lbl not in rows:
+                    raise IllegalChain("image label %s is not in the degree-%d basis of %s"
+                                       % (show_label(lbl), n, Y.name))
+                b[rows[lbl], i] = c
+        blocks[n] = b
+    return ChainMap(X, Y, blocks)
 
 
 def test_normal_form_examples():
