@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 from .linalg import (
     UNIT, UNIT_SPACE, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
-    compose_maps, equal_on_window, identity_map, left, pair, right, sum_space,
-    tensor_maps, tensor_space,
+    compose_maps, equal_on_window, identity_map, left, pair, right, tensor_maps,
+    tensor_space,
 )
 from .laws import (
     Bimonoid, Coelement, Comodule, IllegalComodule, LawViolation,
-    Report, check_bialgebra_laws, check_coelement, check_comodule_morphism,
+    check_bialgebra_laws, check_coelement, check_comodule_morphism,
     check_hopf_morphism, comodule_braiding, distributive_law_tau, plain_swap,
     tensor_comodule, verify,
 )
@@ -37,7 +37,7 @@ from .semidirect import (
 from .chains import (
     Bicomplex, ChainComplex, ChainMap, IllegalChain, chain_symmetry,
     comonad_comparison, curry_adjunction, internal_hom, left_adjoint_complex,
-    random_bicomplex, random_chain_map, random_complex, right_adjoint_complex,
+    random_bicomplex, random_complex, right_adjoint_complex,
     second_differential, tensor_chains, triangle_identities_hold,
     underlying_graded,
 )

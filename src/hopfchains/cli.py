@@ -1,7 +1,7 @@
 """Command-line front end: build rings, run law suites, emit reports.
 
 Every command appends its verdict rows (``CheckResult``s) to one
-``Report``; a suite's rows are named ``suite/law``.  Exit status is 0
+list; a suite's rows are named ``suite/law``.  Exit status is 0
 when every verdict is equal/accept, 1 on any failure, 2 on a config
 error.  With a fixed config and seed the JSON report is byte-identical
 across runs (timings are reported in text format only; the JSON keeps a
@@ -25,7 +25,7 @@ from .diffhopf import (
 )
 from .grading import Bicharacter, GradedModule, graded_to_comodule, laurent_hopf, sign_coelement
 from .laws import (
-    VALIDATION_WINDOW, LawViolation, Report, check_bialgebra_laws, check_coelement,
+    VALIDATION_WINDOW, LawViolation, check_bialgebra_laws, check_coelement,
     plain_swap, tensor_comodule,
 )
 from .pareigis import (
@@ -144,10 +144,7 @@ def cmd_build_semidirect(cfg, report):
         if any(order != 0 for _, order in carrier.summands):
             raise ConfigError("build-semidirect needs a free carrier "
                               "(torsion summands cannot be based)")
-        comps = {}
-        for deg, _ in carrier.summands:
-            comps[deg] = comps.get(deg, 0) + 1
-        dmod = GradedModule.of(comps, rank=1, name="d")
+        dmod = GradedModule.of([(deg, 1) for deg, _ in carrier.summands], rank=1, name="d")
     else:
         dmod = GradedModule.of({cfg.s: 1}, rank=1, name="d")
     gamma = sign_coelement(Bicharacter(1, (-1,)))
@@ -270,7 +267,7 @@ RUNNERS = {
 def run_command(cfg):
     "Execute a validated config; returns (exit_status, report dict)."
     cfg.validate()
-    rows = Report()
+    rows = []
     RUNNERS[cfg.command](cfg, rows)
     echo = asdict(cfg)
     del echo["output"]  # destination, not input: keep reports reproducible
@@ -279,7 +276,7 @@ def run_command(cfg):
                 "millis": r.seconds * 1000}
                for r in sorted(rows, key=lambda r: r.law)]
     report = {"version": __version__, "config": echo, "results": results}
-    return (0 if rows.ok else 1), report
+    return (0 if all(rows) else 1), report
 
 
 def render_json(report):

@@ -21,8 +21,8 @@ from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coeleme
 from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, comodule_braiding
 from .linalg import (
     UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, _is_int, _json_type,
-    equal_on_window, identity_map, left, pair, right, scale_map, split_label,
-    sum_space, tensor_space,
+    equal_on_window, finite_space, identity_map, left, pair, right, scale_map,
+    split_label, tensor_space,
 )
 from .semidirect import ComoduleBimonoid
 
@@ -179,7 +179,8 @@ def brute_force_carrier_check(D, bich):
 
 
 def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW):
-    """The Hopf ring on Left(D) + Right(I) from an admissible comodule D.
+    """The Hopf ring on Left(D) + Right(I) from an admissible comodule D,
+    whose carrier is finite.
 
     Nonzero multiplication components are unitor relabelings (D.D = 0),
     comultiplication components their inverses, and the antipode is -1
@@ -197,7 +198,7 @@ def build_differential_hopf(D, coelement, window=VALIDATION_WINDOW):
 
     A = coelement.ring
     Ds = D.carrier
-    H = sum_space(Ds, UNIT_SPACE)
+    H = finite_space("(%s+I)" % Ds.name, [left(d) for d in Ds.enumerate(0)] + [right(UNIT)])
     HH = tensor_space(H, H)
 
     def mu_fn(label):

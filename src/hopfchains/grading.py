@@ -125,12 +125,13 @@ class GradedModule:
 
     @classmethod
     def of(cls, components, rank=None, name="m"):
-        comps = []
-        for deg, dim in dict(components).items():
+        """From a dict or pairs of degree and dim; a degree is an int or a
+        sequence, and the dims of one degree however spelled add up."""
+        dims = {}
+        for deg, dim in components.items() if isinstance(components, dict) else components:
             deg = (deg,) if isinstance(deg, int) else tuple(deg)
-            if dim:
-                comps.append((deg, dim))
-        comps.sort()
+            dims[deg] = dims.get(deg, 0) + dim
+        comps = sorted((deg, dim) for deg, dim in dims.items() if dim)
         if rank is None:
             rank = len(comps[0][0]) if comps else 1
         for deg, _ in comps:
@@ -138,22 +139,8 @@ class GradedModule:
                 raise ValueError("degree %s has wrong rank" % (deg,))
         return cls(rank, tuple(comps), name)
 
-    def __post_init__(self):
-        # dim_at's table; not a field, so it is left out of ==, hash and repr
-        object.__setattr__(self, "_dims", dict(self.components))
-
-    def dim_at(self, deg):
-        return self._dims.get((deg,) if isinstance(deg, int) else tuple(deg), 0)
-
-    def basis_at(self, deg):
-        deg = (deg,) if isinstance(deg, int) else tuple(deg)
-        return [atom(self.name, *deg, i) for i in range(self.dim_at(deg))]
-
     def basis(self):
-        out = []
-        for deg, _ in self.components:
-            out.extend(self.basis_at(deg))
-        return out
+        return [atom(self.name, *deg, i) for deg, dim in self.components for i in range(dim)]
 
 
 def sigma_space(M):

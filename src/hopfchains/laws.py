@@ -19,23 +19,6 @@ from .linalg import (
 VALIDATION_WINDOW = 3
 
 
-class Report(list):
-    "A list of CheckResult rows with an all-clear flag and JSON form."
-
-    @property
-    def ok(self):
-        return all(r.equal for r in self)
-
-    def failures(self):
-        return [r for r in self if not r.equal]
-
-    def to_json(self):
-        return [r.to_json() for r in self]
-
-    def __repr__(self):
-        return "\n".join(repr(r) for r in self)
-
-
 class Bimonoid:
     """A based space with mu, eta, delta, epsilon and antipode.
 
@@ -94,10 +77,10 @@ class LawViolation(Exception):
 
 
 class Verified:
-    """An object ``verify`` checks: ``suite(K)`` is its Report on window K
-    and ``violation`` the exception its failures raise.  ``verify`` alone
-    sets ``window`` and ``report``, the largest window that passed and
-    its Report.
+    """An object ``verify`` checks: ``suite(K)`` is its report on window K,
+    a list of CheckResults (each true when it holds), and ``violation``
+    the exception its failures raise.  ``verify`` alone sets ``window``
+    and ``report``, the largest window that passed and its report.
     """
 
     window = report = None
@@ -105,7 +88,7 @@ class Verified:
 
 
 def verify(obj, K):
-    """The passing Report of ``obj.suite`` at a window >= K; None if K is.
+    """The passing report of ``obj.suite`` at a window >= K; None if K is.
 
     The suite runs only when no window >= K has passed on ``obj`` yet:
     window enumeration is monotone in K, so an earlier pass covers every
@@ -116,8 +99,8 @@ def verify(obj, K):
         return None
     if obj.window is None or obj.window < K:
         report = obj.suite(K)
-        if not report.ok:
-            raise obj.violation(report.failures())
+        if not all(report):
+            raise obj.violation([r for r in report if not r])
         obj.window, obj.report = K, report
     return obj.report
 
@@ -141,9 +124,9 @@ class Comodule(Verified):
     def legality(self, K):
         A = self.ring
         id_x = identity_map(self.carrier)
-        counit = Report([equal_on_window(
+        counit = [equal_on_window(
             compose_maps(self.coaction, tensor_maps(A.epsilon, id_x)),
-            id_x, K, law="comodule-counit")])
+            id_x, K, law="comodule-counit")]
         lhs = compose_maps(self.coaction, tensor_maps(A.delta, id_x))
         rhs = compose_maps(self.coaction,
                            tensor_maps(identity_map(A.carrier), self.coaction))
@@ -232,7 +215,7 @@ def check_bialgebra_laws(B, braid, K):
     H = B.carrier
     idh = identity_map(H)
     mu, eta, delta, eps = B.mu, B.eta, B.delta, B.epsilon
-    report = Report()
+    report = []
 
     def law(name, lhs, rhs):
         report.append(equal_on_window(lhs, rhs, K, law=name))
@@ -263,13 +246,13 @@ def check_bialgebra_laws(B, braid, K):
 def check_hopf_morphism(f, B, C, K):
     "Rows mu, eta, delta, epsilon, antipode: f : B -> C carries each map of B to C's."
     ff = f @ f
-    return Report([
+    return [
         equal_on_window(B.mu >> f, ff >> C.mu, K, law="mu"),
         equal_on_window(B.eta >> f, C.eta, K, law="eta"),
         equal_on_window(B.delta >> ff, f >> C.delta, K, law="delta"),
         equal_on_window(B.epsilon, f >> C.epsilon, K, law="epsilon"),
         equal_on_window(B.antipode >> f, f >> C.antipode, K, law="antipode"),
-    ])
+    ]
 
 
 def check_coelement(c, K):
@@ -283,7 +266,7 @@ def check_coelement(c, K):
     mu, delta = c.ring.mu, c.ring.delta
     g = c.as_map()
     ida = identity_map(A)
-    report = Report()
+    report = []
 
     # axiom 1 on A(x)A: both sides land in A.
     dd = tensor_maps(delta, delta)

@@ -231,9 +231,6 @@ class Vec:
         v.entries = out
         return v
 
-    def coefficient(self, label):
-        return self.entries.get(label, 0)
-
     def to_json(self):
         terms = sorted(self.entries.items(), key=lambda kv: label_key(kv[0]))
         return [[c, label_to_json(k)] for k, c in terms]
@@ -273,13 +270,13 @@ class Space:
     labels it lists.  A space with a finite basis lists all of it for
     every window.
 
-    The constructors (``finite_space``, ``tensor_space``, ``sum_space``
-    and the ring carriers) intern their spaces: while a space is alive,
-    every construction from the same data returns that one object, so
-    two spaces are one space exactly when they are the same object
-    (``is``).  A space made by calling ``Space`` directly is its own,
-    unlike any other.  A name is part of the data of a finite space
-    only, and no check compares names on their own.
+    The constructors (``finite_space``, ``tensor_space`` and the ring
+    carriers) intern their spaces: while a space is alive, every
+    construction from the same data returns that one object, so two
+    spaces are one space exactly when they are the same object (``is``).
+    A space made by calling ``Space`` directly is its own, unlike any
+    other.  A name is part of the data of a finite space only, and no
+    check compares names on their own.
     """
 
     __slots__ = ("name", "arity", "_window", "_parts", "__weakref__")
@@ -377,19 +374,6 @@ def _joined(parts, windows):
     cuts = [[(l,) if p.arity == 1 else l[1:] for l in w]
             for p, w in zip(parts, windows)]
     return [sum(combo, (_TENSOR,)) for combo in itertools.product(*cuts)]
-
-
-def sum_space(X, Y):
-    """Direct sum ``(X+Y)``, interned by its summands; labels are
-    Left/Right-tagged labels of the summands."""
-    return _interned(_sum_space, X, Y)
-
-
-def _sum_space(X, Y):
-    def window(K):
-        return [left(l) for l in X.enumerate(K)] + [right(l) for l in Y.enumerate(K)]
-
-    return Space("(%s+%s)" % (X.name, Y.name), 1, window)
 
 
 def split_label(X, Y, label):
@@ -500,16 +484,6 @@ class LinMap:
 
     def __matmul__(self, other):
         return tensor_maps(self, other)
-
-    def __add__(self, other):
-        if self.dom is not other.dom or self.cod is not other.cod:
-            raise SpaceMismatch("cannot add %s and %s" % (self, other))
-        return LinMap(self.dom, self.cod,
-                      lambda l: self.apply(l) + other.apply(l),
-                      name="(%s+%s)" % (self.name, other.name))
-
-    def __neg__(self):
-        return scale_map(self, -1)
 
     def __repr__(self):
         return "LinMap(%s: %s -> %s)" % (self.name or "?", self.dom.name, self.cod.name)

@@ -26,7 +26,7 @@ A-comodules and comodules over the product ring.
 from __future__ import annotations
 
 from .laws import (
-    VALIDATION_WINDOW, Bimonoid, Comodule, Report, Verified,
+    VALIDATION_WINDOW, Bimonoid, Comodule, Verified,
     check_bialgebra_laws, check_comodule_morphism, comodule_braiding,
     distributive_law_tau, plain_swap, tensor_comodule, unit_comodule, verify,
 )
@@ -59,7 +59,7 @@ class ComoduleBimonoid(Verified):
     def suite(self, K):
         "The morphism report, then (if it passes) the braided bialgebra suite."
         report = self.morphism_report(K)
-        if report.ok:
+        if all(report):
             report += check_bialgebra_laws(self.hopf, self.braiding(), K)
         return report
 
@@ -80,12 +80,12 @@ class ComoduleBimonoid(Verified):
         H, com = self.hopf, self.comodule
         hh = tensor_comodule(com, com)
         one = unit_comodule(self.ring)
-        return Report([
+        return [
             check_comodule_morphism(H.mu, hh, com, K),
             check_comodule_morphism(H.eta, one, com, K),
             check_comodule_morphism(H.delta, com, hh, K),
             check_comodule_morphism(H.epsilon, com, one, K),
-        ])
+        ]
 
 
 class SemidirectRing(Bimonoid, Verified):

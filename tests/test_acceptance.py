@@ -9,9 +9,8 @@ import time
 
 from hopfchains.chains import (
     Bicomplex, chain_symmetry, comonad_comparison, curry_adjunction,
-    identity_chain_map, is_zero, mat, random_bicomplex, random_chain_map,
-    random_complex, second_differential, tensor_chains,
-    triangle_identities_hold,
+    identity_chain_map, is_zero, mat, random_bicomplex, random_complex,
+    second_differential, tensor_chains, triangle_identities_hold,
 )
 from hopfchains.diffhopf import (
     GradedCarrier, brute_force_carrier_check, check_differential_carrier,
@@ -32,6 +31,8 @@ from hopfchains.semidirect import (
     semidirect_product, tensor_wcomodule,
 )
 
+from random_maps import random_chain_map
+
 
 def report_line(number, name, started):
     print("ACCEPTANCE %d (%s): PASS in %.2fs"
@@ -42,7 +43,7 @@ def test_criterion_1_hopf_suite_window_eight():
     started = time.monotonic()
     for s in (-1, 1):
         report = check_bialgebra_laws(pareigis_ring(s), plain_swap(), 8)
-        assert report.ok, report.failures()
+        assert all(report), [r for r in report if not r]
         laws = {r.law for r in report}
         assert laws >= {"associativity", "unit-left", "unit-right",
                         "coassociativity", "counit-left", "counit-right",
@@ -57,7 +58,7 @@ def test_criterion_2_coelement_axioms_window_eight():
     for kappa in (1, -1):
         gamma = sign_coelement(Bicharacter(1, (kappa,)))
         report = check_coelement(gamma, 8)
-        assert report.ok, report.failures()
+        assert all(report), [r for r in report if not r]
 
     ring = sign_coelement(Bicharacter(1, (-1,))).ring
 
@@ -65,8 +66,8 @@ def test_criterion_2_coelement_axioms_window_eight():
         return -1 if (a[2][0] + b[2][0]) % 2 else 1
 
     perturbed = check_coelement(Coelement(ring, parity), 8)
-    assert not perturbed.ok
-    bad = perturbed.failures()
+    assert not all(perturbed)
+    bad = [r for r in perturbed if not r]
     assert all(r.counterexample is not None for r in bad)
     # spot value: at (i, j, k) = (1, 1, 1) the two sides are -1 and 1
     x = monomial
@@ -80,7 +81,7 @@ def test_criterion_3_identification_with_pareigis():
     started = time.monotonic()
     for s in (-1, 1):
         report = identify_semidirect(s, K=6)
-        assert report.ok, report.failures()
+        assert all(report), [r for r in report if not r]
         assert {r.law for r in report} >= {"mu", "eta", "delta", "epsilon",
                                            "antipode"}
     report_line(3, "semidirect product equals the Pareigis ring, K=6", started)
@@ -92,7 +93,7 @@ def test_criterion_4_semidirect_theorem():
         hb = differential_comodule_bimonoid(s)
         sd = semidirect_product(hb, window=6)
         report = check_bialgebra_laws(sd, plain_swap(), 6)
-        assert report.ok, report.failures()
+        assert all(report), [r for r in report if not r]
         semidirect_antipode(hb, window=6)  # raises on any identity failure
     report_line(4, "semidirect bimonoid suite and antipode identities, K=6",
                 started)

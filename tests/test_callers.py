@@ -30,11 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hopfchains"
 
 # module.name -> why it stays without a caller outside the tests
-UNCALLED = {
-    "chains.random_chain_map": "the seeded chain-map generator that three test files share",
-    "linalg.Vec.coefficient": "reads one coefficient of a vector; deleting it moved the "
-                              "laws-window peak RSS past its bound (heap layout)",
-}
+UNCALLED = {}
 
 # the public method names that two or more public classes define: the scan
 # counts each as called when any method of that name is

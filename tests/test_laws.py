@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from hopfchains.diffhopf import build_differential_hopf
@@ -35,12 +33,12 @@ def d_comodule(s, ring):
 def test_laurent_ring_passes_all_laws():
     Z = laurent_hopf(1)
     report = check_bialgebra_laws(Z, plain_swap(), 6)
-    assert report.ok, report.failures()
+    assert all(report), [r for r in report if not r]
 
 
 def test_pareigis_ring_passes_all_laws():
     report = check_bialgebra_laws(pareigis_ring(-1), plain_swap(), 6)
-    assert report.ok, report.failures()
+    assert all(report), [r for r in report if not r]
 
 
 def test_inadmissible_carrier_breaks_interchange_at_dd():
@@ -50,7 +48,7 @@ def test_inadmissible_carrier_breaks_interchange_at_dd():
     gamma = sign_coelement(Bicharacter(1, (-1,)))
     hb = build_differential_hopf(d_comodule(0, gamma.ring), gamma, window=None)
     report = check_bialgebra_laws(hb.hopf, hb.braiding(), 3)
-    bad = report.failures()
+    bad = [r for r in report if not r]
     assert [r.law for r in bad] == ["interchange"]
     cx = bad[0].counterexample
     d = hb.hopf.carrier.enumerate(0)[0]
@@ -61,13 +59,13 @@ def test_inadmissible_carrier_breaks_interchange_at_dd():
 
 def test_sign_coelement_passes_axioms():
     gamma = sign_coelement(Bicharacter(1, (-1,)))
-    assert check_coelement(gamma, 5).ok
+    assert all(check_coelement(gamma, 5))
 
 
 def test_trivial_coelement_passes_axioms():
     Z = laurent_hopf(1)
     gamma = Coelement(Z, lambda a, b: 1, name="trivial")
-    assert check_coelement(gamma, 4).ok
+    assert all(check_coelement(gamma, 4))
 
 
 def test_parity_pairing_is_not_a_coelement():
@@ -78,10 +76,9 @@ def test_parity_pairing_is_not_a_coelement():
 
     gamma = Coelement(Z, parity)
     report = check_coelement(gamma, 3)
-    failed = {r.law for r in report.failures()}
-    assert "coelement-ax2" in failed
-    for r in report.failures():
-        assert r.counterexample is not None
+    failures = [r for r in report if not r]
+    assert "coelement-ax2" in {r.law for r in failures}
+    assert all(r.counterexample is not None for r in failures)
 
     # direct evaluation at (i, j, k) = (1, 1, 1): gamma(x, x.x) = -1 but
     # the product of the two gammas is (+1)(+1) = 1.
@@ -112,7 +109,7 @@ def test_braiding_on_homogeneous_elements_uses_degree_product():
     gamma = sign_coelement(Bicharacter(1, (-1,)))
     M = GradedModule.of({1: 1, 2: 1}, name="m")
     X = graded_to_comodule(M, gamma.ring)
-    u, v = M.basis_at(1)[0], M.basis_at(2)[0]
+    u, v = M.basis()
     braid = comodule_braiding(X, X, gamma)
     assert braid.apply(pair(u, v)) == Vec.basis(pair(v, u))
     assert braid.apply(pair(u, u)) == Vec.basis(pair(u, u), -1)
@@ -149,7 +146,7 @@ def test_tau_on_unit_comodule_is_unitor():
 def test_structure_maps_are_comodule_morphisms(s):
     gamma = sign_coelement(Bicharacter(1, (-1,)))
     hb = build_differential_hopf(d_comodule(s, gamma.ring), gamma)
-    assert hb.morphism_report(4).ok
+    assert all(hb.morphism_report(4))
 
 
 def test_identity_is_a_comodule_morphism():
@@ -173,14 +170,7 @@ def test_failures_persist_at_larger_windows():
     hb = build_differential_hopf(d_comodule(0, gamma.ring), gamma, window=None)
     for K in (2, 3, 4):
         report = check_bialgebra_laws(hb.hopf, hb.braiding(), K)
-        assert not report.ok
-
-
-def test_report_serializes_to_json():
-    Z = laurent_hopf(1)
-    report = check_bialgebra_laws(Z, plain_swap(), 2)
-    doc = json.loads(json.dumps(report.to_json()))
-    assert all(set(row) >= {"law", "verdict", "instances_checked"} for row in doc)
+        assert not all(report)
 
 
 def test_comodule_legality_is_enforced_at_construction():

@@ -17,8 +17,8 @@ from hopfchains.linalg import (
     UNIT, UNIT_SPACE, CheckResult, LinMap, Space, SpaceMismatch, Vec, atom,
     compose_maps, equal_on_window, factors, finite_space, identity_map,
     label_key, label_to_json, left, memoised, monomial_map, pair,
-    perm_map, right, scale_map, show_label, split_label, sum_space, swap_map,
-    tensor_maps, tensor_space,
+    perm_map, right, scale_map, show_label, split_label, swap_map, tensor_maps,
+    tensor_space,
 )
 from hopfchains.diffhopf import two_term_ring
 from hopfchains.grading import (
@@ -98,7 +98,7 @@ def test_vec_arithmetic_is_exact_and_structural():
         assert u - u == Vec.zero()
     assert not (0 * rand_vec())
     big = (10 ** 30) * Vec.basis(atom("v", 0))
-    assert big.coefficient(atom("v", 0)) == 10 ** 30
+    assert big.entries[atom("v", 0)] == 10 ** 30
 
 
 def test_compose_identity_and_scalars():
@@ -186,12 +186,6 @@ def test_split_label_respects_arities():
     first, second = split_label(AA, A, lbl)
     assert first == pair(x(1), x(2))
     assert second == x(3)
-
-
-def test_sum_space_window_enumeration():
-    S = finite_space("S", [atom("d")])
-    H = sum_space(S, UNIT_SPACE)
-    assert H.enumerate(3) == [left(atom("d")), right(UNIT)]
 
 
 def supported_on_codomain(f, K):
@@ -435,7 +429,6 @@ def test_spaces_sharing_a_name_are_told_apart():
                   lambda: compose_maps(one, two),
                   lambda: compose_maps(leaf, two),
                   lambda: compose_maps(two, leaf),
-                  lambda: one + two,
                   lambda: equal_on_window(tensor_maps(one, one),
                                           tensor_maps(two, two), 0)):
         with pytest.raises(SpaceMismatch):
@@ -460,8 +453,6 @@ def test_spaces_are_interned_by_their_data():
     assert tensor_space(tensor_space(A, B), Z) is tensor_space(A, tensor_space(B, Z))
     assert tensor_space(A, B) is not tensor_space(B, A)
     assert tensor_space(A, UNIT_SPACE) is A and tensor_space(UNIT_SPACE, A) is A
-    assert sum_space(A, UNIT_SPACE) is sum_space(A, UNIT_SPACE)
-    assert sum_space(A, B) is not sum_space(B, A)
 
 
 def test_a_space_nothing_holds_is_freed():
@@ -494,8 +485,8 @@ def failing_verdicts():
     def parity(a, b):
         return -1 if (a[2][0] + b[2][0]) % 2 else 1
 
-    doc = {"parity-coelement-K8":
-           check_coelement(Coelement(laurent_hopf(1), parity), 8).to_json()}
+    doc = {"parity-coelement-K8": [
+        r.to_json() for r in check_coelement(Coelement(laurent_hopf(1), parity), 8)]}
     for s in (-1, 1):
         ring = pareigis_ring(s)
         anti, tail, extra = ring.antipode, pm(1, 3), Vec.basis(pm(0, 1), 2)
@@ -504,8 +495,8 @@ def failing_verdicts():
                         name="antipode")
         mutant = Bimonoid(ring.carrier, ring.mu, ring.eta, ring.delta,
                           ring.epsilon, broken)
-        doc["antipode-broken-at-psi-xi3-s%+d-K3" % s] = check_bialgebra_laws(
-            mutant, plain_swap(), 3).to_json()
+        doc["antipode-broken-at-psi-xi3-s%+d-K3" % s] = [
+            r.to_json() for r in check_bialgebra_laws(mutant, plain_swap(), 3)]
     return doc
 
 
@@ -1255,7 +1246,7 @@ def _signed_mu(ring, W):
 
 
 def _differential_cases():
-    "name -> report of a ring (or coelement) -> its Report, and the ring."
+    "name -> report of a ring (or coelement) -> its report, and the ring."
     cases = {}
     for s in (-1, 1):
         cases["P s=%+d" % s] = (
@@ -1322,21 +1313,27 @@ def _semidirect_sign(flip_tail):
 
 
 def _pairing_cases():
-    "name -> a coelement, its window and its pinned report (or None)."
+    """name -> a function building a coelement, its window and its pinned
+    report (or None); a case is built inside its test, so that a defect of
+    one construction (the semidirect product, say) fails its cases alone."""
     cases = {}
     for kappa in (1, -1):
-        cases["sign(%d,)" % kappa] = (sign_coelement(Bicharacter(1, (kappa,))), 4, None)
+        cases["sign(%d,)" % kappa] = lambda kappa=kappa: (
+            sign_coelement(Bicharacter(1, (kappa,))), 4, None)
     for kappas in itertools.product((1, -1), repeat=2):
-        cases["sign%s" % (kappas,)] = (sign_coelement(Bicharacter(2, kappas)), 2, None)
+        cases["sign%s" % (kappas,)] = lambda kappas=kappas: (
+            sign_coelement(Bicharacter(2, kappas)), 2, None)
     # acceptance criterion 2's parity pairing, with its stored counterexample
-    pinned = json.loads((DATA / "failing-verdicts.json").read_text())["parity-coelement-K8"]
-    cases["parity"] = (Coelement(laurent_hopf(1), lambda a, b: -1 if (a[2][0] + b[2][0]) % 2
-                                 else 1), 8, pinned)
-    cases["tail-flip"] = (Coelement(laurent_hopf(1), _tail_flip((-1,), 4)), 4, None)
-    cases["asymmetric P"] = (Coelement(RINGS["P"], p_parity, name="parity"), 3, None)
-    cases["one-sided"] = (Coelement(laurent_hopf(1), one_sided, name="one-sided"), 3, None)
+    cases["parity"] = lambda: (
+        Coelement(laurent_hopf(1), lambda a, b: -1 if (a[2][0] + b[2][0]) % 2 else 1), 8,
+        json.loads((DATA / "failing-verdicts.json").read_text())["parity-coelement-K8"])
+    cases["tail-flip"] = lambda: (Coelement(laurent_hopf(1), _tail_flip((-1,), 4)), 4, None)
+    cases["asymmetric P"] = lambda: (Coelement(RINGS["P"], p_parity, name="parity"), 3, None)
+    cases["one-sided"] = lambda: (
+        Coelement(laurent_hopf(1), one_sided, name="one-sided"), 3, None)
     for flip in (False, True):
-        cases["semidirect%s" % (" tail-flip" if flip else "")] = (_semidirect_sign(flip), 3, None)
+        cases["semidirect%s" % (" tail-flip" if flip else "")] = lambda flip=flip: (
+            _semidirect_sign(flip), 3, None)
     return cases
 
 
@@ -1345,15 +1342,15 @@ PAIRING_CASES = _pairing_cases()
 
 @pytest.mark.parametrize("case", sorted(PAIRING_CASES))
 def test_pairing_leaves_give_the_reports_of_plain_leaves(case):
-    c, K, pinned = PAIRING_CASES[case]
+    c, K, pinned = PAIRING_CASES[case]()
     assert c.as_map()._pairing is c.gamma
     got = check_coelement(c, K)
     want = check_coelement(PlainPairing(c.ring, c.gamma, c.name), K)
     # every row alike: law, verdict, labels checked and counterexample
     assert got == want
-    assert got.to_json() == want.to_json()
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
     if pinned is not None:
-        assert got.to_json() == pinned
+        assert [r.to_json() for r in got] == pinned
 
 
 def test_a_pairing_leaf_is_called_with_no_apply_and_no_memo():
@@ -1370,7 +1367,7 @@ def test_a_pairing_leaf_is_called_with_no_apply_and_no_memo():
         return apply(self, label)
     with mock.patch.object(Coelement, "as_map", spy_as_map), \
             mock.patch.object(LinMap, "apply", spy_apply):
-        assert check_coelement(c, 2).ok
+        assert all(check_coelement(c, 2))
     g, = made
     assert all(m is not g for m in applied) and g._cache == {}
     # apply stays the reference, and memoises as any leaf's

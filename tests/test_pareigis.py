@@ -6,11 +6,10 @@ import pytest
 
 from hopfchains import diffhopf, semidirect
 from hopfchains.chains import (
-    ChainComplex, ChainMap, IllegalChain, _column, eye, mat, random_chain_map,
-    random_complex, tensor_chains, zeros,
+    ChainComplex, ChainMap, IllegalChain, _column, eye, mat, random_complex,
+    tensor_chains, zeros,
 )
 from hopfchains.diffhopf import two_term_ring
-from hopfchains.grading import monomial
 from hopfchains.laws import (
     Bimonoid, IllegalComodule, check_bialgebra_laws, check_comodule_morphism,
     check_hopf_morphism, plain_swap, tensor_comodule,
@@ -24,6 +23,8 @@ from hopfchains.pareigis import (
     monomial as pm, normalize_word, pareigis_ring, rewrite_once, ring_by_name,
     word_of,
 )
+
+from random_maps import random_chain_map
 
 # the letters of P's words
 ALPHABET = (XI, XI_INV, PSI)
@@ -149,14 +150,14 @@ def inverting_xi(sign):
 def test_inverting_xi_is_a_hopf_isomorphism_onto_p_plus(sign):
     report = check_hopf_morphism(inverting_xi(sign), pareigis_ring(-1), pareigis_ring(1), 6)
     assert [r.law for r in report] == ["mu", "eta", "delta", "epsilon", "antipode"]
-    assert report.ok, report.failures()
+    assert all(report), [r for r in report if not r]
 
 
 def test_the_plain_relabelling_of_p_onto_p_plus_is_no_hopf_map():
     P, Q = pareigis_ring(-1), pareigis_ring(1)
     plain = LinMap(P.carrier, Q.carrier, lambda label: Vec.basis(pm(*label[2])), name="plain")
     report = check_hopf_morphism(plain, P, Q, 6)
-    assert {r.law for r in report.failures()} == {"delta", "antipode"}
+    assert {r.law for r in report if not r} == {"delta", "antipode"}
 
 
 def test_every_s_plus_one_coaction_is_its_twin_transported_along_phi():
@@ -183,7 +184,7 @@ def test_the_s_plus_one_i_plus_d_is_its_twin_transported_along_inverting_x():
     rho = LinMap(plus.hopf.carrier, minus.hopf.carrier,
                  lambda label: Vec.basis(d if label[0] == "L" else label), name="rho")
     report = check_hopf_morphism(rho, plus.hopf, minus.hopf, 0)
-    assert report.ok, report.failures()
+    assert all(report), [r for r in report if not r]
     A = plus.ring
     assert A is minus.ring
     transported = rho >> minus.comodule.coaction
@@ -202,7 +203,7 @@ def test_ring_by_name():
 @pytest.mark.parametrize("s", [-1, 1])
 def test_identification_with_the_semidirect_product(s):
     report = identify_semidirect(s, K=4)
-    assert report.ok, report.failures()
+    assert all(report), [r for r in report if not r]
     assert {r.law for r in report} >= {"mu", "eta", "delta", "epsilon", "antipode"}
 
 
@@ -429,7 +430,7 @@ def test_identify_semidirect_builds_i_plus_d_once_per_sign(monkeypatch):
     monkeypatch.setattr(semidirect, "check_bialgebra_laws", spy)
     again = identify_semidirect(1, K=2)
     assert suites == []
-    assert again.to_json() == first.to_json()
+    assert [r.to_json() for r in again] == [r.to_json() for r in first]
 
 
 @pytest.mark.parametrize("s", [0, 2, 3])
@@ -473,14 +474,14 @@ def test_a_mutant_of_the_shared_ring_keeps_its_own_verdict(s):
     # shared antipode's memo must not learn the mutant's value
     ring = pareigis_ring(s)
     W = 3
-    assert check_bialgebra_laws(ring, plain_swap(), W + 1).ok
+    assert all(check_bialgebra_laws(ring, plain_swap(), W + 1))
     anti, tail, extra = ring.antipode, pm(1, W), Vec.basis(pm(0, 1), 2)
     broken = LinMap(anti.dom, anti.cod,
                     lambda l: anti.apply(l) + extra if l == tail else anti.apply(l),
                     name="antipode")
     mutant = Bimonoid(ring.carrier, ring.mu, ring.eta, ring.delta, ring.epsilon, broken)
-    failures = check_bialgebra_laws(mutant, plain_swap(), W).failures()
+    failures = [r for r in check_bialgebra_laws(mutant, plain_swap(), W) if not r]
     assert [r.law for r in failures] == ["antipode-left", "antipode-right"]
     assert all(r.counterexample.label == tail for r in failures)
     assert pareigis_ring(s) is ring
-    assert check_bialgebra_laws(pareigis_ring(s), plain_swap(), 4).ok
+    assert all(check_bialgebra_laws(pareigis_ring(s), plain_swap(), 4))

@@ -132,7 +132,7 @@ def test_biproduct_antipode_agrees_with_the_composite(hb):
 def test_full_suite_and_antipode_identities(hb):
     sd = semidirect_product(hb)
     report = check_bialgebra_laws(sd, plain_swap(), 4)
-    assert report.ok, report.failures()
+    assert all(report), [r for r in report if not r]
     s_map = semidirect_antipode(hb, window=4)
     assert s_map is sd.antipode
 
@@ -148,7 +148,7 @@ def test_grading_ring_is_a_sub_bimonoid(hb):
     pi = hb.hopf.epsilon @ ida
     for f, B, C in ((i, A, sd), (pi, sd, A)):
         report = check_hopf_morphism(f, B, C, 4)
-        assert report.ok, report.failures()
+        assert all(report), [r for r in report if not r]
     assert equal_on_window(i >> pi, ida, 6)
 
 
@@ -195,7 +195,7 @@ def skew_coelement():
 
 def test_a_skew_coelement_fixes_the_order_of_gammas_arguments():
     gamma = skew_coelement()
-    assert check_coelement(gamma, 2).ok
+    assert all(check_coelement(gamma, 2))
     # D = Z in degree (1, 1): gamma(x^(1,1), x^(1,1)) = -1, so it is admissible
     D = graded_to_comodule(GradedModule.of({(1, 1): 1}, rank=2, name="d"), gamma.ring)
     hb = build_differential_hopf(D, gamma, window=2)
@@ -455,13 +455,13 @@ def test_a_window_or_none_is_the_only_switch(kind, laws_run):
 
     # a window runs the suite once; a window no larger runs nothing
     report = verify(obj, 2)
-    assert report.ok and obj.window == 2 and obj.report is report
+    assert all(report) and obj.window == 2 and obj.report is report
     ran = len(laws_run)
     assert ran > 0
     assert verify(obj, 2) is report and verify(obj, 1) is report
     assert len(laws_run) == ran
     # a larger window runs it again
-    assert verify(obj, 3).ok and obj.window == 3
+    assert all(verify(obj, 3)) and obj.window == 3
     assert len(laws_run) > ran
     assert verify(obj, None) is None and obj.window == 3
 
