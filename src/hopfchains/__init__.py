@@ -42,6 +42,6 @@ from .chains import (
     underlying_graded,
 )
 from .pareigis import (
-    chain_to_comodule, comodule_to_chain, identify_semidirect, normalize_word,
-    pareigis_ring, ring_by_name,
+    chain_to_comodule, comodule_to_chain, identify_semidirect, pareigis_ring,
+    ring_by_name,
 )

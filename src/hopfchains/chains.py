@@ -63,12 +63,6 @@ class _Matrix:
             return NotImplemented
         return self.ncols == other.ncols and self.rows == other.rows
 
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shapes %s and %s differ" % (self.shape, other.shape))
-        return _Matrix([[a + b for a, b in zip(r, s)]
-                        for r, s in zip(self.rows, other.rows)], self.ncols)
-
     def __neg__(self):
         return _Matrix([[-a for a in r] for r in self.rows], self.ncols)
 
@@ -213,12 +207,6 @@ class ChainComplex:
     def rank(self, n):
         return self.ranks.get(n, 0)
 
-    def d(self, n):
-        d = self.diffs.get(n)
-        if d is None:
-            return zeros(self.rank(n - 1), self.rank(n))
-        return d
-
     def degrees(self):
         return sorted(self.ranks)
 
@@ -304,13 +292,13 @@ def identity_chain_map(X):
 # tensor, symmetry, hom, currying
 
 
-def _offsets(ra, rb, sign=1):
-    """The basis layout of A (x) B from the ranks of A and B.
-
-    Returns the rank of each degree and the first index of A_i (x) B_j in
-    degree i + j, keyed (i, j).  Blocks come by ascending i; within one,
-    a_p (x) b_q is row p * rank(B_j) + q.  ``sign=-1`` puts the block
-    (i, j) in degree j - i instead, as ``_hom_offsets`` does.
+def _offsets(ra, rb, sign):
+    """The basis layout of A (x) B (sign 1) or [A, B] (sign -1) from the
+    ranks of A and B: the rank of each degree and the first index of the
+    block (i, j) in degree sign.i + j, keyed (i, j).  Blocks come by
+    ascending i; within A_i (x) B_j, a_p (x) b_q is row p * rank(B_j) + q,
+    and within Hom(A_i, B_j) the map sending a_q to b_p is row
+    p * rank(A_i) + q (a matrix read row by row).
     """
     ranks, offset = {}, {}
     for i in sorted(ra):
@@ -319,14 +307,6 @@ def _offsets(ra, rb, sign=1):
             offset[i, j] = ranks.get(n, 0)
             ranks[n] = offset[i, j] + ra[i] * r
     return ranks, offset
-
-
-def _hom_offsets(rb, rc):
-    """The basis layout of [B, C]: the rank of each degree and the first
-    index of Hom(B_j, C_k) in degree k - j, keyed (j, k).  Blocks come by
-    ascending j; within one, the map sending b_q to c_p is row
-    p * rank(B_j) + q (a matrix read row by row)."""
-    return _offsets(rb, rc, -1)
 
 
 def _kron(a, b):
@@ -373,9 +353,9 @@ def tensor_chains(A, B):
     >>> T = tensor_chains(A, B)
     >>> sorted(T.ranks.items())   # degree 1: a0 (x) b1, a1 (x) b0, a1 (x) b0'
     [(0, 2), (1, 3), (2, 1)]
-    >>> T.d(2).rows               # a1 (x) b1 |-> 2 a0 (x) b1 - a1 (x) b0
+    >>> T.diffs[2].rows           # a1 (x) b1 |-> 2 a0 (x) b1 - a1 (x) b0
     [[2], [-1], [0]]
-    >>> T.d(1).rows
+    >>> T.diffs[1].rows
     [[1, 2, 0], [0, 0, 2]]
     >>> tensor_chains(A, B) is T
     True
@@ -385,7 +365,7 @@ def tensor_chains(A, B):
 
 def _tensor_complex(A, B):
     "A (x) B, built and checked."
-    ranks, offset = _offsets(A.ranks, B.ranks)
+    ranks, offset = _offsets(A.ranks, B.ranks, 1)
     diffs = {}
     for (i, j), col in offset.items():
         da, db = A.diffs.get(i), B.diffs.get(j)
@@ -406,8 +386,8 @@ def tensor_chain_maps(f, g):
     Kronecker product f_i (x) g_j, placed by the ``_offsets`` of both ends.
     It needs no sign, as f and g keep degrees."""
     src, tgt = tensor_chains(f.src, g.src), tensor_chains(f.tgt, g.tgt)
-    _, cols = _offsets(f.src.ranks, g.src.ranks)
-    _, rows = _offsets(f.tgt.ranks, g.tgt.ranks)
+    _, cols = _offsets(f.src.ranks, g.src.ranks, 1)
+    _, rows = _offsets(f.tgt.ranks, g.tgt.ranks, 1)
     blocks = {}
     for (i, j), col in cols.items():
         fb, gb = f.blocks.get(i), g.blocks.get(j)
@@ -427,8 +407,8 @@ def chain_symmetry(A, B):
     """
     AB = tensor_chains(A, B)
     BA = tensor_chains(B, A)
-    _, src = _offsets(A.ranks, B.ranks)
-    _, tgt = _offsets(B.ranks, A.ranks)
+    _, src = _offsets(A.ranks, B.ranks, 1)
+    _, tgt = _offsets(B.ranks, A.ranks, 1)
     blocks = {n: zeros(BA.rank(n), r) for n, r in AB.ranks.items()}
     for (i, j), col in src.items():
         ra, rb, top = A.ranks[i], B.ranks[j], tgt[j, i]
@@ -444,7 +424,7 @@ def internal_hom(B, C):
     """[B, C]_n = prod_j Hom(B_j, C_{j+n}) with differential
     (df)_j b = d(f_j b) - (-1)^n f_{j-1}(db).
 
-    On the row-major basis of ``_hom_offsets``, f |-> dc f is dc (x) 1
+    On the row-major basis of ``_offsets`` (sign -1), f |-> dc f is dc (x) 1
     and f |-> f db is 1 (x) db^T.  There is one live [B, C] per pair of
     factor objects, as there is one live B (x) C.
     """
@@ -453,7 +433,7 @@ def internal_hom(B, C):
 
 def _hom_complex(B, C):
     "[B, C], built and checked."
-    ranks, offset = _hom_offsets(B.ranks, C.ranks)
+    ranks, offset = _offsets(B.ranks, C.ranks, -1)
     diffs = {}
     for (j, k), col in offset.items():
         dc, db = C.diffs.get(k), B.diffs.get(j + 1)
@@ -475,13 +455,13 @@ def curry_adjunction(A, B, C):
 
     Returns (curry, uncurry); both directions produce genuine chain maps
     and are mutually inverse.  Both reshape a block between the layouts
-    of ``_offsets`` and ``_hom_offsets``: entry (c_p, a (x) b_q) of a map
+    of ``_offsets`` for both signs: entry (c_p, a (x) b_q) of a map
     on A_i (x) B_j is entry (Hom row p * rank(B_j) + q, a) of its curry.
     """
     AB = tensor_chains(A, B)
     H = internal_hom(B, C)
-    _, tensor = _offsets(A.ranks, B.ranks)
-    _, hom = _hom_offsets(B.ranks, C.ranks)
+    _, tensor = _offsets(A.ranks, B.ranks, 1)
+    _, hom = _offsets(B.ranks, C.ranks, -1)
     # the (i, j) blocks that meet C: A_i (x) B_j -> C_{i+j}
     pieces = [(i, j, tensor[i, j], hom[j, i + j]) for i, j in tensor if (j, i + j) in hom]
 

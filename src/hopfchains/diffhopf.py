@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from .grading import Bicharacter, GradedModule, graded_to_comodule, sign_coelement
 from .laws import VALIDATION_WINDOW, Bimonoid, Comodule, comodule_braiding
 from .linalg import (
-    UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, _is_int, _json_type,
-    equal_on_window, finite_space, identity_map, left, pair, right, scale_map,
-    split_label, tensor_space,
+    UNIT, UNIT_SPACE, CheckResult, LinMap, Vec, equal_on_window, finite_space,
+    identity_map, left, pair, right, scale_map, split_label, tensor_space,
 )
 from .semidirect import ComoduleBimonoid
 
@@ -47,6 +46,20 @@ def cyclic_tensor(a, b):
 def _cyclic_name(n):
     "Z/n by its order, with 0 meaning Z."
     return "Z" if n == 0 else "Z/%d" % n
+
+
+def _is_int(value):
+    "Is a parsed JSON value an integer (not a boolean)?"
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(value):
+    "How a parsed JSON value reads in a message, e.g. ``a list``."
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 @dataclass(frozen=True)

@@ -126,10 +126,13 @@ class GradedModule:
     @classmethod
     def of(cls, components, rank=None, name="m"):
         """From a dict or pairs of degree and dim; a degree is an int or a
-        sequence, and the dims of one degree however spelled add up."""
+        sequence, and the dims of one degree however spelled add up.  A
+        negative dim is a ValueError that names its degree."""
         dims = {}
         for deg, dim in components.items() if isinstance(components, dict) else components:
             deg = (deg,) if isinstance(deg, int) else tuple(deg)
+            if dim < 0:
+                raise ValueError("degree %s has negative dim %d" % (deg, dim))
             dims[deg] = dims.get(deg, 0) + dim
         comps = sorted((deg, dim) for deg, dim in dims.items() if dim)
         if rank is None:

@@ -109,7 +109,7 @@ class Comodule(Verified):
     """A based space with a coaction into A (x) X.
 
     Legality (the counit law and coassociativity) is verified when built
-    on ``check_window`` (None: unverified); ``legality`` runs it anew.
+    on ``check_window`` (None: unverified); ``suite`` runs it anew.
     """
 
     def __init__(self, ring, carrier, coaction, check_window=VALIDATION_WINDOW):
@@ -121,7 +121,7 @@ class Comodule(Verified):
     def violation(self, failures):
         return IllegalComodule(repr(failures[0]))
 
-    def legality(self, K):
+    def suite(self, K):
         A = self.ring
         id_x = identity_map(self.carrier)
         counit = [equal_on_window(
@@ -132,8 +132,6 @@ class Comodule(Verified):
                            tensor_maps(identity_map(A.carrier), self.coaction))
         counit.append(equal_on_window(lhs, rhs, K, law="comodule-coassociativity"))
         return counit
-
-    suite = legality
 
     def __repr__(self):
         return "Comodule(%s over %s)" % (self.carrier.name, self.ring.carrier.name)

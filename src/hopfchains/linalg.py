@@ -132,20 +132,6 @@ def label_to_json(label):
     return ["t"] + [label_to_json(f) for f in label[1:]]
 
 
-def _is_int(value):
-    "Is a parsed JSON value an integer (not a boolean)?"
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
-               int: "a number", float: "a number", type(None): "null"}
-
-
-def _json_type(value):
-    "How a parsed JSON value reads in a message, e.g. ``a list``."
-    return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
 # ---------------------------------------------------------------------------
 # vectors
 

@@ -26,10 +26,6 @@ from .linalg import (
 )
 from .semidirect import WComodule, semidirect_product
 
-XI = "xi"
-XI_INV = "xi'"
-PSI = "psi"
-
 _FAMILY = "pareigis"
 
 
@@ -46,62 +42,6 @@ def _is_monomial(label):
     return type(a) is int and type(k) is int and a in (0, 1)
 
 
-def word_of(label):
-    "Tokens of a normal form, psi first."
-    a, k = label[2]
-    return [PSI] * a + ([XI] * k if k >= 0 else [XI_INV] * (-k))
-
-
-def normalize_word(word):
-    """Rewrite a word over {xi, xi', psi} to its normal form.
-
-    The relations xi.psi -> -psi.xi, xi'.psi -> -psi.xi', psi.psi -> 0
-    and xi.xi' -> 1 <- xi'.xi are confluent; the result is +-(psi^a xi^k)
-    or zero, returned as a vector.
-
-    >>> normalize_word([XI, PSI, XI_INV])
-    -pareigis(1,0)
-    >>> normalize_word([PSI, PSI])
-    0
-    >>> normalize_word([XI, XI_INV])
-    pareigis(0,0)
-    """
-    sign, a, k = 1, 0, 0
-    for token in word:
-        if token == XI:
-            k += 1
-        elif token == XI_INV:
-            k -= 1
-        elif token == PSI:
-            if a:
-                return Vec.zero()
-            if k % 2:
-                sign = -sign
-            a = 1
-        else:
-            raise ValueError("unknown letter %r" % (token,))
-    return Vec.basis(monomial(a, k), sign)
-
-
-def rewrite_once(word):
-    """All single rewriting steps from a word: list of (coeff, word) pairs.
-
-    Used to verify confluence: every maximal rewrite sequence of a word
-    ends in the same signed normal form.
-    """
-    out = []
-    for i in range(len(word) - 1):
-        u, v = word[i], word[i + 1]
-        head, tail = list(word[:i]), list(word[i + 2:])
-        if u in (XI, XI_INV) and v == PSI:
-            out.append((-1, head + [PSI, u] + tail))
-        elif u == PSI and v == PSI:
-            out.append((0, []))
-        elif (u, v) in ((XI, XI_INV), (XI_INV, XI)):
-            out.append((1, head + tail))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def pareigis_ring(s, /):
     """The Hopf ring on normal forms psi^a xi^k.
@@ -116,7 +56,8 @@ def pareigis_ring(s, /):
         delta(psi xi^k) = psi xi^k (x) xi^k + xi^(k+s) (x) psi xi^k,
         S(psi^a xi^k) = (-1)^(a.k) psi^a xi^(-k-a.s);
 
-    ``normalize_word`` rewrites words independently of them.
+    The rewriting oracle in ``tests/test_pareigis.py`` rewrites words
+    independently of them.
     There is one ring per sign in a process: every call returns it, so
     the memos of its pure structure maps serve every caller.  A bad sign
     raises a ``ValueError`` on every call.

@@ -186,13 +186,10 @@ class WComodule(Verified):
         verify(self, window)
 
     def suite(self, K):
-        "Legality of alpha (IllegalComodule), then of chi (``legality``)."
+        """Legality of alpha (IllegalComodule), then chi's comodule laws over
+        H, then chi as an A-comodule morphism."""
         verify(self.as_comodule, K)
-        return self.legality(K)
-
-    def legality(self, K):
-        "chi's comodule laws over H, then chi as an A-comodule morphism."
-        report = Comodule(self.hb.hopf, self.carrier, self.chi, check_window=None).legality(K)
+        report = Comodule(self.hb.hopf, self.carrier, self.chi, check_window=None).suite(K)
         hb_comod = tensor_comodule(self.hb.comodule, self.as_comodule)
         report.append(check_comodule_morphism(
             self.chi, self.as_comodule, hb_comod, K))

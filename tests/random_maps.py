@@ -1,10 +1,13 @@
-"""The seeded chain-map generators that the test files share.
+"""The seeded chain-map generators that the test files share, and the
+matrix sum they are built with.
 
 ``tests/data/seeded-generators.jsonl`` pins their draws byte for byte,
 so a change to either shows there.
 """
 
-from hopfchains.chains import ChainMap, _product, eye, mat
+import functools
+
+from hopfchains.chains import ChainMap, _Matrix, _product, eye, mat
 
 
 def random_graded_map(rng, X, Y, shift=0):
@@ -30,5 +33,12 @@ def random_chain_map(rng, X, Y=None):
                  lam * eye(X.rank(n)) if lam else None]
         parts = [b for b in parts if b is not None]
         if parts:
-            blocks[n] = sum(parts[1:], parts[0])
+            blocks[n] = functools.reduce(matrix_sum, parts)
     return ChainMap(X, Y, blocks, check=False)
+
+
+def matrix_sum(a, b):
+    "The entrywise sum of two matrices of one shape."
+    if a.shape != b.shape:
+        raise ValueError("shapes %s and %s differ" % (a.shape, b.shape))
+    return _Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)], a.ncols)

@@ -137,3 +137,13 @@ def test_the_dims_given_for_one_degree_add_up_however_it_is_spelled():
     same = GradedModule(2, (((-1, 2), 1), ((1, 0), 3)), "m")
     assert same == M and hash(same) == hash(M)
     assert repr(M) == "GradedModule(rank=2, components=(((-1, 2), 1), ((1, 0), 3)), name='m')"
+
+
+@pytest.mark.parametrize("components, message", [
+    ({1: -2, 2: 1}, "degree (1,) has negative dim -2"),
+    ([((0, 1), 3), ((0, 1), -1)], "degree (0, 1) has negative dim -1"),
+])
+def test_a_negative_dim_is_refused_with_its_degree(components, message):
+    # summed, the second still holds a positive dim; each given dim is checked
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GradedModule.of(components, name="n")

@@ -140,11 +140,11 @@ def test_every_private_top_level_name_is_read_in_the_package():
 
 # the parameters with a default in the package: a new default, option or
 # knob raises the count, so it must lower this bound in the same change
-DEFAULTED_PARAMETERS = 27
+DEFAULTED_PARAMETERS = 26
 
 # the package's code lines, as grep -cvE '^\s*(#|$)' counts them: pinned
 # exactly, so that every change shows its code-line delta in its own diff
-CODE_LINES = 3075
+CODE_LINES = 3010
 
 
 def defaulted_parameters(source):

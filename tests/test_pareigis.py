@@ -19,15 +19,78 @@ from hopfchains.linalg import (
     pair, show_label, tensor_space,
 )
 from hopfchains.pareigis import (
-    PSI, XI, XI_INV, chain_to_comodule, comodule_to_chain, identify_semidirect,
-    monomial as pm, normalize_word, pareigis_ring, rewrite_once, ring_by_name,
-    word_of,
+    chain_to_comodule, comodule_to_chain, identify_semidirect, monomial as pm,
+    pareigis_ring, ring_by_name,
 )
 
-from random_maps import random_chain_map
+from random_maps import matrix_sum, random_chain_map
+
+# ---------------------------------------------------------------------------
+# the rewriting oracle: words over the generators, rewritten by the
+# relations alone, with no formula of the ring's structure maps
+
+XI = "xi"
+XI_INV = "xi'"
+PSI = "psi"
 
 # the letters of P's words
 ALPHABET = (XI, XI_INV, PSI)
+
+
+def word_of(label):
+    "Tokens of a normal form, psi first."
+    a, k = label[2]
+    return [PSI] * a + ([XI] * k if k >= 0 else [XI_INV] * (-k))
+
+
+def normalize_word(word):
+    """Rewrite a word over {xi, xi', psi} to its normal form.
+
+    The relations xi.psi -> -psi.xi, xi'.psi -> -psi.xi', psi.psi -> 0
+    and xi.xi' -> 1 <- xi'.xi are confluent; the result is +-(psi^a xi^k)
+    or zero, returned as a vector.
+
+    >>> normalize_word([XI, PSI, XI_INV])
+    -pareigis(1,0)
+    >>> normalize_word([PSI, PSI])
+    0
+    >>> normalize_word([XI, XI_INV])
+    pareigis(0,0)
+    """
+    sign, a, k = 1, 0, 0
+    for token in word:
+        if token == XI:
+            k += 1
+        elif token == XI_INV:
+            k -= 1
+        elif token == PSI:
+            if a:
+                return Vec.zero()
+            if k % 2:
+                sign = -sign
+            a = 1
+        else:
+            raise ValueError("unknown letter %r" % (token,))
+    return Vec.basis(pm(a, k), sign)
+
+
+def rewrite_once(word):
+    """All single rewriting steps from a word: list of (coeff, word) pairs.
+
+    Used to verify confluence: every maximal rewrite sequence of a word
+    ends in the same signed normal form.
+    """
+    out = []
+    for i in range(len(word) - 1):
+        u, v = word[i], word[i + 1]
+        head, tail = list(word[:i]), list(word[i + 2:])
+        if u in (XI, XI_INV) and v == PSI:
+            out.append((-1, head + [PSI, u] + tail))
+        elif u == PSI and v == PSI:
+            out.append((0, []))
+        elif (u, v) in ((XI, XI_INV), (XI_INV, XI)):
+            out.append((1, head + tail))
+    return out
 
 
 def chain_map_to_linmap(f, src_comodule, tgt_comodule):
@@ -241,7 +304,7 @@ def test_differential_extraction():
                           name="beta"), check_window=0)
     X = comodule_to_chain(com)
     assert X.ranks == {1: 1, 0: 1}
-    assert X.d(1)[0, 0] == 1
+    assert X.diffs[1][0, 0] == 1
 
 
 @pytest.mark.parametrize("s", [-1, 1])
@@ -364,7 +427,8 @@ def test_a_chain_map_between_two_complexes_transports_to_a_comodule_morphism(s):
         X = random_complex(rng, name="x%d" % trial, max_window=4, max_rank=3)
         Y = ChainComplex(X.ranks, X.diffs, name="y%d" % trial)
         h = random_chain_map(rng, X, Y)
-        f = ChainMap(X, Y, {n: eye(X.rank(n)) + h.blocks.get(n, zeros(X.rank(n), X.rank(n)))
+        f = ChainMap(X, Y, {n: matrix_sum(eye(X.rank(n)),
+                                          h.blocks.get(n, zeros(X.rank(n), X.rank(n))))
                             for n in X.degrees()})
         cx, cy = chain_to_comodule(X, s), chain_to_comodule(Y, s)
         lf = chain_map_to_linmap(f, cx, cy)
